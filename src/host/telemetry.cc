@@ -262,6 +262,7 @@ Telemetry::Snapshot Telemetry::TakeSnapshot() const {
         tf.func = FuncDisplayName(*m, i);
         tf.heat = slot.heat.load(std::memory_order_relaxed);
         tf.deopts = slot.deopts.load(std::memory_order_relaxed);
+        tf.blacklisted = slot.Blacklisted();
         s.tiered_functions.push_back(std::move(tf));
       }
     }

@@ -164,6 +164,10 @@ class Telemetry {
     std::string func;
     uint64_t heat = 0;    // frame entries + loop back-edges observed
     uint64_t deopts = 0;  // OSR exits from this function's compiled code
+    // Evicted from the tier by the amortized deopt blacklist (frequent
+    // deopts with little compiled work between them): the function runs
+    // interpreted from now on.
+    bool blacklisted = false;
   };
 
   struct Snapshot {

@@ -447,9 +447,10 @@ int Serve(wali::WaliRuntime& runtime, std::shared_ptr<const wasm::Module> module
       std::string name =
           dbg.empty() ? "f" + std::to_string(module->num_imported_funcs + f)
                       : dbg;
-      std::printf("serve: jit tiered %-32s heat=%llu deopts=%u\n", name.c_str(),
-                  static_cast<unsigned long long>(heat),
-                  js.slots[f].deopts.load());
+      std::printf("serve: jit tiered %-32s heat=%llu deopts=%llu blacklisted=%s\n",
+                  name.c_str(), static_cast<unsigned long long>(heat),
+                  static_cast<unsigned long long>(js.slots[f].deopts.load()),
+                  js.slots[f].Blacklisted() ? "yes" : "no");
     }
   }
   host::TenantUsage usage = sup.ledger().usage(kTenant);

@@ -134,7 +134,7 @@ void WaliProcess::ResetForReuse(std::vector<std::string> argv_in,
     std::vector<uint64_t>().swap(exec_buffers.stack);
   }
   if (exec_buffers.frames.capacity() > kMaxRetainedFrames) {
-    std::vector<wasm::ExecContext::Frame>().swap(exec_buffers.frames);
+    wasm::ExecContext::FrameStack().swap(exec_buffers.frames);
   }
   main_instance.reset();
   module.reset();

@@ -1,5 +1,6 @@
 #include "src/wasm/interp.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -17,6 +18,17 @@
 #endif
 
 namespace wasm {
+
+void ExecContext::FrameStack::reserve(size_t n) {
+  if (n <= capacity_) return;
+  Frame* grown = new Frame[n];
+  std::copy(data_, data_ + size_, grown);
+  delete[] data_;
+  data_ = grown;
+  capacity_ = n;
+}
+
+void ExecContext::FrameStack::Grow() { reserve(capacity_ == 0 ? 16 : 2 * capacity_); }
 
 namespace {
 
@@ -190,7 +202,15 @@ bool PushFrame(ExecContext& ctx, const FuncRef& ref) {
   const Function* fn = ref.code;
   const bool use_prepared = !fn->prepared.code.empty() &&
                             ctx.opts.scheme != SafepointScheme::kEveryInstr;
-  ExecContext::Frame fr;
+  const uint32_t locals_base =
+      static_cast<uint32_t>(ctx.stack.size() - ref.type->params.size());
+  // One grow for all locals PLUS one scratch slot between the locals and
+  // the operand region; resize value-initializes the slots to zero. The
+  // scratch slot is where the threaded loop's TOS cache lands its dead
+  // spills when the operand stack is empty — every frame carries it so
+  // both dispatch loops agree on operand positions (stack_base + k).
+  ctx.stack.resize(ctx.stack.size() + fn->locals.size() + 1);
+  ExecContext::Frame& fr = ctx.frames.emplace_back();
   fr.inst = ref.owner;
   fr.fn = fn;
   if (use_prepared) {
@@ -204,16 +224,9 @@ bool PushFrame(ExecContext& ctx, const FuncRef& ref) {
   }
   fr.pc = 0;
   fr.type = ref.type;
-  fr.locals_base = static_cast<uint32_t>(ctx.stack.size() - ref.type->params.size());
-  // One grow for all locals PLUS one scratch slot between the locals and
-  // the operand region; resize value-initializes the slots to zero. The
-  // scratch slot is where the threaded loop's TOS cache lands its dead
-  // spills when the operand stack is empty — every frame carries it so
-  // both dispatch loops agree on operand positions (stack_base + k).
-  ctx.stack.resize(ctx.stack.size() + fn->locals.size() + 1);
+  fr.locals_base = locals_base;
   fr.stack_base = static_cast<uint32_t>(ctx.stack.size());
   fr.mem = ref.owner->memory(0).get();
-  ctx.frames.push_back(fr);
 #if defined(HOST_TELEMETRY)
   if (__builtin_expect(ctx.opts.profile, 0)) {
     ProfileFrameEntry(ctx, ref, ctx.executed);
@@ -313,10 +326,24 @@ struct BufferLease {
 
 #if WASM_JIT_OK
 namespace jit {
-// interp.cc's PushFrame, re-exported so the JIT dispatcher's native call
-// path shares the single frame-geometry implementation.
+// interp.cc's PushFrame and profiling hook, re-exported so the JIT's slow
+// call path and its native call sequence share the single implementations.
 bool PushFrameForJit(ExecContext& ctx, const FuncRef& ref) {
   return PushFrame(ctx, ref);
+}
+
+void ProfileFrameEntryForJit(ExecContext& ctx, uint64_t executed) {
+#if defined(HOST_TELEMETRY)
+  const ExecContext::Frame& fr = ctx.frames.back();
+  FuncRef ref;
+  ref.type = fr.type;
+  ref.code = fr.fn;
+  ref.owner = fr.inst;
+  ProfileFrameEntry(ctx, ref, executed);
+#else
+  (void)ctx;
+  (void)executed;
+#endif
 }
 }  // namespace jit
 #endif

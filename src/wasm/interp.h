@@ -6,9 +6,11 @@
 #define SRC_WASM_INTERP_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/wasm/instance.h"
@@ -44,10 +46,70 @@ class ExecContext {
     const FuncType* type = nullptr;
   };
 
+  // The call stack: a fixed-layout {data, size, capacity} triple rather
+  // than a std::vector, because the baseline JIT pushes and pops frames
+  // from emitted code by raw offset (the offsets below are static_asserted
+  // in the destructor; jit.cc bakes them and Frame's field offsets into
+  // its native call sequence). Only the C++ push paths and reserve()
+  // reallocate, and emitted code pushes only while size < capacity, so
+  // frame addresses are stable for the length of a compiled stint.
+  class FrameStack {
+   public:
+    static constexpr size_t kDataOffset = 0;
+    static constexpr size_t kSizeOffset = 8;
+    static constexpr size_t kCapacityOffset = 16;
+
+    FrameStack() = default;
+    FrameStack(const FrameStack&) = delete;
+    FrameStack& operator=(const FrameStack&) = delete;
+    FrameStack(FrameStack&& other) noexcept { swap(other); }
+    FrameStack& operator=(FrameStack&& other) noexcept {
+      swap(other);
+      return *this;
+    }
+    ~FrameStack();
+
+    size_t size() const { return size_; }
+    size_t capacity() const { return capacity_; }
+    bool empty() const { return size_ == 0; }
+    Frame& back() { return data_[size_ - 1]; }
+    const Frame& back() const { return data_[size_ - 1]; }
+    Frame* begin() { return data_; }
+    Frame* end() { return data_ + size_; }
+    const Frame* begin() const { return data_; }
+    const Frame* end() const { return data_ + size_; }
+
+    void push_back(const Frame& f) { emplace_back() = f; }
+    // Appends a frame slot for the caller to fill field by field. The hot
+    // push paths use this: a frame assembled in a local and then copied in
+    // costs a store-forwarding stall per call (narrow stores, wide loads).
+    Frame& emplace_back() {
+      if (__builtin_expect(size_ == capacity_, 0)) Grow();
+      return data_[size_++];
+    }
+    void pop_back() { --size_; }
+    void clear() { size_ = 0; }
+    void reserve(size_t n);
+    void swap(FrameStack& other) {
+      std::swap(data_, other.data_);
+      std::swap(size_, other.size_);
+      std::swap(capacity_, other.capacity_);
+    }
+
+   private:
+    // Out of line: push_back is inlined into both dispatch loops, and the
+    // reallocation must not be.
+    void Grow();
+
+    Frame* data_ = nullptr;
+    size_t size_ = 0;
+    size_t capacity_ = 0;
+  };
+
   Instance* root = nullptr;
   ExecOptions opts;
   std::vector<uint64_t> stack;
-  std::vector<Frame> frames;
+  FrameStack frames;
   TrapKind trap = TrapKind::kNone;
   std::string trap_msg;
   int32_t exit_code = 0;
@@ -117,8 +179,18 @@ class ExecContext {
 // invocation (host::InstancePool keeps one per pooled process slot).
 struct ExecBuffers {
   std::vector<uint64_t> stack;
-  std::vector<ExecContext::Frame> frames;
+  ExecContext::FrameStack frames;
 };
+
+inline ExecContext::FrameStack::~FrameStack() {
+  // Member-function bodies see the complete class: pin the layout here.
+  static_assert(offsetof(FrameStack, data_) == kDataOffset &&
+                    offsetof(FrameStack, size_) == kSizeOffset &&
+                    offsetof(FrameStack, capacity_) == kCapacityOffset,
+                "frame stack layout");
+  delete[] data_;
+}
+
 
 // A parked invocation: the full interpreter state of a run that unwound at
 // a host-call boundary with TrapKind::kSyscallPending. Filled by Invoke

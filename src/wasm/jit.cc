@@ -3,7 +3,7 @@
 //
 //   1. JitState — the fixed-layout struct compiled code addresses by raw
 //      offset (static_asserted below), plus the enter trampoline and the
-//      out-of-line safepoint helper.
+//      out-of-line safepoint and profiling helpers.
 //   2. Asm — a minimal x86-64 emitter (labels, rel32 fixups, the handful of
 //      encodings the stencils need).
 //   3. ComputeDepths — static operand-depth map over the prepared stream;
@@ -12,12 +12,12 @@
 //   4. EmitFunction — stitches gate thunks and per-op stencils; anything
 //      without a stencil becomes a deopt exit (the interpreter re-executes
 //      the instruction from unconsumed state).
-//   5. RequestEnter / Execute — tier-up policy and the dispatcher that runs
-//      compiled frames, handles calls/returns natively where possible, and
-//      reconciles every exit back into interpreter state.
+//   5. RequestEnter / Execute — tier-up policy, the amortized deopt
+//      blacklist, and the dispatcher that runs compiled stints and reconciles
+//      every exit back into interpreter state.
 //
-// Register plan (SysV, all callee-saved so the poll helper call needs no
-// spills):  rbx = fb (stack.data() + locals_base)   r12 = executed
+// Register plan (SysV, all callee-saved so helper calls need no spills):
+//           rbx = fb (stack.data() + locals_base)   r12 = executed
 //           r13 = effective fuel (UINT64_MAX = off) r14 = memory base
 //           r15 = cached memory size                rbp = JitState*
 // Scratch: rax rcx rdx rsi rdi r8-r11. Operand slot d lives at
@@ -28,6 +28,39 @@
 // interpreter's (uint32_t) casts) and STORE full zero-extended 64-bit
 // values (its push32), so slots stay canonical even when a host call wrote
 // a non-canonical upper half.
+//
+// Native call/return protocol. A direct call to a local function
+// (kFCallWasm, or kCall with a local callee in the unfused stream) is a
+// guarded native `call`. The guards, all read before anything is written:
+//   - the callee's JitFuncSlot::entry is non-null (compiled with a pc-0
+//     gate and not blacklisted);
+//   - frames.size() < JitState::frame_limit = min(frame-stack capacity,
+//     max_frames, stint base + kMaxNativeDepth), or 0 under the kFunction
+//     safepoint scheme (calls must poll, which only the dispatcher does);
+//   - the callee's region up to stack_base + max_operand_stack is already
+//     resident: below JitState::stack_limit = stack.data() +
+//     min(stack.size(), max_value_stack).
+// Any failed guard takes the kExitCall exit, and the dispatcher performs the
+// call exactly as the interpreter would (including every kStackExhausted
+// boundary). On success the sequence stores the caller's resume pc
+// (call_pc + 1), writes the callee's ExecContext::Frame in place (caller's
+// instance and memory, baked function/stream/type pointers, locals_base /
+// stack_base derived from the caller's), bumps frames.size(), zeroes the
+// callee's locals, runs the frame-entry profiling helper when
+// ExecOptions::profile is on, then `push rbx; lea rbx, callee fb; call
+// entry; pop rbx` and falls into the caller's post-call gate. The pushed
+// rbx keeps native frames 16 bytes each, so every native depth runs at the
+// same stack alignment. kReturn compares JitState::fr with base_fr: inside
+// a native chain it performs RETURN_UNWIND (results to the frame base),
+// pops the frame and `ret`s; at the stint's base frame it exits and the
+// dispatcher pops. JitState::fr always tracks the innermost frame, which is
+// what the poll helper syncs.
+//
+// Deep exits. The trampoline saves its rsp in JitState::saved_rsp, and
+// every exit tail (sync_exit, the poll trap) restores it before `ret`, so
+// an exit at any native depth unwinds straight to the dispatcher. All frames
+// are already materialized on the frame stack, so the dispatcher reconciles
+// against frames.back() — the innermost frame — not the one it entered.
 #include "src/wasm/jit.h"
 
 #include <cstring>
@@ -37,6 +70,7 @@
 #if WASM_JIT_OK
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -82,10 +116,20 @@ constexpr uint32_t kExitDeopt = 3;     // re-execute exit_pc in the interp
 constexpr uint32_t kExitFuelGate = 4;  // gate at exit_pc could not charge
 constexpr uint32_t kExitPollTrap = 5;  // safepoint poll raised a trap
 
-// Deopt exits from one function before its enter-sites stop selecting the
-// compiled code (a loop that deopts every iteration is slower than the
-// interpreter: each round trip pays the trampoline + reconciliation).
-constexpr uint32_t kDeoptBlacklist = 1024;
+// Amortized deopt blacklist: a function stops being enterable once it has
+// deopted at least kDeoptBlacklist times AND its compiled stints ran fewer
+// than kMinNativePerDeopt source instructions per deopt (a loop that deopts
+// every iteration is slower than the interpreter: each round trip pays the
+// trampoline + reconciliation; one deopt per call ahead of a long compiled
+// loop is not).
+constexpr uint64_t kDeoptBlacklist = 1024;
+constexpr uint64_t kMinNativePerDeopt = 64;
+
+// Native call nesting per compiled stint. Native frames live on the
+// worker's machine stack (16 bytes each), while a per-job max_frames can be
+// large; past this depth calls take the dispatcher's slow path, which starts a
+// fresh stint at native depth 0.
+constexpr uint64_t kMaxNativeDepth = 1024;
 
 // Cached-size target for frames with no memory: compiled loads always
 // bounds-check against r15, so pointing msize_addr here makes every access
@@ -95,13 +139,17 @@ const std::atomic<uint64_t> kZeroMemSize{0};
 struct JitState;
 }  // namespace
 
-// The safepoint helper and trampoline are extern "C" with fixed names so
-// the top-level asm block and the emitted `call [rbp+80]` agree on them.
+// The helpers and trampoline are extern "C" with fixed names so the
+// top-level asm block and the emitted `call [rbp+disp]` agree on them.
 extern "C" uint64_t wasm_jit_poll_impl(jit::JitState* st);
+extern "C" void wasm_jit_profile_impl(jit::JitState* st);
 extern "C" void wasm_jit_enter_impl(jit::JitState* st, const uint8_t* entry,
                                     uint64_t* fb);
 
 namespace {
+
+using Frame = ExecContext::Frame;
+using FrameStack = ExecContext::FrameStack;
 
 // Fixed-offset state block; every offset below is baked into stencils.
 struct JitState {
@@ -117,32 +165,71 @@ struct JitState {
   uint64_t poll_flag;                       // 72: nonzero = poll at loops
   uint64_t (*poll_helper)(JitState*);       // 80
   ExecContext* ctx;                         // 88
-  ExecContext::Frame* fr;                   // 96
+  Frame* fr;                                // 96: innermost (current) frame
+  Frame* base_fr;                           // 104: frame the stint entered
+  FrameStack* frames;                       // 112: &ctx->frames
+  uint64_t frame_limit;                     // 120: native push iff size < this
+  const uint64_t* stack_limit;              // 128: resident-region end
+  uint64_t saved_rsp;                       // 136: rsp at native depth 0
+  uint64_t profile_flag;                    // 144: nonzero = profile entries
+  void (*profile_helper)(JitState*);        // 152
+  const void* call_target;                  // 160: scratch across the helper
 };
 
-static_assert(offsetof(JitState, fb) == 0, "stencil offset");
-static_assert(offsetof(JitState, executed) == 8, "stencil offset");
-static_assert(offsetof(JitState, fuel) == 16, "stencil offset");
-static_assert(offsetof(JitState, mbase) == 24, "stencil offset");
-static_assert(offsetof(JitState, msize) == 32, "stencil offset");
-static_assert(offsetof(JitState, msize_addr) == 40, "stencil offset");
-static_assert(offsetof(JitState, globals) == 48, "stencil offset");
-static_assert(offsetof(JitState, exit_code) == 56, "stencil offset");
-static_assert(offsetof(JitState, exit_pc) == 64, "stencil offset");
-static_assert(offsetof(JitState, poll_flag) == 72, "stencil offset");
-static_assert(offsetof(JitState, poll_helper) == 80, "stencil offset");
-static_assert(offsetof(JitState, ctx) == 88, "stencil offset");
-static_assert(offsetof(JitState, fr) == 96, "stencil offset");
+// Stencil displacements off rbp / off a frame pointer, derived from the
+// layouts themselves.
+constexpr int32_t kStExecuted = offsetof(JitState, executed);
+constexpr int32_t kStMsizeAddr = offsetof(JitState, msize_addr);
+constexpr int32_t kStGlobals = offsetof(JitState, globals);
+constexpr int32_t kStExitCode = offsetof(JitState, exit_code);
+constexpr int32_t kStExitPc = offsetof(JitState, exit_pc);
+constexpr int32_t kStPollFlag = offsetof(JitState, poll_flag);
+constexpr int32_t kStPollHelper = offsetof(JitState, poll_helper);
+constexpr int32_t kStFr = offsetof(JitState, fr);
+constexpr int32_t kStBaseFr = offsetof(JitState, base_fr);
+constexpr int32_t kStFrames = offsetof(JitState, frames);
+constexpr int32_t kStFrameLimit = offsetof(JitState, frame_limit);
+constexpr int32_t kStStackLimit = offsetof(JitState, stack_limit);
+constexpr int32_t kStSavedRsp = offsetof(JitState, saved_rsp);
+constexpr int32_t kStProfileFlag = offsetof(JitState, profile_flag);
+constexpr int32_t kStProfileHelper = offsetof(JitState, profile_helper);
+constexpr int32_t kStCallTarget = offsetof(JitState, call_target);
+constexpr int32_t kFrInst = offsetof(Frame, inst);
+constexpr int32_t kFrFn = offsetof(Frame, fn);
+constexpr int32_t kFrCode = offsetof(Frame, code);
+constexpr int32_t kFrTables = offsetof(Frame, tables);
+constexpr int32_t kFrLcost = offsetof(Frame, lcost);
+constexpr int32_t kFrPc = offsetof(Frame, pc);
+constexpr int32_t kFrLocalsBase = offsetof(Frame, locals_base);
+constexpr int32_t kFrStackBase = offsetof(Frame, stack_base);
+constexpr int32_t kFrMem = offsetof(Frame, mem);
+constexpr int32_t kFrType = offsetof(Frame, type);
+constexpr int32_t kFrameSize = sizeof(Frame);
+
+// The trampoline's asm hard-codes these.
+static_assert(offsetof(JitState, executed) == 8 &&
+                  offsetof(JitState, fuel) == 16 &&
+                  offsetof(JitState, mbase) == 24 &&
+                  offsetof(JitState, msize) == 32 &&
+                  offsetof(JitState, saved_rsp) == 136,
+              "trampoline offsets");
 // The global-access stencil computes &global(i).bits as base + 16*i + 8.
 static_assert(sizeof(GlobalInst) == 16, "global stencil stride");
 static_assert(offsetof(GlobalInst, bits) == 8, "global stencil offset");
+// Frame pc / locals_base / stack_base are stored as 32-bit values.
+static_assert(sizeof(Frame::pc) == 4 && sizeof(Frame::locals_base) == 4 &&
+                  sizeof(Frame::stack_base) == 4,
+              "frame field widths");
 
 }  // namespace
 
 // Trampoline: saves the callee-saved set, binds the register plan from
-// JitState, and calls into the stencil code. Entry rsp % 16 == 8; six
-// pushes keep it == 8, so the call lands native code at % 16 == 0 and the
-// emitted `call [rbp+80]` presents the helper a conformant % 16 == 8.
+// JitState, records the depth-0 native rsp (the value after its `call`
+// pushes the return address) in JitState::saved_rsp for the exit tails,
+// and calls into the stencil code. Entry rsp % 16 == 8; six pushes keep it
+// == 8, so the call lands native code at % 16 == 0 and the emitted helper
+// calls present a conformant % 16 == 8. Native calls push rbx and a return
+// address (16 bytes), so every native depth keeps the same alignment.
 asm(R"(
 .text
 .globl wasm_jit_enter_impl
@@ -161,6 +248,8 @@ wasm_jit_enter_impl:
   mov 16(%rbp), %r13
   mov 24(%rbp), %r14
   mov 32(%rbp), %r15
+  lea -8(%rsp), %rax
+  mov %rax, 136(%rbp)
   call *%rsi
   pop %r15
   pop %r14
@@ -186,6 +275,13 @@ extern "C" uint64_t wasm_jit_poll_impl(jit::JitState* st) {
     ctx.trap = t;
   }
   return ctx.trap != TrapKind::kNone ? 1 : 0;
+}
+
+// Frame-entry profiling for a natively pushed frame (ExecOptions::profile):
+// the interpreter's hook, run with the exact executed count (r12, stored
+// by the call sequence) so attribution matches the interpreted run.
+extern "C" void wasm_jit_profile_impl(jit::JitState* st) {
+  ProfileFrameEntryForJit(*st->ctx, st->executed);
 }
 
 namespace {
@@ -214,10 +310,10 @@ struct ModuleStateImpl : JitModuleState {
   }
 
   // Maps the emitted bytes RW -> copies -> flips to RX (W^X throughout),
-  // then publishes the descriptor with a release store.
+  // then publishes the descriptor and the pc-0 entry with release stores.
   bool Install(std::unique_ptr<CompiledFn> cf, JitFuncSlot& slot) {
     size_t sz = cf->buf.size();
-    if (sz == 0) return false;
+    if (sz == 0 || cf->entry.empty() || cf->entry[0] < 0) return false;
     void* mem = mmap(nullptr, sz, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (mem == MAP_FAILED) return false;
@@ -236,6 +332,7 @@ struct ModuleStateImpl : JitModuleState {
       fns.push_back(std::move(cf));
     }
     slot.code.store(ptr, std::memory_order_release);
+    slot.entry.store(ptr->code + ptr->entry[0], std::memory_order_release);
     return true;
   }
 };
@@ -419,9 +516,9 @@ class Asm {
       W64(v);
     }
   }
-  // mov qword [base+disp], imm32 (sign-extended)
-  void MovMemImm(int base, int32_t disp, int32_t imm) {
-    Rex(1, 0, 0, base);
+  // mov qword [base+disp], imm32 (sign-extended); w=0: mov dword.
+  void MovMemImm(int base, int32_t disp, int32_t imm, int w = 1) {
+    Rex(w, 0, 0, base);
     B(0xC7);
     ModMem(0, base, disp);
     W32(static_cast<uint32_t>(imm));
@@ -452,11 +549,15 @@ class Asm {
       W32(static_cast<uint32_t>(imm));
     }
   }
-  void CmpMemImm8(int base, int32_t disp, int8_t imm) {  // cmp qword [..], imm8
+  // ALU qword [base+disp], imm8 (digit as AluImm).
+  void AluMemImm8(int digit, int base, int32_t disp, int8_t imm) {
     Rex(1, 0, 0, base);
     B(0x83);
-    ModMem(7, base, disp);
+    ModMem(digit, base, disp);
     B(static_cast<uint8_t>(imm));
+  }
+  void CmpMemImm8(int base, int32_t disp, int8_t imm) {  // cmp qword [..], imm8
+    AluMemImm8(7, base, disp, imm);
   }
   void TestRR(int w, int a, int b) {  // test a, b
     Rex(w, b, 0, a);
@@ -589,6 +690,19 @@ class Asm {
     Rex(0, 0, 0, base);
     B(0xFF);
     ModMem(2, base, disp);
+  }
+  void CallReg(int reg) {
+    Rex(0, 0, 0, reg);
+    B(0xFF);
+    ModReg(2, reg);
+  }
+  void Push(int reg) {
+    Rex(0, 0, 0, reg);
+    B(static_cast<uint8_t>(0x50 + (reg & 7)));
+  }
+  void Pop(int reg) {
+    Rex(0, 0, 0, reg);
+    B(static_cast<uint8_t>(0x58 + (reg & 7)));
   }
   void Ret() { B(0xC3); }
 };
@@ -944,26 +1058,27 @@ class Compiler {
       }
     }
     // Shared exit tail: rsi = exit pc, rcx = exit code (set by each exit
-    // site), executed synced from r12. The trampoline's pops follow the ret.
+    // site), executed synced from r12. Restoring the trampoline's rsp
+    // drops every native frame above depth 0, and the ret lands on the
+    // trampoline's pops.
     a_.Bind(sync_exit_);
-    a_.MovMR(1, RBP, 64, RSI);
-    a_.MovMR(1, RBP, 56, RCX);
-    a_.MovMR(1, RBP, 8, R12);
+    a_.MovMR(1, RBP, kStExitPc, RSI);
+    a_.MovMR(1, RBP, kStExitCode, RCX);
+    a_.MovMR(1, RBP, kStExecuted, R12);
+    a_.MovRM(1, RSP, RBP, kStSavedRsp);
     a_.Ret();
     if (poll_trap_.referenced()) {
       // exit_pc was stored before the poll helper ran; don't clobber it.
       a_.Bind(poll_trap_);
-      a_.MovMemImm(RBP, 56, static_cast<int32_t>(kExitPollTrap));
-      a_.MovMR(1, RBP, 8, R12);
+      a_.MovMemImm(RBP, kStExitCode, static_cast<int32_t>(kExitPollTrap));
+      a_.MovMR(1, RBP, kStExecuted, R12);
+      a_.MovRM(1, RSP, RBP, kStSavedRsp);
       a_.Ret();
     }
-    for (auto& fs : fuel_stubs_) {
-      a_.Bind(fs.second);
-      EmitExit(fs.first, kExitFuelGate);
-    }
-    for (auto& ds : deopt_stubs_) {
-      a_.Bind(ds.second);
-      EmitExit(ds.first, kExitDeopt);
+    for (auto& es : exit_stubs_) {
+      a_.Bind(es.second);
+      EmitExit(static_cast<uint32_t>(es.first >> 8),
+               static_cast<uint32_t>(es.first & 0xFF));
     }
     if (!ok_) return nullptr;
     // Defensive: a referenced-but-unbound label means a structural bug;
@@ -1009,10 +1124,14 @@ class Compiler {
   }
   void StoreLocal(int reg, uint64_t i) { a_.MovMR(1, RBX, LocalDisp(i), reg); }
 
-  // Per-pc out-of-line exit stubs (std::map: node addresses are stable, so
-  // labels referenced during emission survive later insertions).
-  Asm::Label& FuelStub(uint32_t pc) { return fuel_stubs_[pc]; }
-  Asm::Label& DeoptStub(uint32_t pc) { return deopt_stubs_[pc]; }
+  // Per-(pc, exit code) out-of-line exit stubs (std::map: node addresses
+  // are stable, so labels referenced during emission survive later
+  // insertions).
+  Asm::Label& ExitStub(uint32_t pc, uint32_t exit_code) {
+    return exit_stubs_[(static_cast<uint64_t>(pc) << 8) | exit_code];
+  }
+  Asm::Label& FuelStub(uint32_t pc) { return ExitStub(pc, kExitFuelGate); }
+  Asm::Label& DeoptStub(uint32_t pc) { return ExitStub(pc, kExitDeopt); }
 
   void EmitExit(uint32_t pc, uint32_t exit_code) {
     a_.MovImm32(RSI, pc);
@@ -1067,6 +1186,8 @@ class Compiler {
   }
 
   void EmitBody(uint32_t pc);
+  void EmitCall(uint32_t pc, const Instr& in, int64_t d);
+  void EmitReturn(uint32_t pc, int64_t d);
   bool EmitAlu32(Op op);            // eax = AluI32(op, eax, ecx)
   bool EmitAlu64(Op op);            // rax = AluI64(op, rax, rcx)
   bool EmitAluImm32(Op op, uint32_t imm);  // eax = AluI32(op, eax, imm)
@@ -1087,8 +1208,7 @@ class Compiler {
   std::vector<Asm::Label> body_;
   std::vector<uint32_t> ool_heads_;
   std::deque<BrTableRec> br_recs_;
-  std::map<uint32_t, Asm::Label> fuel_stubs_;
-  std::map<uint32_t, Asm::Label> deopt_stubs_;
+  std::map<uint64_t, Asm::Label> exit_stubs_;
   Asm::Label fn_start_;
   Asm::Label sync_exit_;
   Asm::Label poll_trap_;
@@ -1391,6 +1511,137 @@ void Compiler::EmitStore(uint32_t pc, Op op, uint64_t offset, int64_t d) {
   }
 }
 
+// Direct call to a local function: the guarded native call sequence
+// described in the file header. The call op's own cost was charged by the
+// segment gate that ends at it; the callee's pc-0 gate charges its first
+// segment, and the caller resumes at its post-call gate (entry_[pc + 1],
+// bound right after this stencil). Host and imported callees, oversized
+// frames, and every failed guard take the kExitCall exit instead.
+void Compiler::EmitCall(uint32_t pc, const Instr& in, int64_t d) {
+  const uint32_t nimp = m_.num_imported_funcs;
+  if (m_.jit == nullptr || in.a < nimp || in.a >= m_.NumFuncs()) {
+    EmitExit(pc, kExitCall);
+    return;
+  }
+  const uint32_t fi = in.a - nimp;
+  const Function& callee = m_.functions[fi];
+  const FuncType& ctype = m_.types[callee.type_index];
+  const int64_t nparams = static_cast<int64_t>(ctype.params.size());
+  const int64_t nlocals = static_cast<int64_t>(callee.locals.size());
+  // Callee geometry in slots off the caller's fb: its locals base (args
+  // become params in place), its stack_base (past the gap slot), and the
+  // end of its operand region, which must already be resident.
+  const int64_t callee_fb = gap_ + d - nparams;
+  const int64_t callee_sb = gap_ + d + nlocals + 1;
+  const int64_t callee_end = callee_sb + callee.max_operand_stack;
+  if (callee.prepared.code.empty() || callee_fb < 0 ||
+      callee_end > INT32_MAX / 8) {
+    EmitExit(pc, kExitCall);
+    return;
+  }
+  Asm::Label& slow = ExitStub(pc, kExitCall);
+  // Guards (nothing written yet). rax = callee entry, rdx = &frames,
+  // rcx = frames.size().
+  a_.MovImm(RAX, reinterpret_cast<uint64_t>(&m_.jit->slots[fi].entry));
+  a_.MovRM(1, RAX, RAX, 0);
+  a_.TestRR(1, RAX, RAX);
+  a_.Jcc(kCcE, slow);
+  a_.MovRM(1, RDX, RBP, kStFrames);
+  a_.MovRM(1, RCX, RDX, FrameStack::kSizeOffset);
+  a_.AluRM(1, 0x3B, RCX, RBP, kStFrameLimit);
+  a_.Jcc(kCcAE, slow);
+  a_.Lea(RSI, RBX, static_cast<int32_t>(8 * callee_end));
+  a_.AluRM(1, 0x3B, RSI, RBP, kStStackLimit);
+  a_.Jcc(kCcA, slow);
+  // Push: frames.size() + 1, JitState::fr -> the callee's slot, and the
+  // caller's resume pc (SYNC_STATE's post-increment pc).
+  a_.Lea(RCX, RCX, 1);
+  a_.MovMR(1, RDX, FrameStack::kSizeOffset, RCX);
+  a_.MovRM(1, RSI, RBP, kStFr);
+  a_.Lea(RDI, RSI, kFrameSize);
+  a_.MovMR(1, RBP, kStFr, RDI);
+  a_.MovMemImm(RSI, kFrPc, static_cast<int32_t>(pc + 1), /*w=*/0);
+  // The callee frame, field by field (push_wasm_frame's geometry: same
+  // instance and memory as the caller, prepared stream, pc 0).
+  a_.MovRM(1, RCX, RSI, kFrInst);
+  a_.MovMR(1, RDI, kFrInst, RCX);
+  a_.MovRM(1, RCX, RSI, kFrMem);
+  a_.MovMR(1, RDI, kFrMem, RCX);
+  const std::pair<int32_t, const void*> baked[] = {
+      {kFrFn, &callee},
+      {kFrCode, callee.prepared.code.data()},
+      {kFrTables, callee.prepared.br_tables.data()},
+      {kFrLcost, callee.prepared.linear_cost.data()},
+      {kFrType, &ctype},
+  };
+  for (const auto& [disp, ptr] : baked) {
+    a_.MovImm(RCX, reinterpret_cast<uint64_t>(ptr));
+    a_.MovMR(1, RDI, disp, RCX);
+  }
+  a_.MovMemImm(RDI, kFrPc, 0, /*w=*/0);
+  a_.MovRM(0, RCX, RSI, kFrLocalsBase);
+  a_.Lea(RDX, RCX, static_cast<int32_t>(callee_fb));
+  a_.MovMR(0, RDI, kFrLocalsBase, RDX);
+  a_.Lea(RDX, RCX, static_cast<int32_t>(callee_sb));
+  a_.MovMR(0, RDI, kFrStackBase, RDX);
+  // Zero the callee's non-param locals (their slots hold dead scratch).
+  if (nlocals > 0) {
+    a_.XorSelf32(RCX);
+    if (nlocals <= 16) {
+      for (int64_t i = 0; i < nlocals; ++i) {
+        a_.MovMR(1, RBX, SlotDisp(d + i), RCX);
+      }
+    } else {
+      Asm::Label loop;
+      a_.Lea(RSI, RBX, SlotDisp(d));
+      a_.MovImm32(RDX, static_cast<uint32_t>(nlocals));
+      a_.Bind(loop);
+      a_.MovMR(1, RSI, 0, RCX);
+      a_.Lea(RSI, RSI, 8);
+      a_.AluImm(0, 5, RDX, 1);
+      a_.Jcc(kCcNE, loop);
+    }
+  }
+  // Frame-entry profiling, out of line with the exact executed count. The
+  // entry survives the helper call in JitState (rax is caller-saved).
+  Asm::Label no_profile;
+  a_.CmpMemImm8(RBP, kStProfileFlag, 0);
+  a_.Jcc(kCcE, no_profile);
+  a_.MovMR(1, RBP, kStCallTarget, RAX);
+  a_.MovMR(1, RBP, kStExecuted, R12);
+  a_.MovRR(1, RDI, RBP);
+  a_.CallMem(RBP, kStProfileHelper);
+  a_.MovRM(1, RAX, RBP, kStCallTarget);
+  a_.Bind(no_profile);
+  // The call proper; the callee's `ret` lands on the pop, which restores
+  // the caller's fb, and control falls into the post-call gate.
+  a_.Push(RBX);
+  a_.Lea(RBX, RBX, static_cast<int32_t>(8 * callee_fb));
+  a_.CallReg(RAX);
+  a_.Pop(RBX);
+}
+
+// kReturn: at the stint's base frame, exit to the dispatcher (which pops and
+// decides whether to stay compiled); inside a native chain, the inline
+// RETURN_UNWIND (results to the frame base, where the caller expects them
+// in place of its args), frame pop, and `ret` into the caller's call site.
+void Compiler::EmitReturn(uint32_t pc, int64_t d) {
+  const int64_t arity =
+      static_cast<int64_t>(m_.types[fn_.type_index].results.size());
+  a_.MovRM(1, RAX, RBP, kStFr);
+  a_.AluRM(1, 0x3B, RAX, RBP, kStBaseFr);
+  a_.Jcc(kCcE, ExitStub(pc, kExitReturn));
+  for (int64_t k = 0; k < arity; ++k) {
+    LoadSlot64(RCX, d - arity + k);
+    StoreLocal(RCX, static_cast<uint64_t>(k));
+  }
+  a_.Lea(RAX, RAX, -kFrameSize);
+  a_.MovMR(1, RBP, kStFr, RAX);
+  a_.MovRM(1, RCX, RBP, kStFrames);
+  a_.AluMemImm8(5, RCX, FrameStack::kSizeOffset, 1);
+  a_.Ret();
+}
+
 // One stencil per prepared-stream op. Anything not covered compiles to a
 // deopt exit: the dispatcher uncharges the segment remainder and the
 // interpreter re-executes the op from unconsumed state.
@@ -1453,17 +1704,17 @@ void Compiler::EmitBody(uint32_t pc) {
       // helper publishes pc + 1 (the post-increment pc SYNC_STATE sees)
       // and latches traps exactly as do_poll.
       Asm::Label skip;
-      a_.CmpMemImm8(RBP, 72, 0);
+      a_.CmpMemImm8(RBP, kStPollFlag, 0);
       a_.Jcc(kCcE, skip);
       a_.MovImm32(RSI, pc + 1);
-      a_.MovMR(1, RBP, 64, RSI);
-      a_.MovMR(1, RBP, 8, R12);
+      a_.MovMR(1, RBP, kStExitPc, RSI);
+      a_.MovMR(1, RBP, kStExecuted, R12);
       a_.MovRR(1, RDI, RBP);
-      a_.CallMem(RBP, 80);
+      a_.CallMem(RBP, kStPollHelper);
       a_.TestRR(0, RAX, RAX);
       a_.Jcc(kCcNE, poll_trap_);
       a_.Bind(skip);
-      a_.MovRM(1, RAX, RBP, 40);
+      a_.MovRM(1, RAX, RBP, kStMsizeAddr);
       a_.MovRM(1, R15, RAX, 0);
       return;
     }
@@ -1582,11 +1833,13 @@ void Compiler::EmitBody(uint32_t pc) {
     }
 
     case Op::kReturn:
-      EmitExit(pc, kExitReturn);
+      EmitReturn(pc, d);
       return;
     case Op::kCall:
-    case Op::kCallIndirect:
     case Op::kFCallWasm:
+      EmitCall(pc, in, d);
+      return;
+    case Op::kCallIndirect:
       EmitExit(pc, kExitCall);
       return;
 
@@ -1617,7 +1870,7 @@ void Compiler::EmitBody(uint32_t pc) {
         return;
       }
       int32_t disp = static_cast<int32_t>(16 * in.a + 8);
-      a_.MovRM(1, RCX, RBP, 48);
+      a_.MovRM(1, RCX, RBP, kStGlobals);
       if (op == Op::kGlobalGet) {
         a_.MovRM(1, RAX, RCX, disp);
         StoreSlot(RAX, d);
@@ -1638,7 +1891,7 @@ void Compiler::EmitBody(uint32_t pc) {
 
     case Op::kMemorySize:
       // Live size read (not the r15 cache), exactly like the interpreter.
-      a_.MovRM(1, RAX, RBP, 40);
+      a_.MovRM(1, RAX, RBP, kStMsizeAddr);
       a_.MovRM(1, RAX, RAX, 0);
       a_.ShiftImm(1, 5, RAX, 16);
       StoreSlot(RAX, d);
@@ -1886,18 +2139,56 @@ const CompiledFn* EnterableCode(ExecContext& ctx, ExecContext::Frame& fr) {
   auto* js = static_cast<ModuleStateImpl*>(m.jit.get());
   if (js == nullptr) return nullptr;
   JitFuncSlot& slot = js->slots[fr.fn - m.functions.data()];
-  if (slot.deopts.load(std::memory_order_relaxed) >= kDeoptBlacklist) {
-    return nullptr;
+  if (slot.entry.load(std::memory_order_acquire) == nullptr) {
+    return nullptr;  // not compiled, or blacklisted
   }
   const auto* cf =
       static_cast<const CompiledFn*>(slot.code.load(std::memory_order_acquire));
-  if (cf == nullptr) return nullptr;
   if (fr.pc >= cf->entry.size() || cf->entry[fr.pc] < 0) return nullptr;
   if (static_cast<uint64_t>(fr.stack_base) + fr.fn->max_operand_stack >
       ctx.opts.max_value_stack) {
     return nullptr;
   }
   return cf;
+}
+
+// Counts one deopt exit from `slot`'s compiled code and applies the
+// amortized blacklist (see kDeoptBlacklist): clearing `entry` makes every
+// enter-site, native call sequences included, pass the function over.
+void CountDeopt(JitFuncSlot& slot) {
+  const uint64_t n = slot.deopts.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (n >= kDeoptBlacklist &&
+      slot.native_instrs.load(std::memory_order_relaxed) <
+          kMinNativePerDeopt * n) {
+    slot.entry.store(nullptr, std::memory_order_release);
+  }
+}
+
+// frames.size() bound below which emitted code may push a frame natively:
+// the frame stack's capacity (emitted code never reallocates it),
+// max_frames (the dispatcher raises kStackExhausted past it), and
+// kMaxNativeDepth frames above the stint's base. Under the kFunction
+// scheme every call must poll, which only the dispatcher does.
+uint64_t NativeFrameLimit(const ExecContext& ctx) {
+  if (ctx.opts.scheme == SafepointScheme::kFunction) return 0;
+  return std::min<uint64_t>({ctx.frames.capacity(), ctx.opts.max_frames,
+                             ctx.frames.size() + kMaxNativeDepth});
+}
+
+// The slow call path continues natively into a compiled callee. Native
+// calls only run while the callee's whole region is already resident
+// (emitted code never resizes the value stack), and every run starts with
+// its recycled stack at size 0, so grow geometrically here (capped at
+// max_value_stack): a run's first descent pays O(log depth) slow calls.
+void GrowForNativeCalls(ExecContext& ctx) {
+  const ExecContext::Frame& fr = ctx.frames.back();
+  const size_t need =
+      static_cast<size_t>(fr.stack_base) + fr.fn->max_operand_stack;
+  const size_t size = ctx.stack.size();
+  if (size < need) {
+    ctx.stack.resize(std::max<size_t>(
+        need, std::min<uint64_t>(2 * size, ctx.opts.max_value_stack)));
+  }
 }
 
 // Runs the compiler for one function (the caller holds the kCompiling
@@ -1935,7 +2226,8 @@ bool RequestEnter(ExecContext& ctx) {
   ExecContext::Frame& fr = ctx.frames.back();
   const Module& m = fr.inst->module();
   auto* js = static_cast<ModuleStateImpl*>(m.jit.get());
-  if (js == nullptr || fr.code != fr.fn->prepared.code.data()) {
+  if (js == nullptr || js->owner != &m ||
+      fr.code != fr.fn->prepared.code.data()) {
     return false;
   }
   if (ctx.jit_inhibit && ctx.jit_inhibit_frame == ctx.frames.size() &&
@@ -1967,14 +2259,15 @@ bool RequestEnter(ExecContext& ctx) {
 
 TrapKind Execute(ExecContext& ctx) {
   for (;;) {
-    // Contract: every path here (RequestEnter, the native call/return
-    // chains below) validated frames.back() with EnterableCode.
+    // Contract: every path here (RequestEnter, the slow call/return paths
+    // below) validated frames.back() with EnterableCode. Native calls stay
+    // within one instance, so every frame a stint pushes shares `m`/`js`.
     ExecContext::Frame* fr = &ctx.frames.back();
     const Module& m = fr->inst->module();
     auto* js = static_cast<ModuleStateImpl*>(m.jit.get());
-    JitFuncSlot& slot = js->slots[fr->fn - m.functions.data()];
+    JitFuncSlot& entered = js->slots[fr->fn - m.functions.data()];
     const auto* cf = static_cast<const CompiledFn*>(
-        slot.code.load(std::memory_order_acquire));
+        entered.code.load(std::memory_order_acquire));
     // Same grow-only pre-size as the interpreter's frame_entry: operand
     // slots are addressed statically, so the frame's full region must be
     // resident before entry.
@@ -2001,14 +2294,36 @@ TrapKind Execute(ExecContext& ctx) {
     st.poll_helper = &wasm_jit_poll_impl;
     st.ctx = &ctx;
     st.fr = fr;
+    st.base_fr = fr;
+    st.frames = &ctx.frames;
+    st.frame_limit = NativeFrameLimit(ctx);
+    st.stack_limit =
+        ctx.stack.data() +
+        std::min<uint64_t>(ctx.stack.size(), ctx.opts.max_value_stack);
+    st.saved_rsp = 0;
+    st.profile_flag = ctx.opts.profile ? 1 : 0;
+    st.profile_helper = &wasm_jit_profile_impl;
+    st.call_target = nullptr;
+    const uint64_t entered_at = ctx.executed;
     wasm_jit_enter_impl(&st, cf->code + cf->entry[fr->pc], st.fb);
+    // Credit the stint's native work to the function it entered (the
+    // blacklist's denominator), then reconcile against the innermost
+    // frame: an exit at native depth > 0 left every pushed frame live.
+    if (st.executed > entered_at) {
+      entered.native_instrs.fetch_add(st.executed - entered_at,
+                                      std::memory_order_relaxed);
+    }
+    fr = &ctx.frames.back();
+    JitFuncSlot& slot = js->slots[fr->fn - m.functions.data()];
+    cf = static_cast<const CompiledFn*>(
+        slot.code.load(std::memory_order_acquire));
     const uint32_t xpc = static_cast<uint32_t>(st.exit_pc);
     switch (static_cast<uint32_t>(st.exit_code)) {
       case kExitReturn: {
-        // kReturn stencil: move the results to the frame base (the
-        // interpreter's RETURN_UNWIND) and pop. If the caller is compiled
-        // and resumable we stay native; otherwise trim the stack to the
-        // exact post-call top and let frame_entry reload the caller.
+        // kReturn at the stint's base frame: move the results to the frame
+        // base (the interpreter's RETURN_UNWIND) and pop. If the caller is
+        // compiled and resumable we stay native; otherwise trim the stack
+        // to the exact post-call top and let frame_entry reload the caller.
         ctx.executed = st.executed;
         const size_t arity = fr->type->results.size();
         const size_t src =
@@ -2029,10 +2344,12 @@ TrapKind Execute(ExecContext& ctx) {
       case kExitCall: {
         // The stencil stops at the (unexecuted-so-far-as-effects) call op
         // with the segment ending at it already charged — exactly the
-        // interpreter's position after SYNC_STATE at a call site. Resolve
-        // the callee with the interpreter's checks, in its order; any trap
-        // condition or host callee deopts so the oracle path executes the
-        // op (billing: uncharge it here, the interp gate re-charges).
+        // interpreter's position after SYNC_STATE at a call site. This is
+        // the slow path of every call: indirect calls, host callees, and
+        // direct calls whose native guards failed. Resolve the callee with
+        // the interpreter's checks, in its order; any trap condition or
+        // host callee deopts so the oracle path executes the op (billing:
+        // uncharge it here, the interp gate re-charges).
         ctx.executed = st.executed;
         const Instr& cin = fr->code[xpc];
         const size_t dd = static_cast<size_t>(cf->depth[xpc]);
@@ -2069,7 +2386,7 @@ TrapKind Execute(ExecContext& ctx) {
           ctx.stack.resize(fr->stack_base + dd);
           SetInhibit(ctx, xpc);
           js->osr_exits.fetch_add(1, std::memory_order_relaxed);
-          slot.deopts.fetch_add(1, std::memory_order_relaxed);
+          CountDeopt(slot);
           return TrapKind::kNone;
         }
         fr->pc = xpc + 1;  // the caller's resume point (SYNC_STATE)
@@ -2084,6 +2401,7 @@ TrapKind Execute(ExecContext& ctx) {
           return ctx.trap;  // kStackExhausted from the shared push path
         }
         if (EnterableCode(ctx, ctx.frames.back()) != nullptr) {
+          GrowForNativeCalls(ctx);
           continue;  // compiled callee: stay native
         }
         return TrapKind::kNone;  // frame_entry runs the callee
@@ -2116,7 +2434,7 @@ TrapKind Execute(ExecContext& ctx) {
         ctx.stack.resize(fr->stack_base + static_cast<size_t>(cf->depth[xpc]));
         SetInhibit(ctx, xpc);
         js->osr_exits.fetch_add(1, std::memory_order_relaxed);
-        slot.deopts.fetch_add(1, std::memory_order_relaxed);
+        CountDeopt(slot);
         return TrapKind::kNone;
       }
     }
@@ -2125,13 +2443,14 @@ TrapKind Execute(ExecContext& ctx) {
 
 #endif  // WASM_JIT_OK
 
-std::shared_ptr<JitModuleState> CreateModuleState(size_t num_functions) {
+std::shared_ptr<JitModuleState> CreateModuleState(const Module& module) {
 #if WASM_JIT_OK
   auto st = std::make_shared<ModuleStateImpl>();
-  st->slots = std::make_unique<JitFuncSlot[]>(num_functions);
+  st->owner = &module;
+  st->slots = std::make_unique<JitFuncSlot[]>(module.functions.size());
   return st;
 #else
-  (void)num_functions;
+  (void)module;
   return nullptr;
 #endif
 }

@@ -130,14 +130,30 @@ struct FuncProfileSlot {
 struct JitFuncSlot {
   enum : uint32_t { kCold = 0, kCompiling = 1, kCompiled = 2, kFailed = 3 };
   std::atomic<const void*> code{nullptr};  // jit::CompiledFn, owned by state
+  // Address of the compiled code's pc-0 gate: published with `code`, and
+  // cleared again when the function is blacklisted. The one word every
+  // enter-site reads to decide "enterable" — the dispatcher's
+  // EnterableCode and the native call sequence at each direct call site.
+  std::atomic<const void*> entry{nullptr};
   std::atomic<uint32_t> state{kCold};
   std::atomic<uint32_t> heat{0};
-  // Deopt exits (unsupported op / trap re-execution) from this function's
-  // compiled code. A function whose hot loop keeps deopting is worse than
-  // interpreted (every round trip pays the trampoline); past the blacklist
-  // threshold the enter-sites stop selecting it.
-  std::atomic<uint32_t> deopts{0};
+  // Deopt exits (unsupported op / trap re-execution / host call) from this
+  // function's compiled code, and the source instructions compiled stints
+  // entered at this function ran natively. The blacklist is amortized: a
+  // function is evicted from the tier only once it has deopted often AND
+  // rarely runs long between deopts (a loop that deopts every iteration is
+  // slower than the interpreter; a function that deopts once per call and
+  // then runs a long compiled loop is not).
+  std::atomic<uint64_t> deopts{0};
+  std::atomic<uint64_t> native_instrs{0};
+
+  bool Blacklisted() const {
+    return state.load(std::memory_order_acquire) == kCompiled &&
+           entry.load(std::memory_order_relaxed) == nullptr;
+  }
 };
+
+struct Module;
 
 // Module-wide JIT tier state: one slot per local function plus the tier
 // counters telemetry exports (jit_compiles_total and friends). The concrete
@@ -147,6 +163,12 @@ struct JitFuncSlot {
 // the prepared stream's pcs, so a fusion-level change must discard it).
 struct JitModuleState {
   virtual ~JitModuleState() = default;
+  // The module this state was prepared for. Compiled code bakes addresses
+  // of that module's functions and types into its native call sequences,
+  // so a copy of the Module (which shares this state through the
+  // shared_ptr) must never enter it; the tier checks this at every
+  // interpreter->compiled-code transition.
+  const Module* owner = nullptr;
   std::unique_ptr<JitFuncSlot[]> slots;  // Module::functions.size() entries
   std::atomic<uint64_t> compiles{0};
   std::atomic<uint64_t> compile_failures{0};

@@ -406,7 +406,7 @@ PrepareStats PrepareModule(Module& module, const PrepareOptions& opts) {
   // JIT tier state does NOT survive a re-prepare: compiled code is keyed to
   // the prepared stream's pcs, which this pass just rewrote. Null when the
   // tier is compiled out.
-  module.jit = jit::CreateModuleState(module.functions.size());
+  module.jit = jit::CreateModuleState(module);
   module.prepare_stats = stats;
   return stats;
 }

@@ -679,7 +679,7 @@ common::Status Validate(Module& module) {
   // JIT tier state is created fresh whenever the prepared streams are:
   // compiled code is keyed to the prepared pcs written above. Null when the
   // tier is compiled out.
-  module.jit = jit::CreateModuleState(module.functions.size());
+  module.jit = jit::CreateModuleState(module);
 
   module.validated = true;
   return common::OkStatus();

@@ -523,6 +523,53 @@ TEST(HostTelemetry, HotFunctionProfileCountsEntriesAndFuel) {
       << "per-function fuel must sum to executed instructions";
 }
 
+TEST(HostTelemetry, TieredFunctionsReportBlacklist) {
+  // The tiered list says which compiled functions the amortized deopt
+  // blacklist evicted: a loop that deopts every iteration after a few
+  // compiled instructions (f64 ops have no stencils) is evicted, a pure
+  // integer loop is not.
+  if (!wasm::JitAvailable()) GTEST_SKIP();
+  auto parsed = wasm::ParseAndValidateWat(R"((module
+    (func $fploop (export "fp") (param $n i32) (result i64)
+      (local $i i32) (local $x f64)
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+        (local.set $x (f64.add (local.get $x) (f64.const 0.25)))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (i64.reinterpret_f64 (local.get $x)))
+    (func $intloop (export "int") (param $n i32) (result i32)
+      (local $i i32) (local $acc i32)
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+        (local.set $acc (i32.add (local.get $acc) (local.get $i)))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (local.get $acc)))
+  )");
+  ASSERT_TRUE(parsed.ok());
+  host::Telemetry tel;
+  tel.RegisterModule("m", *parsed);
+  wasm::Linker linker;
+  auto inst = linker.Instantiate(*parsed);
+  ASSERT_TRUE(inst.ok());
+  wasm::ExecOptions opts;
+  opts.jit = wasm::JitTier::kOn;
+  opts.jit_threshold = 0;
+  for (const char* fn : {"fp", "int"}) {
+    wasm::RunResult r =
+        (*inst)->CallExport(fn, {wasm::Value::I32(3000)}, opts);
+    ASSERT_EQ(r.trap, wasm::TrapKind::kNone) << fn;
+  }
+  host::Telemetry::Snapshot s = tel.TakeSnapshot();
+  ASSERT_EQ(s.tiered_functions.size(), 2u);
+  for (const host::Telemetry::TieredFunction& tf : s.tiered_functions) {
+    const bool fp = tf.func.find("fploop") != std::string::npos;
+    EXPECT_EQ(tf.blacklisted, fp) << tf.func;
+    if (fp) EXPECT_GE(tf.deopts, 1024u);
+  }
+}
+
 #else  // !HOST_TELEMETRY
 
 // The hooks are compiled out, but the subsystem itself must keep building

@@ -8,8 +8,10 @@
 // agree; the tier-engagement assertions are gated.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/wasm/prepare.h"
@@ -53,11 +55,20 @@ struct CaseRun {
   uint64_t tierups = 0;
   uint64_t compiles = 0;
   uint64_t osr_exits = 0;
+  // Per local function, after the run: tier state and blacklist flag (tier
+  // built in), and frame-entry profile counters (entries, fuel).
+  std::vector<uint32_t> tier_state;
+  std::vector<bool> blacklisted;
+  std::vector<std::pair<uint64_t, uint64_t>> profile;
 };
+
+// Per-instance hook run before the call (e.g. installing a safepoint fn).
+using InstanceSetup = std::function<void(wasm::Instance&)>;
 
 CaseRun RunCase(const std::string& wat, const JitCase& jc,
                 const std::string& func, const std::vector<Value>& args,
-                ExecOptions base = {}, bool fuse = true) {
+                ExecOptions base = {}, bool fuse = true,
+                const InstanceSetup& setup = {}) {
   CaseRun out;
   out.label = jc.label + (fuse ? "" : "+unfused");
   wasm_test::WatFixture fx = wasm_test::Instantiate(wat);
@@ -70,6 +81,7 @@ CaseRun RunCase(const std::string& wat, const JitCase& jc,
     popts.fuse = false;
     wasm::PrepareModule(*fx.module, popts);
   }
+  if (setup) setup(*fx.instance);
   ExecOptions opts = base;
   opts.dispatch = jc.dispatch;
   opts.jit = jc.jit;
@@ -79,10 +91,21 @@ CaseRun RunCase(const std::string& wat, const JitCase& jc,
   if (mem != nullptr) {
     out.mem_pages = mem->size_pages();
   }
+  const size_t nfuncs = fx.module->functions.size();
   if (fx.module->jit != nullptr) {
     out.tierups = fx.module->jit->tierups.load();
     out.compiles = fx.module->jit->compiles.load();
     out.osr_exits = fx.module->jit->osr_exits.load();
+    for (size_t i = 0; i < nfuncs; ++i) {
+      out.tier_state.push_back(fx.module->jit->slots[i].state.load());
+      out.blacklisted.push_back(fx.module->jit->slots[i].Blacklisted());
+    }
+  }
+  if (fx.module->func_profile != nullptr) {
+    for (size_t i = 0; i < nfuncs; ++i) {
+      out.profile.emplace_back(fx.module->func_profile[i].entries.load(),
+                               fx.module->func_profile[i].fuel.load());
+    }
   }
   return out;
 }
@@ -93,11 +116,12 @@ CaseRun RunCase(const std::string& wat, const JitCase& jc,
 std::vector<CaseRun> ExpectMatrixAgrees(const std::string& wat,
                                         const std::string& func,
                                         const std::vector<Value>& args,
-                                        ExecOptions base = {}) {
+                                        ExecOptions base = {},
+                                        const InstanceSetup& setup = {}) {
   std::vector<CaseRun> runs;
   for (bool fuse : {true, false}) {
     for (const JitCase& jc : Matrix()) {
-      runs.push_back(RunCase(wat, jc, func, args, base, fuse));
+      runs.push_back(RunCase(wat, jc, func, args, base, fuse, setup));
     }
   }
   const CaseRun& ref = runs.front();
@@ -127,6 +151,17 @@ void ExpectTierEngaged(const std::vector<CaseRun>& runs) {
     }
   }
   EXPECT_TRUE(engaged) << "JIT never tiered up on a hot workload";
+}
+
+// When the tier is built in, local function `f` (module order) ended every
+// JIT run blacklisted.
+void ExpectBlacklistedUnderJit(const std::vector<CaseRun>& runs, size_t f) {
+  if (!wasm::JitAvailable()) return;
+  for (const CaseRun& r : runs) {
+    if (r.label.rfind("jit", 0) != 0) continue;
+    ASSERT_GT(r.blacklisted.size(), f) << r.label;
+    EXPECT_TRUE(r.blacklisted[f]) << r.label;
+  }
 }
 
 // ---------------------------------------------------------------- programs
@@ -375,8 +410,9 @@ TEST(WasmJit, IndirectOobTrapParity) {
 }
 
 TEST(WasmJit, FpDeoptLoopParity) {
-  // Every iteration deopts at the f64 ops; past kDeoptBlacklist the enter
-  // sites stop selecting the code. Exactness must hold the whole way.
+  // Every iteration deopts at the f64 ops after a handful of compiled
+  // instructions, so the amortized blacklist evicts the function once it
+  // has deopted 1024 times. Exactness must hold the whole way.
   auto runs = ExpectMatrixAgrees(kFpDeopt, "f", {Value::I32(3000)});
   if (wasm::JitAvailable()) {
     bool deopted = false;
@@ -385,6 +421,51 @@ TEST(WasmJit, FpDeoptLoopParity) {
     }
     EXPECT_TRUE(deopted) << "expected OSR deopt exits from the f64 loop";
   }
+  ExpectBlacklistedUnderJit(runs, 0);
+}
+
+TEST(WasmJit, DeoptOncePerCallStaysCompiled) {
+  // $g deopts once per call (memory.fill has no stencil) and then runs a
+  // 2000-iteration compiled loop: its deopt count passes the blacklist
+  // threshold, but its compiled stints run thousands of instructions per
+  // deopt, so the amortized blacklist must keep it enterable.
+  const char* wat = R"((module
+    (memory 1)
+    (func $g (export "g") (param $n i32) (result i32)
+      (local $i i32) (local $acc i32)
+      (memory.fill (i32.const 0) (local.get $n) (i32.const 64))
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (i32.const 2000)))
+        (local.set $acc (i32.add (i32.mul (local.get $acc) (i32.const 31))
+                                 (i32.load8_u (i32.and (local.get $i) (i32.const 63)))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (local.get $acc))
+    (func (export "f") (param $calls i32) (result i32)
+      (local $k i32) (local $acc i32)
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $k) (local.get $calls)))
+        (local.set $acc (i32.xor (local.get $acc) (call $g (local.get $k))))
+        (local.set $k (i32.add (local.get $k) (i32.const 1)))
+        (br $l)))
+      (local.get $acc)))
+  )";
+  if (!wasm::JitAvailable()) GTEST_SKIP();
+  wasm_test::WatFixture fx = wasm_test::Instantiate(wat);
+  ASSERT_NE(fx.instance, nullptr);
+  ExecOptions opts;
+  opts.jit = JitTier::kOn;
+  opts.jit_threshold = 0;
+  RunResult r = fx.instance->CallExport("f", {Value::I32(2000)}, opts);
+  ASSERT_EQ(r.trap, TrapKind::kNone) << r.trap_message;
+  const wasm::JitFuncSlot& g = fx.module->jit->slots[0];
+  EXPECT_GE(g.deopts.load(), 2000u);
+  EXPECT_FALSE(g.Blacklisted());
+  // Still entered by the tier: one more call tiers up again.
+  const uint64_t before = fx.module->jit->tierups.load();
+  r = fx.instance->CallExport("g", {Value::I32(7)}, opts);
+  ASSERT_EQ(r.trap, TrapKind::kNone) << r.trap_message;
+  EXPECT_GT(fx.module->jit->tierups.load(), before);
 }
 
 TEST(WasmJit, FuelSweepAcrossCompiledSegments) {
@@ -446,6 +527,250 @@ TEST(WasmJit, DeepRecursionStackExhaustedParity) {
   EXPECT_EQ(runs.front().result.trap, TrapKind::kStackExhausted);
 }
 
+// ------------------------------------------------- native call chains
+//
+// Compiled code calls compiled code natively (guarded `call`, frames built
+// by emitted code) and falls back to the dispatcher's slow path whenever a
+// guard fails. These hold every boundary of that protocol to the oracle.
+
+// f -> b -> c: a three-deep chain where c owns a loop (loop-header polls
+// and fuel gates inside a natively called callee at native depth 2).
+const char* kChain = R"((module
+  (func $c (param $x i32) (result i32)
+    (local $i i32) (local $acc i32)
+    (local.set $acc (local.get $x))
+    (block $done (loop $l
+      (br_if $done (i32.ge_u (local.get $i) (i32.const 4)))
+      (local.set $acc (i32.add (i32.mul (local.get $acc) (i32.const 31))
+                               (local.get $i)))
+      (local.set $i (i32.add (local.get $i) (i32.const 1)))
+      (br $l)))
+    (local.get $acc))
+  (func $b (param $x i32) (result i32)
+    (i32.xor (call $c (local.get $x))
+             (call $c (i32.add (local.get $x) (i32.const 7)))))
+  (func (export "f") (param $n i32) (result i32)
+    (local $i i32) (local $acc i32)
+    (block $done (loop $l
+      (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+      (local.set $acc (i32.add (local.get $acc) (call $b (local.get $i))))
+      (local.set $i (i32.add (local.get $i) (i32.const 1)))
+      (br $l)))
+    (local.get $acc)))
+)";
+
+// Unbounded recursion with locals: exhausts max_frames or max_value_stack,
+// whichever the test configures lower.
+const char* kDown = R"((module
+  (func $down (param $n i32) (result i32)
+    (local $a i64) (local $b i64) (local $c i32) (local $d i32)
+    (local.set $c (i32.add (local.get $n) (i32.const 1)))
+    (i32.add (local.get $c) (call $down (local.get $c))))
+  (func (export "f") (result i32) (call $down (i32.const 0))))
+)";
+
+TEST(WasmJit, NativeChainStackExhaustedAtMaxFrames) {
+  // 64 equals the initial frame-stack capacity; 100 lies past a capacity
+  // doubling, so only the max_frames term of the native frame guard
+  // stops the chain there.
+  for (uint32_t max_frames : {64u, 100u}) {
+    ExecOptions base;
+    base.max_frames = max_frames;
+    auto runs = ExpectMatrixAgrees(kDown, "f", {}, base);
+    EXPECT_EQ(runs.front().result.trap, TrapKind::kStackExhausted)
+        << "max_frames=" << max_frames;
+    ExpectTierEngaged(runs);
+  }
+}
+
+TEST(WasmJit, NativeChainStackExhaustedAtValueStackLimit) {
+  // The value-stack limit is reached long before max_frames: the native
+  // stack guard (region resident within max_value_stack) must hand the
+  // last call to the slow path at exactly the oracle's boundary.
+  for (uint64_t limit : {300u, 2048u, 2049u, 5000u}) {
+    ExecOptions base;
+    base.max_value_stack = limit;
+    auto runs = ExpectMatrixAgrees(kDown, "f", {}, base);
+    EXPECT_EQ(runs.front().result.trap, TrapKind::kStackExhausted)
+        << "limit=" << limit;
+  }
+}
+
+TEST(WasmJit, RecursionDeeperThanNativeNestingCap) {
+  // 3000 frames: deeper than the per-stint native nesting cap (1024), so
+  // calls fall to the slow path mid-chain (a fresh stint at native depth
+  // 0) and returns cross native depth 0 back through the dispatcher.
+  const char* wat = R"((module
+    (func $sum (param $n i32) (result i64)
+      (if (result i64) (i32.eqz (local.get $n))
+        (then (i64.const 0))
+        (else (i64.add (i64.extend_i32_u (local.get $n))
+                       (call $sum (i32.sub (local.get $n) (i32.const 1)))))))
+    (func (export "f") (param $n i32) (result i64) (call $sum (local.get $n))))
+  )";
+  auto runs = ExpectMatrixAgrees(wat, "f", {Value::I32(3000)});
+  ASSERT_EQ(runs.front().result.trap, TrapKind::kNone);
+  EXPECT_EQ(runs.front().result.values[0].bits, 3000u * 3001u / 2);
+  ExpectTierEngaged(runs);
+}
+
+TEST(WasmJit, FuelSweepAcrossNativeChain) {
+  // Every fuel limit over a f -> b -> c chain: the fuel-gate exit fires
+  // inside natively called frames (native depth up to 2), and the dispatcher
+  // must hand the innermost frame to the interpreter at the exact point.
+  ExecOptions probe;
+  probe.dispatch = DispatchMode::kSwitch;
+  RunResult full = wasm_test::RunWat(kChain, "f", {Value::I32(6)}, probe);
+  ASSERT_EQ(full.trap, TrapKind::kNone);
+  const uint64_t total = full.executed_instrs;
+  ASSERT_GT(total, 200u);
+  for (uint64_t fuel = 1; fuel <= total + 1; ++fuel) {
+    ExecOptions base;
+    base.fuel = fuel;
+    CaseRun oracle = RunCase(kChain, Matrix()[0], "f", {Value::I32(6)}, base);
+    for (const JitCase& jc : {Matrix()[2], Matrix()[3]}) {
+      CaseRun jit = RunCase(kChain, jc, "f", {Value::I32(6)}, base);
+      ASSERT_EQ(jit.result.trap, oracle.result.trap)
+          << jc.label << " fuel=" << fuel;
+      ASSERT_EQ(jit.result.executed_instrs, oracle.result.executed_instrs)
+          << jc.label << " fuel=" << fuel;
+    }
+  }
+}
+
+TEST(WasmJit, PollTrapInsideNativeCallee) {
+  // The safepoint callback traps on its Nth poll; most polls happen at
+  // c's loop header, i.e. inside a natively called callee two frames deep.
+  for (int nth : {1, 2, 3, 5, 8, 13, 40, 77, 150, 301}) {
+    InstanceSetup trap_on_nth = [nth](wasm::Instance& inst) {
+      inst.set_safepoint_fn([nth, polls = 0](wasm::ExecContext&) mutable {
+        return ++polls >= nth ? TrapKind::kBudgetExhausted : TrapKind::kNone;
+      });
+    };
+    auto runs = ExpectMatrixAgrees(kChain, "f", {Value::I32(60)}, {},
+                                   trap_on_nth);
+    EXPECT_EQ(runs.front().result.trap, TrapKind::kBudgetExhausted)
+        << "nth=" << nth;
+  }
+}
+
+TEST(WasmJit, ColdCalleeMidChain) {
+  // f is hot from its own spin loop, c from its calls and loop, b (called
+  // ten times, no loop) stays below the threshold: compiled f calls cold b
+  // through the slow path, and interpreted b calls compiled c.
+  const char* wat = R"((module
+    (func $c (param $x i32) (result i32)
+      (local $i i32) (local $acc i32)
+      (local.set $acc (local.get $x))
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (i32.const 10)))
+        (local.set $acc (i32.add (i32.mul (local.get $acc) (i32.const 31))
+                                 (local.get $i)))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (local.get $acc))
+    (func $b (param $x i32) (result i32)
+      (i32.add (call $c (local.get $x))
+               (i32.add (call $c (i32.add (local.get $x) (i32.const 1)))
+                        (call $c (i32.add (local.get $x) (i32.const 2))))))
+    (func (export "f") (param $n i32) (result i32)
+      (local $i i32) (local $j i32) (local $acc i32)
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+        (local.set $j (i32.const 0))
+        (block $sd (loop $s
+          (br_if $sd (i32.ge_u (local.get $j) (i32.const 20)))
+          (local.set $acc (i32.add (local.get $acc) (local.get $j)))
+          (local.set $j (i32.add (local.get $j) (i32.const 1)))
+          (br $s)))
+        (local.set $acc (i32.add (local.get $acc) (call $b (local.get $i))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (local.get $acc)))
+  )";
+  ExpectMatrixAgrees(wat, "f", {Value::I32(10)});
+  CaseRun oracle = RunCase(wat, Matrix()[0], "f", {Value::I32(10)});
+  CaseRun jit = RunCase(wat, {"jit50", DispatchMode::kThreaded, JitTier::kOn, 50},
+                        "f", {Value::I32(10)});
+  EXPECT_EQ(jit.result.trap, oracle.result.trap);
+  EXPECT_EQ(jit.result.executed_instrs, oracle.result.executed_instrs);
+  ASSERT_EQ(jit.result.values.size(), 1u);
+  EXPECT_EQ(jit.result.values[0].bits, oracle.result.values[0].bits);
+  if (wasm::JitAvailable()) {
+    ASSERT_EQ(jit.tier_state.size(), 3u);
+    EXPECT_EQ(jit.tier_state[0], wasm::JitFuncSlot::kCompiled);  // c
+    EXPECT_EQ(jit.tier_state[1], wasm::JitFuncSlot::kCold);      // b
+    EXPECT_EQ(jit.tier_state[2], wasm::JitFuncSlot::kCompiled);  // f
+  }
+}
+
+TEST(WasmJit, BlacklistedCalleeMidChain) {
+  // b deopts on every call at its f64 conversion, so it ends up
+  // blacklisted: compiled f's native calls to b then take the slow path,
+  // and interpreted b still reaches compiled c.
+  const char* wat = R"((module
+    (func $c (param $x i64) (result i64)
+      (i64.add (i64.mul (local.get $x) (i64.const 6364136223846793005))
+               (i64.const 1442695040888963407)))
+    (func $b (param $x i64) (result i64)
+      (local $y f64)
+      (local.set $y (f64.add (f64.convert_i64_u (local.get $x)) (f64.const 0.5)))
+      (call $c (i64.xor (local.get $x) (i64.reinterpret_f64 (local.get $y)))))
+    (func (export "f") (param $n i32) (result i64)
+      (local $i i32) (local $acc i64)
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+        (local.set $acc (call $b (i64.add (local.get $acc)
+                                          (i64.extend_i32_u (local.get $i)))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (local.get $acc)))
+  )";
+  auto runs = ExpectMatrixAgrees(wat, "f", {Value::I32(3000)});
+  ExpectTierEngaged(runs);
+  ExpectBlacklistedUnderJit(runs, 1);
+  if (wasm::JitAvailable()) {
+    for (const CaseRun& r : runs) {
+      if (r.label.rfind("jit", 0) != 0) continue;
+      EXPECT_FALSE(r.blacklisted[0]) << r.label;  // c
+      EXPECT_FALSE(r.blacklisted[2]) << r.label;  // f
+    }
+  }
+}
+
+TEST(WasmJit, ProfileParityUnderNativeCalls) {
+  // Frame-entry profiling stays exact when frames are pushed by emitted
+  // code: identical per-function entries and fuel with the tier off and on.
+  const char* loop_calls = R"((module
+    (func $sq (param $x i32) (result i32) (i32.mul (local.get $x) (local.get $x)))
+    (func (export "f") (param $n i32) (result i32)
+      (local $i i32) (local $acc i32)
+      (block $done (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+        (local.set $acc (i32.add (local.get $acc) (call $sq (local.get $i))))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+      (local.get $acc)))
+  )";
+  const std::pair<const char*, int32_t> programs[] = {{kFib, 18},
+                                                      {loop_calls, 3000}};
+  for (const auto& [wat, n] : programs) {
+    ExecOptions base;
+    base.profile = true;
+    auto runs = ExpectMatrixAgrees(wat, "f", {Value::I32(n)}, base);
+    const CaseRun* off = nullptr;
+    for (const CaseRun& r : runs) {
+      if (r.label == "threaded") off = &r;
+    }
+    ASSERT_NE(off, nullptr);
+    for (const CaseRun& r : runs) {
+      EXPECT_EQ(r.profile, off->profile) << r.label << " n=" << n;
+      EXPECT_EQ(r.result.executed_instrs, off->result.executed_instrs)
+          << r.label;
+    }
+  }
+}
+
 TEST(WasmJit, SafepointSchemesParity) {
   // kFunction polls at calls (the JIT's native call path must poll there
   // too); kLoop polls at back-edges (the compiled loop-header stencil).
@@ -496,6 +821,11 @@ TEST(WasmJit, HostCallDeoptLoopParity) {
     opts.jit_threshold = jc.threshold;
     RunResult r = fx.instance->CallExport("f", {Value::I32(2000)}, opts);
     ASSERT_EQ(r.trap, TrapKind::kNone) << jc.label;
+    // The loop deopts at the host call every iteration after a few compiled
+    // instructions: the amortized blacklist must still evict it.
+    if (wasm::JitAvailable() && jc.jit == JitTier::kOn) {
+      EXPECT_TRUE(fx.module->jit->slots[0].Blacklisted()) << jc.label;
+    }
     if (jc.label == "switch") {
       ref = r;
       continue;
