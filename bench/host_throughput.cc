@@ -177,10 +177,9 @@ int main() {
   std::printf("pooled instantiate+run: %9.1f us median\n",
               MedianNanos(pooled_e2e) / 1e3);
   host::InstancePool::Stats ps = pool.stats();
-  std::printf("pool: hits=%llu misses=%llu resets=%llu high_water=%llu\n",
+  std::printf("pool: hits=%llu misses=%llu high_water=%llu\n",
               static_cast<unsigned long long>(ps.hits),
               static_cast<unsigned long long>(ps.misses),
-              static_cast<unsigned long long>(ps.resets),
               static_cast<unsigned long long>(ps.high_water));
 
   // --- aggregate throughput through the supervisor ---

@@ -444,12 +444,9 @@ int main(int argc, char** argv) {
               "%.2fx; fib bar: >= 1.5x, got %.2fx)\n",
               jit_geomean, jit_counted, collatz_jit, fib_jit);
 
-#if defined(HOST_TELEMETRY)
-  // Telemetry-overhead A/B inside this binary: the same full pipeline with
-  // ExecOptions::profile off vs on (frame-entry counters + fuel
-  // attribution). Informational — the ISSUE acceptance bound (<= 2% geomean
-  // regression, HOST_TELEMETRY=ON build vs OFF build) is measured across
-  // builds; this section bounds the per-run hook cost, which dominates it.
+  // Telemetry-overhead A/B: the same full pipeline with ExecOptions::profile
+  // off vs on (frame-entry counters + fuel attribution). Informational; the
+  // target is <= 1.02x geomean.
   {
     std::printf("\n%-14s %12s %12s %9s  (telemetry profiling overhead)\n",
                 "kernel", "profile-off", "profile-on", "ratio");
@@ -480,7 +477,6 @@ int main(int argc, char** argv) {
                   std::exp(tlog_sum / tcounted), tcounted);
     }
   }
-#endif  // HOST_TELEMETRY
 
   if (!json_path.empty()) {
     // One run record; append it to the BENCH_interp.json trajectory array.

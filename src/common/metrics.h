@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,8 +40,20 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
+  // Returns the value this add produced, which is what a paired high-water
+  // gauge must be fed: SetMax(level.Add(1)) stays exact under races, where
+  // re-reading the level could miss a concurrent peak.
+  int64_t Add(int64_t d) {
+    return v_.fetch_add(d, std::memory_order_relaxed) + d;
+  }
   void Sub(int64_t d) { v_.fetch_sub(d, std::memory_order_relaxed); }
+  // Raises the gauge to `v` when it is below it (a high-water mark).
+  void SetMax(int64_t v) {
+    int64_t cur = v_.load(std::memory_order_relaxed);
+    while (cur < v &&
+           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
   int64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -94,32 +107,11 @@ inline std::vector<int64_t> LatencyBoundsNanos() {
 // table, which CAN forget).
 class Registry {
  public:
-  Counter* GetCounter(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::unique_ptr<Counter>& c = counters_[name];
-    if (c == nullptr) {
-      c = std::make_unique<Counter>();
-    }
-    return c.get();
-  }
-
-  Gauge* GetGauge(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::unique_ptr<Gauge>& g = gauges_[name];
-    if (g == nullptr) {
-      g = std::make_unique<Gauge>();
-    }
-    return g.get();
-  }
-
-  Histogram* GetHistogram(const std::string& name,
+  Counter* GetCounter(std::string_view name) { return Get(counters_, name); }
+  Gauge* GetGauge(std::string_view name) { return Get(gauges_, name); }
+  Histogram* GetHistogram(std::string_view name,
                           std::vector<int64_t> bounds = LatencyBoundsNanos()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::unique_ptr<Histogram>& h = histograms_[name];
-    if (h == nullptr) {
-      h = std::make_unique<Histogram>(std::move(bounds));
-    }
-    return h.get();
+    return Get(histograms_, name, std::move(bounds));
   }
 
   struct HistogramSnapshot {
@@ -143,33 +135,51 @@ class Registry {
     Snapshot s;
     s.counters.reserve(counters_.size());
     for (const auto& [name, c] : counters_) {
-      s.counters.emplace_back(name, c->value());
+      s.counters.emplace_back(name, c.value());
     }
     s.gauges.reserve(gauges_.size());
     for (const auto& [name, g] : gauges_) {
-      s.gauges.emplace_back(name, g->value());
+      s.gauges.emplace_back(name, g.value());
     }
     s.histograms.reserve(histograms_.size());
     for (const auto& [name, h] : histograms_) {
       HistogramSnapshot hs;
       hs.name = name;
-      hs.bounds = h->bounds();
+      hs.bounds = h.bounds();
       hs.buckets.reserve(hs.bounds.size() + 1);
       for (size_t i = 0; i <= hs.bounds.size(); ++i) {
-        hs.buckets.push_back(h->bucket(i));
+        hs.buckets.push_back(h.bucket(i));
       }
-      hs.count = h->count();
-      hs.sum = h->sum();
+      hs.count = h.count();
+      hs.sum = h.sum();
       s.histograms.push_back(std::move(hs));
     }
     return s;
   }
 
  private:
+  // Series live in their map nodes, whose addresses never change. The
+  // transparent comparator looks names up without building a std::string,
+  // so registering a series costs one node and its key.
+  template <typename Series>
+  using SeriesMap = std::map<std::string, Series, std::less<>>;
+
+  template <typename Series, typename... Args>
+  Series* Get(SeriesMap<Series>& series, std::string_view name,
+              Args&&... args) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = series.find(name);
+    if (it == series.end()) {
+      it = series.try_emplace(std::string(name), std::forward<Args>(args)...)
+               .first;
+    }
+    return &it->second;
+  }
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  SeriesMap<Counter> counters_;
+  SeriesMap<Gauge> gauges_;
+  SeriesMap<Histogram> histograms_;
 };
 
 }  // namespace metrics

@@ -30,17 +30,18 @@ InstancePool::InstancePool(wali::WaliRuntime* runtime)
     : InstancePool(runtime, Options()) {}
 
 InstancePool::InstancePool(wali::WaliRuntime* runtime, const Options& options)
-    : runtime_(runtime), options_(options) {}
+    : runtime_(runtime), options_(options) {
+  SetTelemetry(nullptr);
+}
 
 void InstancePool::SetTelemetry(Telemetry* tel) {
-  if (tel == nullptr) {
-    c_hits_ = c_misses_ = c_recycles_ = nullptr;
-    return;
-  }
-  metrics::Registry& reg = tel->registry();
+  metrics::Registry& reg = SeriesRegistry(tel, own_metrics_);
   c_hits_ = reg.GetCounter("instance_pool_hits_total");
   c_misses_ = reg.GetCounter("instance_pool_misses_total");
-  c_recycles_ = reg.GetCounter("instance_pool_recycles_total");
+  c_drops_ = reg.GetCounter("instance_pool_drops_total");
+  g_leased_ = reg.GetGauge("instance_pool_leased");
+  g_leased_peak_ = reg.GetGauge("instance_pool_leased_peak");
+  g_mem_high_water_ = reg.GetGauge("instance_pool_mem_high_water_pages");
 }
 
 common::StatusOr<InstancePool::Lease> InstancePool::Acquire(
@@ -78,25 +79,8 @@ common::StatusOr<InstancePool::Lease> InstancePool::Acquire(
                                                    std::move(env)));
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (recycled) {
-      ++stats_.hits;
-      ++stats_.resets;
-    } else {
-      ++stats_.misses;
-    }
-    ++leased_;
-    if (leased_ > stats_.high_water) {
-      stats_.high_water = leased_;
-    }
-  }
-  if (recycled) {
-    if (c_hits_ != nullptr) c_hits_->Inc();
-    if (c_recycles_ != nullptr) c_recycles_->Inc();
-  } else if (c_misses_ != nullptr) {
-    c_misses_->Inc();
-  }
+  (recycled ? c_hits_ : c_misses_)->Inc();
+  g_leased_peak_->SetMax(g_leased_->Add(1));
   return Lease(this, std::move(slot), recycled);
 }
 
@@ -108,22 +92,19 @@ void InstancePool::Return(std::unique_ptr<wali::WaliProcess> proc) {
   // slot must not hold files locked or sockets half-open indefinitely.
   proc->CloseGuestFds();
   const wasm::Module* key = proc->module.get();
-  const uint64_t mem_hw =
-      proc->memory != nullptr ? proc->memory->high_water_pages() : 0;
+  if (proc->memory != nullptr) {
+    g_mem_high_water_->SetMax(
+        static_cast<int64_t>(proc->memory->high_water_pages()));
+  }
+  g_leased_->Sub(1);
   std::lock_guard<std::mutex> lock(mu_);
-  if (leased_ > 0) {
-    --leased_;
-  }
-  if (mem_hw > stats_.mem_high_water_pages) {
-    stats_.mem_high_water_pages = mem_hw;
-  }
   if (key == nullptr) {
-    ++stats_.drops;
+    c_drops_->Inc();
     return;  // mid-reset corpse; nothing worth keeping
   }
   std::vector<IdleSlot>& list = idle_[key];
   if (list.size() >= options_.max_idle_per_module) {
-    ++stats_.drops;
+    c_drops_->Inc();
     return;  // unique_ptr destroys the slot
   }
   list.push_back(IdleSlot{std::move(proc), ++idle_stamp_});
@@ -153,13 +134,18 @@ void InstancePool::TrimIdleLocked() {
       idle_.erase(victim_key);
     }
     --idle_count_;
-    ++stats_.drops;
+    c_drops_->Inc();
   }
 }
 
 InstancePool::Stats InstancePool::stats() const {
+  Stats s;
+  s.hits = c_hits_->value();
+  s.misses = c_misses_->value();
+  s.drops = c_drops_->value();
+  s.high_water = static_cast<uint64_t>(g_leased_peak_->value());
+  s.mem_high_water_pages = static_cast<uint64_t>(g_mem_high_water_->value());
   std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
   s.idle = idle_count_;
   return s;
 }

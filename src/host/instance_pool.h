@@ -17,13 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/wali/process.h"
 #include "src/wali/runtime.h"
-
-namespace metrics {
-class Counter;
-}  // namespace metrics
 
 namespace host {
 
@@ -40,10 +37,10 @@ class InstancePool {
     size_t max_idle_total = 64;
   };
 
+  // A view over the pool's instance_pool_* series, plus the idle count.
   struct Stats {
     uint64_t hits = 0;       // acquires served by recycling an idle slot
     uint64_t misses = 0;     // acquires that built a cold process
-    uint64_t resets = 0;     // successful slot resets (== recycles)
     uint64_t drops = 0;      // slots destroyed because the idle list was full
     uint64_t high_water = 0; // max simultaneously leased slots
     // Max linear-memory pages any returned slot had committed during its
@@ -99,9 +96,9 @@ class InstancePool {
   wali::WaliRuntime* runtime() const { return runtime_; }
   Stats stats() const;
 
-  // Mirrors Acquire hit/miss/recycle into `tel`'s registry
-  // (instance_pool_*_total counters). Null detaches. Call before the pool
-  // is shared; the supervisor wires it at startup.
+  // Re-points the pool's series at `tel`'s registry (null: back at the
+  // pool's own). Call before the first Acquire — the supervisor wires it at
+  // startup — so nothing counted in the private registry is carried over.
   void SetTelemetry(Telemetry* tel);
 
  private:
@@ -119,14 +116,16 @@ class InstancePool {
   mutable std::mutex mu_;
   // Idle slots keyed by the module they last ran (slab geometry matches).
   std::map<const wasm::Module*, std::vector<IdleSlot>> idle_;
-  Stats stats_;
-  uint64_t leased_ = 0;
   uint64_t idle_count_ = 0;
   uint64_t idle_stamp_ = 0;
 
+  metrics::Registry own_metrics_;
   metrics::Counter* c_hits_ = nullptr;
   metrics::Counter* c_misses_ = nullptr;
-  metrics::Counter* c_recycles_ = nullptr;
+  metrics::Counter* c_drops_ = nullptr;
+  metrics::Gauge* g_leased_ = nullptr;
+  metrics::Gauge* g_leased_peak_ = nullptr;
+  metrics::Gauge* g_mem_high_water_ = nullptr;
 };
 
 }  // namespace host

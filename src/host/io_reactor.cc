@@ -15,20 +15,15 @@
 
 namespace host {
 
-void IoBackendMetrics::Wire(Telemetry* tel, const char* backend) {
-  if (tel == nullptr) {
-    submits = completes = cancels = nullptr;
-    in_flight = nullptr;
-    return;
-  }
+void IoBackendMetrics::Wire(Telemetry* tel) {
   // Labels are embedded in the series name, matching the registry's idiom
   // (cf. supervisor_jobs_total{outcome="completed"}).
-  const std::string label = std::string("{io_backend=\"") + backend + "\"}";
-  metrics::Registry& reg = tel->registry();
-  submits = reg.GetCounter("io_submits_total" + label);
-  completes = reg.GetCounter("io_completions_total" + label);
-  cancels = reg.GetCounter("io_cancels_total" + label);
-  in_flight = reg.GetGauge("io_in_flight" + label);
+  const std::string label = std::string("{io_backend=\"") + backend_ + "\"}";
+  registry_ = &SeriesRegistry(tel, own_);
+  submits_ = registry_->GetCounter("io_submits_total" + label);
+  completes_ = registry_->GetCounter("io_completions_total" + label);
+  cancels_ = registry_->GetCounter("io_cancels_total" + label);
+  in_flight_ = registry_->GetGauge("io_in_flight" + label);
 }
 
 namespace {

@@ -41,32 +41,46 @@ class Telemetry;
 
 // Shared metrics wiring for IoBackend implementations: submit/complete/
 // cancel counters plus the in-flight gauge (`io_*` series, labeled with the
-// backend's identity, e.g. io_submits_total{io_backend="poll"}). Unwired
-// (all null) until Wire is called; the hooks are no-ops then. Each pointer
-// is checked individually — a partially-wired or mid-detach backend (Wire
-// raced with a hot completion path) must degrade to skipped samples, never
-// a null dereference.
-struct IoBackendMetrics {
-  metrics::Counter* submits = nullptr;
-  metrics::Counter* completes = nullptr;
-  metrics::Counter* cancels = nullptr;
-  metrics::Gauge* in_flight = nullptr;
-
+// backend's identity, e.g. io_submits_total{io_backend="poll"}). The series
+// live in a registry of their own until Wire re-points them at a
+// Telemetry's, so the hooks never branch.
+class IoBackendMetrics {
+ public:
   // `backend` becomes the io_backend label value on every series
-  // ("poll", "io_uring", "fake"). Null `tel` detaches.
-  void Wire(Telemetry* tel, const char* backend);
+  // ("poll", "io_uring", "fake").
+  explicit IoBackendMetrics(const char* backend) : backend_(backend) {
+    Wire(nullptr);
+  }
+
+  // Re-points every series at `tel`'s registry (null: at the private one).
+  // Call it before the backend's first Submit, as the backends'
+  // SetTelemetry contract says: nothing counted in the private registry
+  // is carried over.
+  void Wire(Telemetry* tel);
+  // Where the series currently live, for backend-specific series.
+  metrics::Registry& registry() const { return *registry_; }
+
   void OnSubmit() {
-    if (submits != nullptr) submits->Inc();
-    if (in_flight != nullptr) in_flight->Add(1);
+    submits_->Inc();
+    in_flight_->Add(1);
   }
   void OnComplete() {
-    if (completes != nullptr) completes->Inc();
-    if (in_flight != nullptr) in_flight->Sub(1);
+    completes_->Inc();
+    in_flight_->Sub(1);
   }
   void OnCancel() {
-    if (cancels != nullptr) cancels->Inc();
-    if (in_flight != nullptr) in_flight->Sub(1);
+    cancels_->Inc();
+    in_flight_->Sub(1);
   }
+
+ private:
+  const char* backend_;
+  metrics::Registry own_;
+  metrics::Registry* registry_ = &own_;
+  metrics::Counter* submits_ = nullptr;
+  metrics::Counter* completes_ = nullptr;
+  metrics::Counter* cancels_ = nullptr;
+  metrics::Gauge* in_flight_ = nullptr;
 };
 
 // One completion, delivered exactly once per submitted cookie (unless
@@ -161,9 +175,9 @@ class IoReactor : public IoBackend {
   int64_t NowNanos() const override;
   size_t pending() const override;
 
-  // Wires io_* counters/gauge into `tel`'s registry. Call before the first
-  // Submit; null detaches.
-  void SetTelemetry(Telemetry* tel) { tm_.Wire(tel, "poll"); }
+  // Re-points the io_* series at `tel`'s registry (null: back at the
+  // backend's own). Call before the first Submit.
+  void SetTelemetry(Telemetry* tel) { tm_.Wire(tel); }
 
  private:
   struct Op {
@@ -185,7 +199,7 @@ class IoReactor : public IoBackend {
   int wake_fds_[2] = {-1, -1};  // [0] read end polled by the loop
   std::atomic<bool> stopping_{false};
   std::thread loop_;
-  IoBackendMetrics tm_;
+  IoBackendMetrics tm_{"poll"};
 };
 
 // Deterministic test backend: time only moves when the test advances it,
@@ -223,7 +237,7 @@ class FakeIoBackend : public IoBackend {
 
   // Same contract as IoReactor::SetTelemetry: tests assert the io_* series
   // against deterministic scripted completions.
-  void SetTelemetry(Telemetry* tel) { tm_.Wire(tel, "fake"); }
+  void SetTelemetry(Telemetry* tel) { tm_.Wire(tel); }
 
  private:
   struct Op {
@@ -240,7 +254,7 @@ class FakeIoBackend : public IoBackend {
   std::map<uint64_t, Op> ops_;
   int64_t now_nanos_ = 0;
   uint64_t seq_ = 0;
-  IoBackendMetrics tm_;
+  IoBackendMetrics tm_{"fake"};
 };
 
 }  // namespace host

@@ -138,10 +138,12 @@ struct IoUringBackend::Impl {
   // io_uring_enter; the loop thread frees them once it is safe.
   std::vector<std::unique_ptr<OpRec>> retired_;
 
-  std::atomic<uint64_t> stat_enters_{0};
-  std::atomic<uint64_t> stat_sqes_{0};
-
-  IoBackendMetrics tm_;
+  IoBackendMetrics tm_{"io_uring"};
+  // Submission batching: io_uring_enter calls that submitted SQEs, and the
+  // SQEs they submitted. Updated and re-pointed under mu_, because the loop
+  // thread runs from construction on, before SetTelemetry.
+  metrics::Counter* c_enters_ = nullptr;
+  metrics::Counter* c_sqes_ = nullptr;
   std::thread loop_;
 
 #if defined(HOST_IO_URING)
@@ -166,6 +168,19 @@ struct IoUringBackend::Impl {
 #endif
 
   ~Impl() { TeardownRing(); }
+
+  void Wire(Telemetry* tel) {
+    std::lock_guard<std::mutex> lock(mu_);
+    tm_.Wire(tel);
+    c_enters_ = tm_.registry().GetCounter("io_uring_enters_total");
+    c_sqes_ = tm_.registry().GetCounter("io_uring_sqes_total");
+  }
+
+  // One io_uring_enter that submitted `sqes` SQEs. mu_ held.
+  void CountEnterLocked(int sqes) {
+    c_enters_->Inc();
+    c_sqes_->Add(static_cast<uint64_t>(sqes));
+  }
 
   void Deliver(uint64_t cookie, const IoCompletion& completion) {
     std::lock_guard<std::mutex> lock(deliver_mu_);
@@ -335,9 +350,7 @@ struct IoUringBackend::Impl {
         KillRing(to_submit);
         return;
       }
-      stat_enters_.fetch_add(1, std::memory_order_relaxed);
-      stat_sqes_.fetch_add(static_cast<uint64_t>(rc),
-                           std::memory_order_relaxed);
+      CountEnterLocked(rc);
       *to_submit -= static_cast<unsigned>(rc);
       if (rc == 0 && *to_submit > 0) {
         // The kernel accepted nothing and gave no errno; there is no way
@@ -666,15 +679,13 @@ struct IoUringBackend::Impl {
             continue;  // next iteration sweeps parked ops and falls back
           }
         } else {
-          if (submitting > 0) {
-            stat_enters_.fetch_add(1, std::memory_order_relaxed);
-            stat_sqes_.fetch_add(static_cast<uint64_t>(rc),
-                                 std::memory_order_relaxed);
-          }
           to_submit -= static_cast<unsigned>(rc);
         }
         {
           std::lock_guard<std::mutex> lock(mu_);
+          if (submitting > 0 && rc >= 0) {
+            CountEnterLocked(rc);
+          }
           DrainCqes(&due);
         }
       }
@@ -691,6 +702,7 @@ struct IoUringBackend::Impl {
 };
 
 IoUringBackend::IoUringBackend() : impl_(new Impl) {
+  impl_->Wire(nullptr);
 #if defined(HOST_IO_URING)
   if (impl_->SetupRing()) {
     impl_->ring_ok_ = true;
@@ -765,16 +777,15 @@ size_t IoUringBackend::pending() const {
   return impl_->ops_.size();
 }
 
-void IoUringBackend::SetTelemetry(Telemetry* tel) {
-  impl_->tm_.Wire(tel, "io_uring");
-}
+void IoUringBackend::SetTelemetry(Telemetry* tel) { impl_->Wire(tel); }
 
 bool IoUringBackend::ring_ok() const { return impl_->ring_ok_; }
 
 IoUringBackend::Stats IoUringBackend::stats() const {
+  std::lock_guard<std::mutex> lock(impl_->mu_);
   Stats s;
-  s.enters = impl_->stat_enters_.load(std::memory_order_relaxed);
-  s.sqes = impl_->stat_sqes_.load(std::memory_order_relaxed);
+  s.enters = impl_->c_enters_->value();
+  s.sqes = impl_->c_sqes_->value();
   return s;
 }
 

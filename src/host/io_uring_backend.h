@@ -44,15 +44,17 @@ class IoUringBackend : public IoBackend {
   int64_t NowNanos() const override;
   size_t pending() const override;
 
-  // Same contract as IoReactor::SetTelemetry; series carry
-  // io_backend="io_uring".
+  // Same contract as IoReactor::SetTelemetry (call before the first
+  // Submit); the io_* series carry io_backend="io_uring", and the batching
+  // series below move along.
   void SetTelemetry(Telemetry* tel);
 
   // False when this instance is running the -ENOSYS fallback (no ring).
   bool ring_ok() const;
 
-  // Submission batching counters: sqes/enters is the coalescing ratio the
-  // bench reports (poll(2) has no equivalent — it rebuilds per wakeup).
+  // Submission batching, a view over io_uring_enters_total and
+  // io_uring_sqes_total: sqes/enters is the coalescing ratio the bench
+  // reports (poll(2) has no equivalent — it rebuilds per wakeup).
   struct Stats {
     uint64_t enters = 0;  // io_uring_enter calls that submitted SQEs
     uint64_t sqes = 0;    // SQEs submitted through them

@@ -21,17 +21,16 @@ bool LooksLikeBinary(const std::string& bytes) {
 
 }  // namespace
 
-ModuleCache::ModuleCache(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
+ModuleCache::ModuleCache(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {
+  SetTelemetry(nullptr);
+}
 
 void ModuleCache::SetTelemetry(Telemetry* tel) {
   tel_ = tel;
-  if (tel == nullptr) {
-    c_hits_ = c_misses_ = nullptr;
-    return;
-  }
-  metrics::Registry& reg = tel->registry();
+  metrics::Registry& reg = SeriesRegistry(tel, own_metrics_);
   c_hits_ = reg.GetCounter("module_cache_hits_total");
   c_misses_ = reg.GetCounter("module_cache_misses_total");
+  c_evictions_ = reg.GetCounter("module_cache_evictions_total");
 }
 
 uint64_t ModuleCache::ContentHash(const void* data, size_t len) {
@@ -56,8 +55,7 @@ common::StatusOr<std::shared_ptr<const wasm::Module>> ModuleCache::Load(
     if (it != buckets_.end()) {
       for (Entry& e : it->second) {
         if (e.bytes == bytes) {
-          ++stats_.hits;
-          if (c_hits_ != nullptr) c_hits_->Inc();
+          c_hits_->Inc();
           e.last_used = ++tick_;
           return e.module;
         }
@@ -84,22 +82,23 @@ common::StatusOr<std::shared_ptr<const wasm::Module>> ModuleCache::Load(
       if (e.bytes == bytes) {
         // Another thread decoded the same content while we did; keep its copy
         // so the pool's per-module slot keying stays stable.
-        ++stats_.hits;
-        if (c_hits_ != nullptr) c_hits_->Inc();
+        c_hits_->Inc();
         e.last_used = ++tick_;
         return e.module;
       }
     }
-    ++stats_.misses;
-    if (c_misses_ != nullptr) c_misses_->Inc();
+    c_misses_->Inc();
     bucket.push_back(Entry{bytes, module, ++tick_});
     ++count_;
     EvictIfNeededLocked();
   }
   if (tel_ != nullptr) {
-    // Fold the prepare pass's fusion statistics into process-wide counters
-    // (one fold per decode, so repeated Loads of a cached module do not
-    // double-count) and register the module for hot-function export.
+    // Export the prepare pass's fusion statistics (Module::prepare_stats is
+    // their store) as process-wide counters, one fold per decode so
+    // repeated Loads of a cached module do not double-count, and register
+    // the module for hot-function export. Only a wired Telemetry exports
+    // them, and registering the per-op series by name is most of a fold's
+    // cost, so an unwired cache skips both.
     metrics::Registry& reg = tel_->registry();
     const wasm::PrepareStats& ps = module->prepare_stats;
     for (uint32_t i = 0; i < wasm::kNumInternalOps; ++i) {
@@ -154,13 +153,16 @@ void ModuleCache::EvictIfNeededLocked() {
       buckets_.erase(victim_bucket);
     }
     --count_;
-    ++stats_.evictions;
+    c_evictions_->Inc();
   }
 }
 
 ModuleCache::Stats ModuleCache::stats() const {
+  Stats s;
+  s.hits = c_hits_->value();
+  s.misses = c_misses_->value();
+  s.evictions = c_evictions_->value();
   std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
   s.entries = count_;
   return s;
 }

@@ -19,12 +19,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/wasm/module.h"
-
-namespace metrics {
-class Counter;
-}  // namespace metrics
 
 namespace host {
 
@@ -32,6 +29,7 @@ class Telemetry;
 
 class ModuleCache {
  public:
+  // A view over the cache's module_cache_* series, plus the entry count.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -56,12 +54,13 @@ class ModuleCache {
 
   Stats stats() const;
 
-  // Wires cache hit/miss counters into `tel`'s registry and, for every
-  // module decoded from then on: folds its PrepareStats into the
-  // per-superinstruction emission counters
-  // (wasm_superinstructions_emitted_total{op=...}) and registers the module
-  // (weakly) for per-function hot-profile export. Null detaches. Call
-  // before the cache is shared.
+  // Re-points the cache's hit/miss/eviction series at `tel`'s registry
+  // (null: back at the cache's own). With `tel` wired, every module decoded
+  // from then on also folds its PrepareStats into the per-superinstruction
+  // emission counters (wasm_superinstructions_emitted_total{op=...}) and is
+  // registered (weakly) for per-function hot-profile export. Call before
+  // the first Load, so nothing counted in the private registry is carried
+  // over.
   void SetTelemetry(Telemetry* tel);
 
  private:
@@ -81,12 +80,13 @@ class ModuleCache {
   size_t capacity_;
   uint64_t tick_ = 0;
   size_t count_ = 0;
-  Stats stats_;
   std::unordered_map<uint64_t, std::vector<Entry>> buckets_;
 
-  Telemetry* tel_ = nullptr;
+  Telemetry* tel_ = nullptr;  // fusion export and hot-profile registration
+  metrics::Registry own_metrics_;
   metrics::Counter* c_hits_ = nullptr;
   metrics::Counter* c_misses_ = nullptr;
+  metrics::Counter* c_evictions_ = nullptr;
 };
 
 }  // namespace host

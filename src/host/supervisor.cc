@@ -14,30 +14,34 @@ Supervisor::Supervisor(wali::WaliRuntime* runtime, const Options& options)
       pool_(runtime, options.pool),
       clock_(options.clock ? options.clock : [] { return common::MonotonicNanos(); }),
       queue_depth_(options.queue_depth),
-      dispatch_(options.dispatch),
-      jit_(options.jit),
       io_(options.io_backend),
       evict_dir_(options.evict_dir),
+      tel_(options.telemetry),
       paused_(options.start_paused) {
-#if defined(HOST_TELEMETRY)
-  tel_ = options.telemetry;
-#endif
+  metrics::Registry& reg = SeriesRegistry(tel_, own_metrics_);
+  c_submitted_ = reg.GetCounter("supervisor_jobs_submitted_total");
+  for (size_t i = 0; i < kNumOutcomes; ++i) {
+    c_outcome_[i] = reg.GetCounter(
+        std::string("supervisor_jobs_total{outcome=\"") +
+        OutcomeName(static_cast<Outcome>(i)) + "\"}");
+  }
+  g_queue_depth_ = reg.GetGauge("supervisor_queue_depth");
+  h_queue_ = reg.GetHistogram("supervisor_queue_latency_nanos");
+  h_run_wall_ = reg.GetHistogram("supervisor_run_wall_nanos");
+  h_blocked_ = reg.GetHistogram("supervisor_blocked_nanos");
+  h_resume_queue_ = reg.GetHistogram("supervisor_resume_queue_nanos");
+  g_in_flight_ = reg.GetGauge("supervisor_in_flight");
+  g_in_flight_peak_ = reg.GetGauge("supervisor_in_flight_peak");
+  c_parks_ = reg.GetCounter("supervisor_parks_total");
+  c_resumes_ = reg.GetCounter("supervisor_resumes_total");
+  c_orphans_ = reg.GetCounter("supervisor_orphan_completions_total");
+  c_parked_sheds_ = reg.GetCounter("supervisor_parked_sheds_total");
+  c_parked_budget_stops_ =
+      reg.GetCounter("supervisor_parked_budget_stops_total");
+  c_evicts_ = reg.GetCounter("supervisor_evictions_total");
+  c_restores_ = reg.GetCounter("supervisor_restores_total");
+  g_evicted_now_ = reg.GetGauge("supervisor_evicted_now");
   if (tel_ != nullptr) {
-    metrics::Registry& reg = tel_->registry();
-    c_submitted_ = reg.GetCounter("supervisor_jobs_submitted_total");
-    for (size_t i = 0; i < kNumOutcomes; ++i) {
-      c_outcome_[i] = reg.GetCounter(
-          std::string("supervisor_jobs_total{outcome=\"") +
-          OutcomeName(static_cast<Outcome>(i)) + "\"}");
-    }
-    g_queue_depth_ = reg.GetGauge("supervisor_queue_depth");
-    h_queue_ = reg.GetHistogram("supervisor_queue_latency_nanos");
-    h_run_wall_ = reg.GetHistogram("supervisor_run_wall_nanos");
-    h_blocked_ = reg.GetHistogram("supervisor_blocked_nanos");
-    h_resume_queue_ = reg.GetHistogram("supervisor_resume_queue_nanos");
-    c_evicts_ = reg.GetCounter("supervisor_evictions_total");
-    c_restores_ = reg.GetCounter("supervisor_restores_total");
-    g_evicted_now_ = reg.GetGauge("supervisor_evicted_now");
     ledger_.SetTelemetry(tel_);
     pool_.SetTelemetry(tel_);
   }
@@ -65,7 +69,7 @@ Supervisor::Supervisor(wali::WaliRuntime* runtime, const Options& options)
         }
       }
       if (!found) {
-        orphan_completions_.fetch_add(1, std::memory_order_relaxed);
+        c_orphans_->Inc();
         return;
       }
       if (tel_ != nullptr) {
@@ -95,11 +99,10 @@ RunReport Supervisor::ControlReport(const GuestJob& job, Outcome outcome,
 
 void Supervisor::EndRunTel(Telemetry::RunHandle h, Outcome outcome,
                            uint64_t fuel) {
-  if (tel_ == nullptr || !h.valid()) {
-    return;
-  }
-  tel_->EndRun(h, outcome, clock_(), fuel);
   c_outcome_[static_cast<size_t>(outcome)]->Inc();
+  if (tel_ != nullptr) {
+    tel_->EndRun(h, outcome, clock_(), fuel);
+  }
 }
 
 std::future<RunReport> Supervisor::Submit(GuestJob job) {
@@ -107,11 +110,12 @@ std::future<RunReport> Supervisor::Submit(GuestJob job) {
   task.job = std::move(job);
   std::future<RunReport> fut = task.done.get_future();
   const std::string tenant = task.job.tenant;
+  // Rejected submits count (and open a span) too: counter exactness
+  // (per-outcome sum == submissions) depends on every admission attempt
+  // being a run.
+  c_submitted_->Inc();
   if (tel_ != nullptr) {
-    // Rejected submits open a span too: counter exactness (per-outcome sum
-    // == submissions) depends on every admission attempt being a run.
     task.trun = tel_->BeginRun(tenant, clock_());
-    c_submitted_->Inc();
   }
 
   std::string reject_reason;
@@ -145,9 +149,7 @@ std::future<RunReport> Supervisor::Submit(GuestJob job) {
         ControlReport(task.job, Outcome::kRejected, std::move(reject_reason)));
     return fut;
   }
-  if (g_queue_depth_ != nullptr) {
-    g_queue_depth_->Add(1);
-  }
+  g_queue_depth_->Add(1);
   cv_.notify_one();
   return fut;
 }
@@ -247,22 +249,17 @@ Supervisor::IoStats Supervisor::io_stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     s.parked_now = parked_.size();
     s.ready_now = ready_.size();
-    for (const auto& [cookie, st] : parked_) {
-      if (st.evicted) {
-        ++s.evicted_now;
-      }
-    }
   }
-  s.in_flight_now = in_flight_.load(std::memory_order_relaxed);
-  s.peak_in_flight = peak_in_flight_.load(std::memory_order_relaxed);
-  s.parks_total = parks_total_.load(std::memory_order_relaxed);
-  s.resumes_total = resumes_total_.load(std::memory_order_relaxed);
-  s.orphan_completions = orphan_completions_.load(std::memory_order_relaxed);
-  s.sheds_while_parked = sheds_while_parked_.load(std::memory_order_relaxed);
-  s.budget_stops_while_parked =
-      budget_stops_while_parked_.load(std::memory_order_relaxed);
-  s.evicts_total = evicts_total_.load(std::memory_order_relaxed);
-  s.restores_total = restores_total_.load(std::memory_order_relaxed);
+  s.in_flight_now = static_cast<uint64_t>(g_in_flight_->value());
+  s.peak_in_flight = static_cast<uint64_t>(g_in_flight_peak_->value());
+  s.parks_total = c_parks_->value();
+  s.resumes_total = c_resumes_->value();
+  s.orphan_completions = c_orphans_->value();
+  s.sheds_while_parked = c_parked_sheds_->value();
+  s.budget_stops_while_parked = c_parked_budget_stops_->value();
+  s.evicted_now = static_cast<size_t>(g_evicted_now_->value());
+  s.evicts_total = c_evicts_->value();
+  s.restores_total = c_restores_->value();
   return s;
 }
 
@@ -330,12 +327,11 @@ common::Status Supervisor::EvictParked(uint64_t cookie) {
   proc.pending_io.Reset();
   st.lease.Release();  // the slab (the actual memory pressure) goes here
   st.evicted = true;
-  evicts_total_.fetch_add(1, std::memory_order_relaxed);
+  c_evicts_->Inc();
+  g_evicted_now_->Add(1);
   if (tel_ != nullptr) {
     tel_->Record(st.trun, SpanEvent::kEvict, clock_(),
                  st.report.fuel_consumed);
-    c_evicts_->Inc();
-    g_evicted_now_->Add(1);
   }
   return common::OkStatus();
 }
@@ -358,7 +354,7 @@ bool Supervisor::RestoreParked(RunState& st) {
                  std::istreambuf_iterator<char>());
     if (bytes.empty()) {
       std::string msg = "restore: cannot read " + st.evicted_path;
-      FinishEvictedUnrestorable(std::move(st), std::move(msg));
+      FinishAbandoned(std::move(st), Outcome::kTrapped, std::move(msg));
       return false;
     }
     std::remove(st.evicted_path.c_str());
@@ -366,8 +362,8 @@ bool Supervisor::RestoreParked(RunState& st) {
   common::StatusOr<InstancePool::Lease> lease = pool_.Acquire(
       st.job.module, std::move(st.saved_argv), std::move(st.saved_env));
   if (!lease.ok()) {
-    FinishEvictedUnrestorable(std::move(st),
-                              "restore: " + lease.status().ToString());
+    FinishAbandoned(std::move(st), Outcome::kTrapped,
+                    "restore: " + lease.status().ToString());
     return false;
   }
   st.lease = std::move(*lease);
@@ -378,42 +374,20 @@ bool Supervisor::RestoreParked(RunState& st) {
     // The fresh lease goes back clean; the run itself is unrecoverable (its
     // only state was the snapshot that just failed to decode).
     st.lease.Release();
-    FinishEvictedUnrestorable(std::move(st),
-                              "restore: " + restored.ToString());
+    FinishAbandoned(std::move(st), Outcome::kTrapped,
+                    "restore: " + restored.ToString());
     return false;
   }
   proc.policy = st.job.policy;
   st.evicted = false;
   st.evicted_path.clear();
-  restores_total_.fetch_add(1, std::memory_order_relaxed);
+  c_restores_->Inc();
+  g_evicted_now_->Sub(1);
   if (tel_ != nullptr) {
     tel_->Record(st.trun, SpanEvent::kRestore, clock_(),
                  st.report.fuel_consumed);
-    c_restores_->Inc();
-    g_evicted_now_->Sub(1);
   }
   return true;
-}
-
-void Supervisor::FinishEvictedUnrestorable(RunState st, std::string message) {
-  RunReport& report = st.report;
-  report.outcome = Outcome::kTrapped;
-  report.trap = wasm::TrapKind::kHostError;
-  report.trap_message = std::move(message);
-  // The park already settled everything the guest consumed (st.reserved is
-  // empty off-worker), so the ledger only records the run and the host
-  // error — nothing is re-billed, nothing is lost.
-  ledger_.SettleSlices(st.job.tenant, st.reserved, TenantUsage{});
-  TenantUsage delta;
-  delta.runs = 1;
-  delta.host_errors = 1;
-  ledger_.Charge(st.job.tenant, delta);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (tel_ != nullptr) {
-    g_evicted_now_->Sub(1);
-  }
-  EndRunTel(st.trun, Outcome::kTrapped, report.fuel_consumed);
-  st.done.set_value(std::move(report));
 }
 
 bool Supervisor::PopLocked(Task* out, std::vector<Task>* shed) {
@@ -428,9 +402,7 @@ bool Supervisor::PopLocked(Task* out, std::vector<Task>* shed) {
            now >= tq.q.front().job.deadline_nanos) {
       shed->push_back(std::move(tq.q.front()));
       tq.q.pop_front();
-      if (g_queue_depth_ != nullptr) {
-        g_queue_depth_->Sub(1);
-      }
+      g_queue_depth_->Sub(1);
     }
     if (tq.q.empty()) {
       ring_.pop_front();
@@ -442,9 +414,7 @@ bool Supervisor::PopLocked(Task* out, std::vector<Task>* shed) {
     }
     *out = std::move(tq.q.front());
     tq.q.pop_front();
-    if (g_queue_depth_ != nullptr) {
-      g_queue_depth_->Sub(1);
-    }
+    g_queue_depth_->Sub(1);
     if (--tq.credits == 0 || tq.q.empty()) {
       // Burst over (or nothing left): rotate this tenant to the back so the
       // next tenant in the ring gets its share.
@@ -518,9 +488,9 @@ void Supervisor::RunOne(Task& task) {
   report.tenant = job.tenant;
   report.queue_nanos = clock_() - task.enqueue_nanos;
   report.dispatch_seq = dispatch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  h_queue_->Observe(report.queue_nanos);
   if (tel_ != nullptr) {
     tel_->Record(st.trun, SpanEvent::kDispatch, clock_());
-    h_queue_->Observe(report.queue_nanos);
   }
 
   // Cumulative-budget admission: a tenant over any hard limit is refused
@@ -562,21 +532,10 @@ void Supervisor::RunOne(Task& task) {
   report.pooled = st.lease.recycled();
   proc.policy = job.policy;
 
-  uint64_t now_in_flight = in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  uint64_t peak = peak_in_flight_.load(std::memory_order_relaxed);
-  while (now_in_flight > peak &&
-         !peak_in_flight_.compare_exchange_weak(peak, now_in_flight,
-                                                std::memory_order_relaxed)) {
-  }
+  g_in_flight_peak_->SetMax(g_in_flight_->Add(1));
 
   wasm::ExecOptions opts = runtime_->exec_options();
   opts.profile = tel_ != nullptr;
-  if (dispatch_ != wasm::DispatchMode::kAuto) {
-    opts.dispatch = dispatch_;
-  }
-  if (jit_ != wasm::JitTier::kAuto) {
-    opts.jit = jit_;
-  }
   if (job.fuel != 0) {
     opts.fuel = job.fuel;
   }
@@ -635,7 +594,7 @@ void Supervisor::ParkRun(RunState st) {
   wali::WaliProcess& proc = *st.lease;
   RunReport& report = st.report;
   report.parks += 1;
-  parks_total_.fetch_add(1, std::memory_order_relaxed);
+  c_parks_->Inc();
   // Partial instruction tally, so an abandoned park settles real fuel.
   report.executed_instrs = st.cont.susp.ctx != nullptr
                                ? st.cont.susp.ctx->executed + st.cont.start_instrs
@@ -735,14 +694,12 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
     // The ready -> re-dispatch slice of the blocked time: how long the
     // completed run waited behind other work for a worker.
     report.resume_queue_nanos += resume_now - entry.ready_stamp;
-    if (h_resume_queue_ != nullptr) {
-      h_resume_queue_->Observe(resume_now - entry.ready_stamp);
-    }
+    h_resume_queue_->Observe(resume_now - entry.ready_stamp);
   }
   if (tel_ != nullptr) {
     tel_->Record(st.trun, SpanEvent::kResume, resume_now);
   }
-  resumes_total_.fetch_add(1, std::memory_order_relaxed);
+  c_resumes_->Inc();
 
   // Shed: the job deadline fired while parked (tagged at park time), or the
   // supervisor clock has passed it regardless of what completed.
@@ -751,7 +708,7 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
        !c.has_value) ||
       (st.job.deadline_nanos != 0 && clock_() >= st.job.deadline_nanos);
   if (deadline_shed) {
-    sheds_while_parked_.fetch_add(1, std::memory_order_relaxed);
+    c_parked_sheds_->Inc();
     FinishAbandoned(std::move(st), Outcome::kShed,
                     "shed: deadline expired while parked");
     return;
@@ -760,7 +717,7 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
   // Budget re-check: the tenant may have exhausted its cumulative budget
   // (through other runs) while this guest was parked.
   if (ledger_.Admit(st.job.tenant) != TenantLedger::Verdict::kAdmit) {
-    budget_stops_while_parked_.fetch_add(1, std::memory_order_relaxed);
+    c_parked_budget_stops_->Inc();
     FinishAbandoned(std::move(st), Outcome::kBudget,
                     "tenant budget exhausted while parked");
     return;
@@ -838,35 +795,16 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
 }
 
 void Supervisor::FinishRun(RunState st, const wasm::RunResult& r) {
-  wali::WaliProcess& proc = *st.lease;
   RunReport& report = st.report;
-  proc.cpu_deadline_nanos.store(0, std::memory_order_release);
-  proc.mem_budget_pages.store(0, std::memory_order_release);
-  proc.syscall_budget.store(0, std::memory_order_release);
-  proc.memory->SetGrowBudgetPages(0);
-
   report.trap = r.trap;
   report.trap_message = r.trap_message;
   report.executed_instrs = r.executed_instrs;
   report.fuel_consumed = r.executed_instrs;
-  report.mem_high_water_pages = proc.memory->high_water_pages();
   if (r.trap == wasm::TrapKind::kExit) {
     report.exit_code = r.exit_code;
   } else if (r.ok() && !r.values.empty()) {
     report.exit_code = static_cast<int32_t>(r.values[0].i32());
   }
-
-  const std::vector<wali::SyscallDef>& defs = runtime_->syscalls();
-  for (size_t id = 0; id < defs.size(); ++id) {
-    uint64_t n = proc.trace.count(static_cast<uint32_t>(id));
-    if (n > 0) {
-      report.syscall_counts.emplace_back(defs[id].name, n);
-      report.total_syscalls += n;
-    }
-  }
-  report.wali_nanos = proc.trace.wali_nanos();
-  report.kernel_nanos = proc.trace.kernel_nanos();
-
   if (r.trap == wasm::TrapKind::kBudgetExhausted ||
       (r.trap == wasm::TrapKind::kFuelExhausted && st.fuel_clamped)) {
     report.outcome = Outcome::kBudget;
@@ -876,108 +814,76 @@ void Supervisor::FinishRun(RunState st, const wasm::RunResult& r) {
   } else {
     report.outcome = Outcome::kTrapped;
   }
-
-  // Settle the reservation against actual consumption (minus anything a
-  // park already settled), then charge the unreserved dimensions.
-  TenantUsage actual;
-  actual.fuel = report.fuel_consumed - st.settled.fuel;
-  actual.cpu_nanos = report.cpu_nanos - st.settled.cpu_nanos;
-  actual.syscalls = report.total_syscalls - st.settled.syscalls;
-  ledger_.SettleSlices(st.job.tenant, st.reserved, actual);
-  TenantUsage delta;
-  delta.runs = 1;
-  delta.mem_high_water_pages = report.mem_high_water_pages;
-  if (report.outcome == Outcome::kBudget) {
-    delta.budget_stops = 1;
-  }
-  ledger_.Charge(st.job.tenant, delta);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (tel_ != nullptr) {
-    h_run_wall_->Observe(report.wall_nanos);
-    h_blocked_->Observe(report.blocked_nanos);
-  }
-  EndRunTel(st.trun, report.outcome, report.fuel_consumed);
-  st.done.set_value(std::move(report));
+  Finish(std::move(st));
 }
 
 void Supervisor::FinishAbandoned(RunState st, Outcome outcome,
                                  std::string message) {
   if (st.evicted) {
-    // No lease to disarm and no live process to harvest: drop the snapshot
-    // bytes (the park that preceded the evict already settled consumption).
+    // No live process: drop the snapshot bytes.
     if (!st.evicted_path.empty()) {
       std::remove(st.evicted_path.c_str());
     }
-    RunReport& report = st.report;
-    report.outcome = outcome;
-    report.trap = wasm::TrapKind::kHostError;
-    report.trap_message = std::move(message);
-    ledger_.SettleSlices(st.job.tenant, st.reserved, TenantUsage{});
-    TenantUsage delta;
-    delta.runs = 1;
-    if (outcome == Outcome::kShed) {
-      delta.shed = 1;
-    } else if (outcome == Outcome::kBudget) {
-      delta.budget_stops = 1;
-    }
-    ledger_.Charge(st.job.tenant, delta);
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (tel_ != nullptr) {
-      g_evicted_now_->Sub(1);
-    }
-    EndRunTel(st.trun, outcome, report.fuel_consumed);
-    st.done.set_value(std::move(report));
-    return;
+  } else {
+    // Drop the suspended interpreter state before the lease goes back to
+    // the pool: the suspension pins the instance and the slot's exec
+    // buffers.
+    st.cont.Discard();
+    st.lease->pending_io.Reset();
   }
-  wali::WaliProcess& proc = *st.lease;
+  st.report.outcome = outcome;
+  st.report.trap = wasm::TrapKind::kHostError;
+  st.report.trap_message = std::move(message);
+  Finish(std::move(st));
+}
+
+void Supervisor::Finish(RunState st) {
   RunReport& report = st.report;
-  proc.cpu_deadline_nanos.store(0, std::memory_order_release);
-  proc.mem_budget_pages.store(0, std::memory_order_release);
-  proc.syscall_budget.store(0, std::memory_order_release);
-  proc.memory->SetGrowBudgetPages(0);
-  // Drop the suspended interpreter state before the lease goes back to the
-  // pool: the suspension pins the instance and the slot's exec buffers.
-  st.cont.Discard();
-  proc.pending_io.Reset();
-
-  report.outcome = outcome;
-  report.trap = wasm::TrapKind::kHostError;
-  report.trap_message = std::move(message);
-  report.mem_high_water_pages = proc.memory->high_water_pages();
-  const std::vector<wali::SyscallDef>& defs = runtime_->syscalls();
-  for (size_t id = 0; id < defs.size(); ++id) {
-    uint64_t n = proc.trace.count(static_cast<uint32_t>(id));
-    if (n > 0) {
-      report.syscall_counts.emplace_back(defs[id].name, n);
-      report.total_syscalls += n;
-    }
-  }
-  report.wali_nanos = proc.trace.wali_nanos();
-  report.kernel_nanos = proc.trace.kernel_nanos();
-
-  // The guest DID run (partially): settle its real consumption (minus what
-  // earlier parks already settled), and record the abandonment in the
-  // admission-outcome counters.
+  // Consumption not yet settled; zero for an evicted run, whose park
+  // settled everything it consumed — nothing is re-billed, nothing is lost.
   TenantUsage actual;
-  actual.fuel = report.fuel_consumed - st.settled.fuel;
-  actual.cpu_nanos = report.cpu_nanos - st.settled.cpu_nanos;
-  actual.syscalls = report.total_syscalls - st.settled.syscalls;
-  ledger_.SettleSlices(st.job.tenant, st.reserved, actual);
   TenantUsage delta;
+  if (st.lease) {
+    wali::WaliProcess& proc = *st.lease;
+    proc.cpu_deadline_nanos.store(0, std::memory_order_release);
+    proc.mem_budget_pages.store(0, std::memory_order_release);
+    proc.syscall_budget.store(0, std::memory_order_release);
+    proc.memory->SetGrowBudgetPages(0);
+    report.mem_high_water_pages = proc.memory->high_water_pages();
+    const std::vector<wali::SyscallDef>& defs = runtime_->syscalls();
+    for (size_t id = 0; id < defs.size(); ++id) {
+      uint64_t n = proc.trace.count(static_cast<uint32_t>(id));
+      if (n > 0) {
+        report.syscall_counts.emplace_back(defs[id].name, n);
+        report.total_syscalls += n;
+      }
+    }
+    report.wali_nanos = proc.trace.wali_nanos();
+    report.kernel_nanos = proc.trace.kernel_nanos();
+    actual.fuel = report.fuel_consumed - st.settled.fuel;
+    actual.cpu_nanos = report.cpu_nanos - st.settled.cpu_nanos;
+    actual.syscalls = report.total_syscalls - st.settled.syscalls;
+    delta.mem_high_water_pages = report.mem_high_water_pages;
+  }
+  // Settle the reservation against actual consumption, then charge the
+  // unreserved dimensions and the outcome.
+  ledger_.SettleSlices(st.job.tenant, st.reserved, actual);
   delta.runs = 1;
-  delta.mem_high_water_pages = report.mem_high_water_pages;
-  if (outcome == Outcome::kShed) {
+  if (report.outcome == Outcome::kShed) {
     delta.shed = 1;
-  } else if (outcome == Outcome::kBudget) {
+  } else if (report.outcome == Outcome::kBudget) {
     delta.budget_stops = 1;
+  } else if (report.outcome == Outcome::kTrapped && st.evicted) {
+    delta.host_errors = 1;  // the snapshot could not be restored
   }
   ledger_.Charge(st.job.tenant, delta);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (tel_ != nullptr) {
-    h_run_wall_->Observe(report.wall_nanos);
-    h_blocked_->Observe(report.blocked_nanos);
+  g_in_flight_->Sub(1);
+  if (st.evicted) {
+    g_evicted_now_->Sub(1);
   }
-  EndRunTel(st.trun, outcome, report.fuel_consumed);
+  h_run_wall_->Observe(report.wall_nanos);
+  h_blocked_->Observe(report.blocked_nanos);
+  EndRunTel(st.trun, report.outcome, report.fuel_consumed);
   st.done.set_value(std::move(report));
 }
 
@@ -1001,9 +907,7 @@ void Supervisor::ForgetTenant(const std::string& tenant) {
     }
   }
   for (Task& t : dropped) {
-    if (g_queue_depth_ != nullptr) {
-      g_queue_depth_->Sub(1);
-    }
+    g_queue_depth_->Sub(1);
     // Spans close BEFORE the telemetry forget below so the rejected runs do
     // not resurrect the tenant's series row.
     EndRunTel(t.trun, Outcome::kRejected, 0);

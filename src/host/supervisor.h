@@ -136,15 +136,6 @@ class Supervisor {
     // to make shedding deterministic. Mid-run CPU budget enforcement always
     // uses the real monotonic clock.
     std::function<int64_t()> clock;
-    // Interpreter dispatch for guest runs. kAuto inherits the runtime's
-    // setting; kSwitch/kThreaded force a loop for A/B comparisons
-    // (fuel accounting is bit-identical either way, so RunReports and
-    // TenantLedger math do not depend on this knob).
-    wasm::DispatchMode dispatch = wasm::DispatchMode::kAuto;
-    // Baseline-JIT tier for guest runs. kAuto inherits the runtime's
-    // setting; kOff/kOn force it per supervisor (like `dispatch`, a pure
-    // performance knob: fuel/ledger math is bit-identical either way).
-    wasm::JitTier jit = wasm::JitTier::kAuto;
     // Async syscall offload. Non-null enables the park-at-the-WALI-boundary
     // path: a guest entering a blocking-capable syscall suspends
     // (kSyscallPending) instead of blocking its worker; the op is
@@ -154,11 +145,11 @@ class Supervisor {
     // runs are bit-identical to blocking runs in instruction counts, fuel,
     // and syscall results (tests/host_io_test.cc holds the line).
     IoBackend* io_backend = nullptr;
-    // Observability sink. Non-null wires the supervisor (and its ledger,
-    // pool, and guest runs) into the telemetry subsystem: span events for
-    // every job lifecycle stage, process-wide counters/histograms, and
-    // interpreter frame-entry profiling. Borrowed; must outlive Shutdown.
-    // Ignored (forced null) when the build has HOST_TELEMETRY off.
+    // Observability sink. Non-null puts the supervisor's (and its ledger's
+    // and pool's) series in this Telemetry's registry instead of private
+    // ones, and turns on what only a wired Telemetry records: span events
+    // for every job lifecycle stage, per-tenant series, and interpreter
+    // frame-entry profiling. Borrowed; must outlive Shutdown.
     Telemetry* telemetry = nullptr;
     // Where EvictParked writes snapshots ("evict-<cookie>.snap"). Empty
     // (default) keeps the serialized blob in memory — the slab is still
@@ -207,9 +198,11 @@ class Supervisor {
   // Jobs currently parked off-worker in a blocking syscall.
   size_t parked() const;
 
-  // Async-offload telemetry. in_flight counts dispatched-but-unfinished
-  // jobs (running + parked + awaiting resume); with offload active it can
-  // exceed the worker count — that headroom is the whole point.
+  // Async-offload statistics: a view over the supervisor_* series, plus
+  // the parked and ready set sizes. in_flight counts dispatched-but-
+  // unfinished jobs (running + parked + awaiting resume); with offload
+  // active it can exceed the worker count — that headroom is the whole
+  // point.
   struct IoStats {
     size_t parked_now = 0;
     size_t ready_now = 0;           // completions awaiting a worker
@@ -223,6 +216,8 @@ class Supervisor {
     uint64_t sheds_while_parked = 0;
     uint64_t budget_stops_while_parked = 0;
     // Snapshot/restore lifecycle (EvictParked / the ResumeOne restore).
+    // evicted_now counts runs that exist only as snapshot bytes, parked or
+    // with their completion awaiting a worker.
     size_t evicted_now = 0;
     uint64_t evicts_total = 0;
     uint64_t restores_total = 0;
@@ -270,7 +265,7 @@ class Supervisor {
     GuestJob job;
     std::promise<RunReport> done;
     int64_t enqueue_nanos = 0;
-    Telemetry::RunHandle trun;  // span handle; invalid when telemetry is off
+    Telemetry::RunHandle trun;  // span handle; invalid without telemetry
   };
 
   // A dispatched run's full in-progress state. Lives on the worker's stack
@@ -299,7 +294,7 @@ class Supervisor {
     // kTimedOut completion means "shed the parked guest", not "the
     // syscall's own timeout elapsed".
     bool timeout_is_shed = false;
-    Telemetry::RunHandle trun;  // span handle; invalid when telemetry is off
+    Telemetry::RunHandle trun;  // span handle; invalid without telemetry
     // Snapshot eviction (EvictParked): when set, the lease has been
     // released and the run lives only as serialized bytes — in
     // `evicted_snapshot`, or on disk at `evicted_path` when the supervisor
@@ -348,24 +343,29 @@ class Supervisor {
   // to the job's, registers it with the backend. Sheds instead when the
   // deadline already passed or the supervisor is shutting down.
   void ParkRun(RunState st);
-  // Common completion tail: outcome mapping, trace harvest, ledger settle.
+  // Finishes a run whose guest returned or trapped: outcome mapping, then
+  // the terminal tail.
   void FinishRun(RunState st, const wasm::RunResult& r);
-  // Abandons a dispatched run mid-park (shed / budget / shutdown): settles
-  // partial consumption, discards the suspension, resolves the promise.
-  // Handles evicted runs (no lease): the snapshot bytes are simply dropped.
+  // Abandons a dispatched run mid-park (shed / budget / shutdown): discards
+  // the suspension, then the terminal tail. An evicted run (no lease) just
+  // drops its snapshot; kTrapped is an evicted run that cannot be restored.
   void FinishAbandoned(RunState st, Outcome outcome, std::string message);
+  // The one terminal tail of a dispatched run, so each series has exactly
+  // one update site per terminal path: harvests the process's syscall trace
+  // (when the run still holds a lease), settles what earlier parks did not,
+  // charges the run and its outcome (an evicted run's trap as a host
+  // error), and closes the in-flight gauge, histograms and span before
+  // resolving the future.
+  void Finish(RunState st);
   // Rehydrates an evicted run into a freshly leased slot (called by
   // ResumeOne before the normal resume flow). On failure the run is
   // resolved as kTrapped/kHostError and false is returned.
   bool RestoreParked(RunState& st);
-  // Resolves an evicted run that cannot be restored (no lease to settle
-  // against; ledger sees only runs += 1, host_errors += 1).
-  void FinishEvictedUnrestorable(RunState st, std::string message);
   // Report for a job that never ran (shed / rejected / budget-refused).
   RunReport ControlReport(const GuestJob& job, Outcome outcome,
                           std::string message) const;
-  // Closes a run's span (kFinish + per-outcome counter). No-op without
-  // telemetry; safe on every terminal path, exactly once per BeginRun.
+  // Counts a run's outcome and closes its span (kFinish). Exactly once per
+  // submitted job, on every terminal path.
   void EndRunTel(Telemetry::RunHandle h, Outcome outcome, uint64_t fuel);
 
   wali::WaliRuntime* runtime_;
@@ -373,36 +373,33 @@ class Supervisor {
   TenantLedger ledger_;
   std::function<int64_t()> clock_;
   size_t queue_depth_;
-  wasm::DispatchMode dispatch_;
-  wasm::JitTier jit_;
   IoBackend* io_;
   std::string evict_dir_;
   std::atomic<uint64_t> dispatch_seq_{0};
 
-  // Telemetry wiring, resolved once at construction (null series handles
-  // when tel_ is null; hot paths check tel_ only).
+  // Spans, per-tenant series and profiling; null when none is wired.
   Telemetry* tel_ = nullptr;
+  // Series handles, resolved in the constructor from tel_'s registry or,
+  // without one, from own_metrics_. Never null after construction;
+  // updated outside mu_.
+  metrics::Registry own_metrics_;
   metrics::Counter* c_submitted_ = nullptr;
-  metrics::Counter* c_outcome_[kNumOutcomes] = {nullptr};
+  metrics::Counter* c_outcome_[kNumOutcomes] = {};
   metrics::Gauge* g_queue_depth_ = nullptr;
   metrics::Histogram* h_queue_ = nullptr;
   metrics::Histogram* h_run_wall_ = nullptr;
   metrics::Histogram* h_blocked_ = nullptr;
   metrics::Histogram* h_resume_queue_ = nullptr;
+  metrics::Gauge* g_in_flight_ = nullptr;
+  metrics::Gauge* g_in_flight_peak_ = nullptr;
+  metrics::Counter* c_parks_ = nullptr;
+  metrics::Counter* c_resumes_ = nullptr;
+  metrics::Counter* c_orphans_ = nullptr;
+  metrics::Counter* c_parked_sheds_ = nullptr;
+  metrics::Counter* c_parked_budget_stops_ = nullptr;
   metrics::Counter* c_evicts_ = nullptr;
   metrics::Counter* c_restores_ = nullptr;
   metrics::Gauge* g_evicted_now_ = nullptr;
-
-  // Async-offload counters (outside mu_: bumped on hot completion paths).
-  std::atomic<uint64_t> in_flight_{0};
-  std::atomic<uint64_t> peak_in_flight_{0};
-  std::atomic<uint64_t> parks_total_{0};
-  std::atomic<uint64_t> resumes_total_{0};
-  std::atomic<uint64_t> orphan_completions_{0};
-  std::atomic<uint64_t> sheds_while_parked_{0};
-  std::atomic<uint64_t> budget_stops_while_parked_{0};
-  std::atomic<uint64_t> evicts_total_{0};
-  std::atomic<uint64_t> restores_total_{0};
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

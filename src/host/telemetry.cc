@@ -77,11 +77,6 @@ std::string FuncDisplayName(const wasm::Module& m, size_t i) {
 
 }  // namespace
 
-Telemetry& Telemetry::Global() {
-  static Telemetry* instance = new Telemetry();
-  return *instance;
-}
-
 uint32_t Telemetry::InternTenantLocked(const std::string& tenant) {
   auto it = tenant_ids_.find(tenant);
   if (it != tenant_ids_.end()) {

@@ -5,7 +5,7 @@
 // Three layers, one object:
 //
 //   * a metrics::Registry of process-wide counters / gauges / histograms.
-//     Instrumented subsystems (Supervisor, IoReactor, TenantLedger,
+//     Instrumented subsystems (Supervisor, the io backends, TenantLedger,
 //     InstancePool, ModuleCache) resolve their series once at setup and pay
 //     one relaxed atomic op per event on the hot path.
 //   * a bounded per-run trace-span ring: every guest job's lifecycle —
@@ -24,10 +24,12 @@
 // (walirun --metrics-dump / --trace-out), and the programmatic
 // TakeSnapshot() the tests and benches assert against.
 //
-// Build gate: the HOST_TELEMETRY CMake option (default ON) compiles the
-// interpreter's frame-entry profiling hooks out entirely and nulls the
-// supervisor's telemetry wiring when OFF; this class itself always
-// compiles, it just never receives events then.
+// The registry is the only store of a host counter. A component with no
+// Telemetry wired keeps the same series in a registry of its own
+// (SeriesRegistry below), so its stats() view reads the same numbers
+// either way. Spans, per-tenant series and frame-entry profiling stay
+// opt-in per supervisor: spans take a mutex per lifecycle event, and
+// profiling routes every native JIT call through an out-of-line helper.
 #ifndef SRC_HOST_TELEMETRY_H_
 #define SRC_HOST_TELEMETRY_H_
 
@@ -97,10 +99,6 @@ class Telemetry {
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
-
-  // Process-wide instance used by walirun; tests construct their own so
-  // assertions never see another component's events.
-  static Telemetry& Global();
 
   metrics::Registry& registry() { return registry_; }
 
@@ -213,6 +211,14 @@ class Telemetry {
   std::vector<std::pair<std::string, std::weak_ptr<const wasm::Module>>>
       modules_;
 };
+
+// Where a component's series live: `tel`'s registry when one is wired, else
+// the registry the component owns. Components resolve their handles from it
+// at construction and again in SetTelemetry, so a handle is never null.
+inline metrics::Registry& SeriesRegistry(Telemetry* tel,
+                                         metrics::Registry& own) {
+  return tel != nullptr ? tel->registry() : own;
+}
 
 }  // namespace host
 

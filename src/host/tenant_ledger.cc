@@ -14,15 +14,11 @@ const char* TenantLedger::VerdictName(Verdict v) {
   return "<bad>";
 }
 
+TenantLedger::TenantLedger() { SetTelemetry(nullptr); }
+
 void TenantLedger::SetTelemetry(Telemetry* tel) {
   tel_ = tel;
-  if (tel == nullptr) {
-    for (metrics::Counter*& c : c_denied_) {
-      c = nullptr;
-    }
-    return;
-  }
-  metrics::Registry& reg = tel->registry();
+  metrics::Registry& reg = SeriesRegistry(tel, own_metrics_);
   for (Verdict v : {Verdict::kFuel, Verdict::kCpu, Verdict::kSyscalls}) {
     c_denied_[static_cast<size_t>(v)] = reg.GetCounter(
         std::string("ledger_denials_total{resource=\"") + VerdictName(v) +
@@ -82,8 +78,7 @@ TenantLedger::Verdict TenantLedger::Admit(const std::string& tenant) const {
       verdict = Verdict::kSyscalls;
     }
   }
-  if (verdict != Verdict::kAdmit &&
-      c_denied_[static_cast<size_t>(verdict)] != nullptr) {
+  if (verdict != Verdict::kAdmit) {
     c_denied_[static_cast<size_t>(verdict)]->Inc();
   }
   return verdict;

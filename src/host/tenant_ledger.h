@@ -18,9 +18,7 @@
 #include <utility>
 #include <vector>
 
-namespace metrics {
-class Counter;
-}  // namespace metrics
+#include "src/common/metrics.h"
 
 namespace host {
 
@@ -63,10 +61,14 @@ class TenantLedger {
 
   static const char* VerdictName(Verdict v);
 
-  // Wires budget-denial counters (`ledger_denials_total{resource=...}`)
-  // into `tel`'s registry and makes Forget also drop the tenant's telemetry
-  // series/spans. Null detaches. Not thread-safe against concurrent Admit;
-  // call before the ledger is shared (the supervisor does it at startup).
+  TenantLedger();
+
+  // Re-points the budget-denial counters
+  // (`ledger_denials_total{resource=...}`) at `tel`'s registry (null: back
+  // at the ledger's own) and makes Forget also drop the tenant's telemetry
+  // series/spans. Not thread-safe against concurrent Admit; call before
+  // the ledger is used (the supervisor does it at startup), so nothing
+  // counted in the private registry is carried over.
   void SetTelemetry(Telemetry* tel);
 
   // Replaces the tenant's budget. Usage already accrued is kept: a tenant
@@ -148,7 +150,8 @@ class TenantLedger {
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
 
-  Telemetry* tel_ = nullptr;
+  Telemetry* tel_ = nullptr;  // Forget's retention hook only
+  metrics::Registry own_metrics_;
   // Denial counters indexed by Verdict (kAdmit's slot stays unused/null).
   metrics::Counter* c_denied_[4] = {nullptr};
 };

@@ -191,13 +191,13 @@ int Serve(wali::WaliRuntime& runtime, std::shared_ptr<const wasm::Module> module
           const std::vector<std::string>& env, int workers, int repeat,
           int queue_depth, const host::TenantBudget& budget, bool async_io,
           const std::string& io_backend_choice, bool evict_parked,
-          host::Telemetry* tel) {
+          host::Telemetry& tel) {
   const char* kTenant = "serve";
   host::Supervisor::Options sopts;
   sopts.workers = static_cast<size_t>(workers);
   sopts.queue_depth = static_cast<size_t>(queue_depth);
   sopts.pool.max_idle_per_module = static_cast<size_t>(workers);
-  sopts.telemetry = tel;
+  sopts.telemetry = &tel;
   std::unique_ptr<host::IoBackend> backend;
   host::IoUringBackend* uring = nullptr;  // for the stats line
   const char* backend_name = "none";
@@ -212,13 +212,13 @@ int Serve(wali::WaliRuntime& runtime, std::shared_ptr<const wasm::Module> module
     }
     if (want_uring) {
       auto u = std::make_unique<host::IoUringBackend>();
-      u->SetTelemetry(tel);
+      u->SetTelemetry(&tel);
       uring = u.get();
       backend = std::move(u);
       backend_name = "io_uring";
     } else {
       auto reactor = std::make_unique<host::IoReactor>();
-      reactor->SetTelemetry(tel);
+      reactor->SetTelemetry(&tel);
       backend = std::move(reactor);
       backend_name = "poll";
     }
@@ -413,9 +413,9 @@ int Serve(wali::WaliRuntime& runtime, std::shared_ptr<const wasm::Module> module
                       1000
                << " us over " << resume_lat.size() << " parked runs";
   }
+  const host::Telemetry::Snapshot snap = tel.TakeSnapshot();
   // Interpreter hot-function profile (top 10 by frame entries).
-  if (tel != nullptr && common::LogEnabled(common::LogLevel::kInfo)) {
-    host::Telemetry::Snapshot snap = tel->TakeSnapshot();
+  if (common::LogEnabled(common::LogLevel::kInfo)) {
     size_t shown = 0;
     for (const host::Telemetry::HotFunction& hf : snap.hot_functions) {
       if (++shown > 10) break;
@@ -423,34 +423,27 @@ int Serve(wali::WaliRuntime& runtime, std::shared_ptr<const wasm::Module> module
                  << " entries=" << hf.entries << " fuel=" << hf.fuel;
     }
   }
-  // Baseline-JIT tier attribution: module-level counters plus the top 10
-  // compiled functions by heat, straight off the module's tier state (the
-  // telemetry snapshot aggregates the same numbers for exports).
-  if (wasm::JitAvailable() && module->jit != nullptr) {
-    const wasm::JitModuleState& js = *module->jit;
+  // Baseline-JIT tier attribution: the snapshot's jit_* counters, which it
+  // synthesizes from the registered module's tier state, plus the top 10
+  // compiled functions by heat.
+  const std::map<std::string, uint64_t> counters(
+      snap.registry.counters.begin(), snap.registry.counters.end());
+  auto jit_counter = counters.find("jit_compiles_total");
+  if (wasm::JitAvailable() && jit_counter != counters.end()) {
     std::printf(
         "serve: jit compiles=%llu failures=%llu tierups=%llu osr-exits=%llu\n",
-        static_cast<unsigned long long>(js.compiles.load()),
-        static_cast<unsigned long long>(js.compile_failures.load()),
-        static_cast<unsigned long long>(js.tierups.load()),
-        static_cast<unsigned long long>(js.osr_exits.load()));
-    std::vector<std::pair<uint64_t, size_t>> tiered;  // (heat, func index)
-    for (size_t f = 0; f < module->functions.size(); ++f) {
-      if (js.slots[f].state.load() != wasm::JitFuncSlot::kCompiled) continue;
-      tiered.emplace_back(js.slots[f].heat.load(), f);
-    }
-    std::sort(tiered.begin(), tiered.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    if (tiered.size() > 10) tiered.resize(10);
-    for (const auto& [heat, f] : tiered) {
-      const std::string& dbg = module->functions[f].debug_name;
-      std::string name =
-          dbg.empty() ? "f" + std::to_string(module->num_imported_funcs + f)
-                      : dbg;
+        static_cast<unsigned long long>(jit_counter->second),
+        static_cast<unsigned long long>(
+            counters.at("jit_compile_failures_total")),
+        static_cast<unsigned long long>(counters.at("jit_tierups_total")),
+        static_cast<unsigned long long>(counters.at("jit_osr_exits_total")));
+    size_t shown = 0;
+    for (const host::Telemetry::TieredFunction& tf : snap.tiered_functions) {
+      if (++shown > 10) break;
       std::printf("serve: jit tiered %-32s heat=%llu deopts=%llu blacklisted=%s\n",
-                  name.c_str(), static_cast<unsigned long long>(heat),
-                  static_cast<unsigned long long>(js.slots[f].deopts.load()),
-                  js.slots[f].Blacklisted() ? "yes" : "no");
+                  tf.func.c_str(), static_cast<unsigned long long>(tf.heat),
+                  static_cast<unsigned long long>(tf.deopts),
+                  tf.blacklisted ? "yes" : "no");
     }
   }
   host::TenantUsage usage = sup.ledger().usage(kTenant);
@@ -468,11 +461,10 @@ int Serve(wali::WaliRuntime& runtime, std::shared_ptr<const wasm::Module> module
       static_cast<unsigned long long>(usage.host_errors));
   host::InstancePool::Stats ps = sup.pool().stats();
   std::printf(
-      "pool: hits=%llu misses=%llu resets=%llu drops=%llu high_water=%llu "
+      "pool: hits=%llu misses=%llu drops=%llu high_water=%llu "
       "mem_hw_pages=%llu idle=%zu\n",
       static_cast<unsigned long long>(ps.hits),
       static_cast<unsigned long long>(ps.misses),
-      static_cast<unsigned long long>(ps.resets),
       static_cast<unsigned long long>(ps.drops),
       static_cast<unsigned long long>(ps.high_water),
       static_cast<unsigned long long>(ps.mem_high_water_pages), ps.idle);
@@ -584,10 +576,10 @@ int main(int argc, char** argv) {
   }
 
   std::string path = argv[i];
-  // Process-wide telemetry sink: the module cache folds fusion stats into it
+  // The run's telemetry sink: the module cache folds fusion stats into it
   // at decode, serve mode records spans and per-run metrics through it, and
   // --metrics-dump/--trace-out export it at exit.
-  host::Telemetry& tel = host::Telemetry::Global();
+  host::Telemetry tel;
   // Single front end for .wat/.wasm detection, decode, and validation — the
   // same layer serve mode instantiates from.
   host::ModuleCache cache(/*capacity=*/1);
@@ -625,8 +617,7 @@ int main(int argc, char** argv) {
   if (serve_workers > 0) {
     int rc = Serve(runtime, *parsed, guest_argv, env, serve_workers,
                    serve_repeat, queue_depth, budget, async_io,
-                   io_backend_choice, evict_parked,
-                   &tel);
+                   io_backend_choice, evict_parked, tel);
     DumpTelemetry(tel, metrics_dump, trace_out);
     return rc;
   }

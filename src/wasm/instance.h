@@ -118,9 +118,8 @@ struct ExecOptions {
   // (signal handlers, guest threads) must clear it.
   Suspension* suspend_to = nullptr;
   // Frame-entry profiling: bump Module::func_profile slots (entries, and
-  // entry-sampled fuel attribution) on every wasm frame push. Only honored
-  // in HOST_TELEMETRY builds; costs one predicted-not-taken branch per call
-  // when off.
+  // entry-sampled fuel attribution) on every wasm frame push. Costs one
+  // predicted-not-taken branch per call when off.
   bool profile = false;
   // Baseline-JIT tier selection (see JitTier). kAuto/kOn engage the tier
   // when the build carries it and dispatch resolves to kThreaded.

@@ -96,7 +96,6 @@ bool PushFrameForJit(ExecContext& ctx, const FuncRef& ref);
 
 // interp.cc's frame-entry profiling hook for the frame emitted code just
 // pushed (frames.back()), with `executed` the exact count at the call site.
-// A no-op in builds without HOST_TELEMETRY.
 void ProfileFrameEntryForJit(ExecContext& ctx, uint64_t executed);
 
 #endif  // WASM_JIT_OK

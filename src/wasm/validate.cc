@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/wasm/jit.h"
 #include "src/wasm/prepare.h"
 
 namespace wasm {
@@ -657,29 +656,15 @@ common::Status Validate(Module& module) {
     }
   }
 
-  PrepareOptions popts;
-  popts.num_imported_funcs = module.num_imported_funcs;
-  popts.num_funcs = module.NumFuncs();
-  PrepareStats pstats;
   for (Function& f : module.functions) {
     FunctionValidator v(module, f, global_types);
     RETURN_IF_ERROR(v.Run());
-    // Translate the annotated body into its execution form (fused
-    // superinstructions + block fuel metadata) while we still hold the
-    // mutable module — everything downstream shares it as const.
-    PrepareFunction(f, popts, &pstats);
   }
-  module.prepare_stats = pstats;
-  // Profile slots survive re-prepares: counts accumulated so far stay
-  // attributed to the same function indices, which a re-prepare never moves.
-  if (!module.functions.empty() && module.func_profile == nullptr) {
-    module.func_profile = std::shared_ptr<FuncProfileSlot[]>(
-        new FuncProfileSlot[module.functions.size()]());
-  }
-  // JIT tier state is created fresh whenever the prepared streams are:
-  // compiled code is keyed to the prepared pcs written above. Null when the
-  // tier is compiled out.
-  module.jit = jit::CreateModuleState(module);
+  // Translate the annotated bodies into their execution form (fused
+  // superinstructions + block fuel metadata, plus the per-module profile
+  // and tier state) while we still hold the mutable module — everything
+  // downstream shares it as const.
+  PrepareModule(module);
 
   module.validated = true;
   return common::OkStatus();

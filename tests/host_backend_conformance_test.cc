@@ -34,6 +34,7 @@
 
 #include "src/host/io_reactor.h"
 #include "src/host/io_uring_backend.h"
+#include "src/host/telemetry.h"
 
 namespace {
 
@@ -292,6 +293,32 @@ TYPED_TEST(BackendConformance, DetachBlocksUntilDeliveryDrains) {
   TypeParam::Settle(this->backend_.get(), 10 * kMs);
   EXPECT_EQ(this->cap_.CountFor(10), seen);
   this->backend_->Cancel(10);  // absorb either way
+}
+
+TEST(IoUringBackendStats, StatsAreTheBatchingSeries) {
+  if (!host::IoUringAvailable()) {
+    GTEST_SKIP() << "io_uring unavailable on this kernel/build; skipping "
+                    "(never failing)";
+  }
+  host::Telemetry tel;
+  host::IoUringBackend backend;
+  backend.SetTelemetry(&tel);
+  Capture cap;
+  cap.Install(&backend);
+  constexpr uint64_t kOps = 4;
+  for (uint64_t cookie = 1; cookie <= kOps; ++cookie) {
+    backend.Submit(cookie, wali::IoOp::Sleep(kMs));
+  }
+  // Each enter is counted before the completions it reaped are delivered,
+  // and nothing enters again until the next event.
+  ASSERT_TRUE(cap.WaitFor(kOps));
+  backend.SetCompletionHandler(nullptr);
+  const host::IoUringBackend::Stats st = backend.stats();
+  EXPECT_GT(st.enters, 0u);
+  EXPECT_GE(st.sqes, kOps);
+  EXPECT_EQ(st.sqes, tel.registry().GetCounter("io_uring_sqes_total")->value());
+  EXPECT_EQ(st.enters,
+            tel.registry().GetCounter("io_uring_enters_total")->value());
 }
 
 }  // namespace

@@ -279,12 +279,13 @@ IoWorld MakeIoWorld(size_t workers, bool with_backend = true,
                     wasm::DispatchMode dispatch = wasm::DispatchMode::kAuto) {
   IoWorld w;
   w.linker = std::make_unique<wasm::Linker>();
-  w.runtime = std::make_unique<wali::WaliRuntime>(w.linker.get());
+  wali::WaliRuntime::Options ropts;
+  ropts.dispatch = dispatch;
+  w.runtime = std::make_unique<wali::WaliRuntime>(w.linker.get(), ropts);
   w.cache = std::make_unique<host::ModuleCache>();
   host::Supervisor::Options opts;
   opts.workers = workers;
   opts.clock = w.clock.fn();
-  opts.dispatch = dispatch;
   opts.pool.max_idle_per_module = workers;
   if (with_backend) {
     opts.io_backend = w.fake.get();

@@ -172,7 +172,6 @@ TEST(InstancePool, RecycledSlotStartsClean) {
   host::InstancePool::Stats s = w.pool->stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.resets, 1u);
 }
 
 TEST(InstancePool, RecycledSlotKeepsMemoryBase) {
@@ -214,7 +213,7 @@ TEST(InstancePool, DataSegmentsReappliedAfterReset) {
     ASSERT_EQ(r.values.size(), 1u);
     EXPECT_EQ(r.values[0].i32(), 87u) << "round " << round;
   }
-  EXPECT_EQ(w.pool->stats().resets, 2u);
+  EXPECT_EQ(w.pool->stats().hits, 2u);
 }
 
 TEST(InstancePool, HighWaterTracksConcurrentLeases) {

@@ -91,7 +91,6 @@ TEST(Supervisor, ConcurrentGuestsIsolatedExitCodes) {
   host::InstancePool::Stats ps = w.sup->pool().stats();
   EXPECT_GT(ps.hits, 0u);
   EXPECT_LE(ps.high_water, 8u);
-  EXPECT_GE(ps.resets, ps.hits);
 }
 
 TEST(Supervisor, PerTenantPolicyIsolation) {

@@ -3,10 +3,11 @@
 // submitted job ends in exactly one outcome), tenant retention (Forget
 // drops series AND spans), resume-queue latency attribution, IoStats/io_*
 // consistency under a concurrent completion storm (the TSan CI job runs
-// this), export formats, and interpreter hot-function profiling.
+// this), stats views equal to their series with or without a Telemetry
+// wired, export formats, and interpreter hot-function profiling.
 //
-// Tests construct their OWN Telemetry instance — never Telemetry::Global()
-// — so assertions can demand exact counts without cross-test bleed.
+// Every test constructs its own Telemetry instance, so assertions can
+// demand exact counts without cross-test bleed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -91,24 +92,28 @@ struct TelWorld {
   std::unique_ptr<host::Supervisor> sup;
 };
 
+// `wired` = false builds the same world with the Telemetry left unwired:
+// every component keeps its series in a registry of its own.
 TelWorld MakeTelWorld(size_t workers, bool with_backend = true,
                       host::Telemetry::Options topts = {},
-                      size_t queue_depth = 0, bool start_paused = false) {
+                      size_t queue_depth = 0, bool start_paused = false,
+                      bool wired = true) {
   TelWorld w;
   w.linker = std::make_unique<wasm::Linker>();
   w.runtime = std::make_unique<wali::WaliRuntime>(w.linker.get());
   w.cache = std::make_unique<host::ModuleCache>();
   w.tel = std::make_unique<host::Telemetry>(topts);
-  w.cache->SetTelemetry(w.tel.get());
+  host::Telemetry* tel = wired ? w.tel.get() : nullptr;
+  w.cache->SetTelemetry(tel);
   host::Supervisor::Options opts;
   opts.workers = workers;
   opts.queue_depth = queue_depth;
   opts.start_paused = start_paused;
   opts.clock = w.clock.fn();
   opts.pool.max_idle_per_module = workers;
-  opts.telemetry = w.tel.get();
+  opts.telemetry = tel;
   if (with_backend) {
-    w.fake->SetTelemetry(w.tel.get());
+    w.fake->SetTelemetry(tel);
     opts.io_backend = w.fake.get();
   }
   w.sup = std::make_unique<host::Supervisor>(w.runtime.get(), opts);
@@ -169,8 +174,6 @@ std::vector<host::TraceEvent> RunEvents(const host::Telemetry::Snapshot& s,
   }
   return out;
 }
-
-#if defined(HOST_TELEMETRY)
 
 TEST(HostTelemetry, SpanOrderingAcrossParkResume) {
   // Every lifecycle stage of a parked run lands as a span event with the
@@ -437,6 +440,146 @@ TEST(HostTelemetry, IoStatsAndCountersConsistentUnderCompletionStorm) {
   EXPECT_EQ(GaugeValue(s, "io_in_flight{io_backend=\"fake\"}"), 0);
 }
 
+// One observation of a supervisor's stats views, with the snapshot of the
+// registry they should agree with.
+struct StatsPoint {
+  host::Supervisor::IoStats io;
+  host::InstancePool::Stats pool;
+  host::Telemetry::Snapshot series;
+};
+
+StatsPoint Observe(const TelWorld& w) {
+  return {w.sup->io_stats(), w.sup->pool().stats(), w.tel->TakeSnapshot()};
+}
+
+// On one worker and a manual clock: park -> evict -> restore, an orphan
+// completion, a shed while parked, and a budget stop while parked.
+// Observes the stats right after the evict and after shutdown.
+void RunEvictRestoreWorkload(TelWorld& w, std::vector<StatsPoint>* points) {
+  auto sleeper = w.cache->Load(WrapModule(kSleeperGuest));
+  ASSERT_TRUE(sleeper.ok()) << sleeper.status().ToString();
+  auto burner = w.cache->Load(WrapModule(kBurnGuest));
+  ASSERT_TRUE(burner.ok()) << burner.status().ToString();
+
+  std::future<host::RunReport> slept = w.sup->Submit(MakeJob(*sleeper, "t"));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  ASSERT_EQ(w.sup->EvictAllParked(), 1u);
+  points->push_back(Observe(w));
+  w.fake->AdvanceBy(50 * kMs);  // completes; the restore leases a slot
+  ASSERT_TRUE(slept.get().completed());
+
+  w.fake->ForceComplete(~0ULL, host::IoCompletion::Ready());
+
+  std::future<host::RunReport> shed =
+      w.sup->Submit(MakeJob(*sleeper, "t", /*deadline=*/10 * kMs));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  w.fake->AdvanceBy(10 * kMs);
+  ASSERT_EQ(shed.get().outcome, host::Outcome::kShed);
+
+  // The burner spends what the parked sleeper left of the budget, so the
+  // sleeper is stopped when it resumes.
+  host::TenantBudget budget;
+  budget.max_fuel = 1000;
+  w.sup->ledger().SetBudget("b", budget);
+  std::future<host::RunReport> stopped = w.sup->Submit(MakeJob(*sleeper, "b"));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  ASSERT_EQ(w.sup->Submit(MakeJob(*burner, "b")).get().outcome,
+            host::Outcome::kBudget);
+  w.fake->AdvanceBy(50 * kMs);
+  ASSERT_EQ(stopped.get().outcome, host::Outcome::kBudget);
+
+  w.sup->Shutdown();  // joins the worker: every lease is back in the pool
+  points->push_back(Observe(w));
+}
+
+void ExpectSameStats(const StatsPoint& a, const StatsPoint& b) {
+  EXPECT_EQ(a.io.parked_now, b.io.parked_now);
+  EXPECT_EQ(a.io.ready_now, b.io.ready_now);
+  EXPECT_EQ(a.io.in_flight_now, b.io.in_flight_now);
+  EXPECT_EQ(a.io.peak_in_flight, b.io.peak_in_flight);
+  EXPECT_EQ(a.io.parks_total, b.io.parks_total);
+  EXPECT_EQ(a.io.resumes_total, b.io.resumes_total);
+  EXPECT_EQ(a.io.orphan_completions, b.io.orphan_completions);
+  EXPECT_EQ(a.io.sheds_while_parked, b.io.sheds_while_parked);
+  EXPECT_EQ(a.io.budget_stops_while_parked, b.io.budget_stops_while_parked);
+  EXPECT_EQ(a.io.evicted_now, b.io.evicted_now);
+  EXPECT_EQ(a.io.evicts_total, b.io.evicts_total);
+  EXPECT_EQ(a.io.restores_total, b.io.restores_total);
+  EXPECT_EQ(a.pool.hits, b.pool.hits);
+  EXPECT_EQ(a.pool.misses, b.pool.misses);
+  EXPECT_EQ(a.pool.drops, b.pool.drops);
+  EXPECT_EQ(a.pool.high_water, b.pool.high_water);
+  EXPECT_EQ(a.pool.mem_high_water_pages, b.pool.mem_high_water_pages);
+  EXPECT_EQ(a.pool.idle, b.pool.idle);
+}
+
+void ExpectStatsAreSeries(const StatsPoint& p) {
+  const host::Telemetry::Snapshot& s = p.series;
+  EXPECT_EQ(p.io.in_flight_now,
+            static_cast<uint64_t>(GaugeValue(s, "supervisor_in_flight")));
+  EXPECT_EQ(p.io.peak_in_flight,
+            static_cast<uint64_t>(GaugeValue(s, "supervisor_in_flight_peak")));
+  EXPECT_EQ(p.io.parks_total, CounterValue(s, "supervisor_parks_total"));
+  EXPECT_EQ(p.io.resumes_total, CounterValue(s, "supervisor_resumes_total"));
+  EXPECT_EQ(p.io.orphan_completions,
+            CounterValue(s, "supervisor_orphan_completions_total"));
+  EXPECT_EQ(p.io.sheds_while_parked,
+            CounterValue(s, "supervisor_parked_sheds_total"));
+  EXPECT_EQ(p.io.budget_stops_while_parked,
+            CounterValue(s, "supervisor_parked_budget_stops_total"));
+  EXPECT_EQ(p.io.evicted_now,
+            static_cast<size_t>(GaugeValue(s, "supervisor_evicted_now")));
+  EXPECT_EQ(p.io.evicts_total, CounterValue(s, "supervisor_evictions_total"));
+  EXPECT_EQ(p.io.restores_total, CounterValue(s, "supervisor_restores_total"));
+  EXPECT_EQ(p.pool.hits, CounterValue(s, "instance_pool_hits_total"));
+  EXPECT_EQ(p.pool.misses, CounterValue(s, "instance_pool_misses_total"));
+  EXPECT_EQ(p.pool.drops, CounterValue(s, "instance_pool_drops_total"));
+  EXPECT_EQ(p.pool.high_water,
+            static_cast<uint64_t>(GaugeValue(s, "instance_pool_leased_peak")));
+  EXPECT_EQ(p.pool.mem_high_water_pages,
+            static_cast<uint64_t>(
+                GaugeValue(s, "instance_pool_mem_high_water_pages")));
+}
+
+TEST(HostTelemetry, StatsViewsEqualSeriesWiredOrNot) {
+  // The stats accessors are views over the registry series, so a wired
+  // Telemetry changes where the series live, never what they say.
+  std::vector<StatsPoint> wired, unwired;
+  {
+    TelWorld w = MakeTelWorld(1, /*with_backend=*/true, {}, 0, false,
+                              /*wired=*/true);
+    ASSERT_NO_FATAL_FAILURE(RunEvictRestoreWorkload(w, &wired));
+  }
+  {
+    TelWorld w = MakeTelWorld(1, /*with_backend=*/true, {}, 0, false,
+                              /*wired=*/false);
+    ASSERT_NO_FATAL_FAILURE(RunEvictRestoreWorkload(w, &unwired));
+  }
+  ASSERT_EQ(wired.size(), 2u);
+  ASSERT_EQ(unwired.size(), 2u);
+  for (size_t i = 0; i < wired.size(); ++i) {
+    SCOPED_TRACE("observation " + std::to_string(i));
+    ExpectSameStats(wired[i], unwired[i]);
+    ExpectStatsAreSeries(wired[i]);
+  }
+  // The workload reached every lifecycle series.
+  const host::Supervisor::IoStats& mid = wired[0].io;
+  EXPECT_EQ(mid.evicted_now, 1u);
+  EXPECT_EQ(mid.in_flight_now, 1u);
+  const host::Supervisor::IoStats& end = wired[1].io;
+  EXPECT_EQ(end.parks_total, 3u);
+  EXPECT_EQ(end.resumes_total, 3u);
+  EXPECT_EQ(end.evicts_total, 1u);
+  EXPECT_EQ(end.restores_total, 1u);
+  EXPECT_EQ(end.evicted_now, 0u);
+  EXPECT_EQ(end.orphan_completions, 1u);
+  EXPECT_EQ(end.sheds_while_parked, 1u);
+  EXPECT_EQ(end.budget_stops_while_parked, 1u);
+  EXPECT_EQ(end.in_flight_now, 0u);
+  EXPECT_EQ(end.peak_in_flight, 2u);
+  EXPECT_GT(wired[1].pool.hits, 0u);
+}
+
 TEST(HostTelemetry, SpanRingIsBoundedAndCountsDrops) {
   host::Telemetry::Options topts;
   topts.span_capacity = 4;
@@ -570,20 +713,5 @@ TEST(HostTelemetry, TieredFunctionsReportBlacklist) {
   }
 }
 
-#else  // !HOST_TELEMETRY
-
-// The hooks are compiled out, but the subsystem itself must keep building
-// and exporting (empty) data: the registry is still a usable library.
-TEST(HostTelemetry, SubsystemBuildsWithHooksCompiledOut) {
-  host::Telemetry tel;
-  host::Telemetry::RunHandle run = tel.BeginRun("t", 0);
-  tel.Record(run, host::SpanEvent::kDispatch, 1);
-  tel.EndRun(run, host::Outcome::kCompleted, 2);
-  host::Telemetry::Snapshot s = tel.TakeSnapshot();
-  EXPECT_EQ(s.spans.size(), 3u);
-  EXPECT_FALSE(tel.PrometheusText().empty());
-}
-
-#endif  // HOST_TELEMETRY
 
 }  // namespace
