@@ -107,9 +107,6 @@ int main() {
                      wasm::TrapKindName(r.trap));
         return 1;
       }
-      // The sleep parks through the offload seam; complete it as data.
-      (*proc)->pending_io.retry = nullptr;
-
       int64_t t0 = common::MonotonicNanos();
       auto snap = wali::SnapshotProcess(**proc, cont);
       snap_ns += common::MonotonicNanos() - t0;
@@ -120,21 +117,22 @@ int main() {
       }
       bytes = snap->size();
       cont.Discard();
-      for (int fd : (*proc)->GuestFds()) (*proc)->UntrackFd(fd);
+      (*proc)->ReleaseGuestFds();
 
       auto fresh = rt.CreateProcess(*parsed, {"bench"}, {});
       if (!fresh.ok()) {
         return 1;
       }
       t0 = common::MonotonicNanos();
-      common::Status restored = wali::RestoreProcess(
-          snap->data(), snap->size(), **fresh, cont, nullptr);
+      common::Status restored =
+          wali::RestoreProcess(snap->data(), snap->size(), **fresh, cont);
       restore_ns += common::MonotonicNanos() - t0;
       if (!restored.ok()) {
         std::fprintf(stderr, "restore failed: %s\n", restored.ToString().c_str());
         return 1;
       }
-      wasm::RunResult done = rt.ResumeMain(**fresh, cont, 0);
+      wasm::RunResult done =
+          rt.ResumeMain(**fresh, cont, wali::IoCompletion::Result(0));
       if (!done.ok() && done.trap != wasm::TrapKind::kExit) {
         std::fprintf(stderr, "resume failed: %s\n", wasm::TrapKindName(done.trap));
         return 1;

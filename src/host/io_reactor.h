@@ -6,8 +6,8 @@
 // supervisor registers the operation here instead of letting a worker
 // thread block 1:1 with the guest. The backend watches the readiness class
 // (fd readable/writable, or a timer) and delivers exactly one completion
-// per cookie; the supervisor then re-admits the parked job and materializes
-// the syscall result into the suspended guest frame.
+// per cookie; the supervisor then re-admits the parked job and hands the
+// completion to WaliRuntime::ResumeMain, which finishes the syscall.
 //
 // The API is submit/complete in the io_uring style — cookie-keyed ops, a
 // single completion sink, cancellation — so a real io_uring backend can
@@ -83,44 +83,9 @@ class IoBackendMetrics {
   metrics::Gauge* in_flight_ = nullptr;
 };
 
-// One completion, delivered exactly once per submitted cookie (unless
-// Cancel wins the race).
-struct IoCompletion {
-  enum class Status : uint8_t {
-    kReady = 0,  // the readiness class was satisfied
-    kTimedOut,   // the op's own timeout (or a sleep's duration) elapsed
-    kError,      // the backend cannot wait on this op; value = -errno
-  };
-
-  Status status = Status::kReady;
-  int64_t value = 0;
-  // When true, `value` IS the syscall result and any retry closure is
-  // skipped. Real backends leave this false (the retry re-issues the now-
-  // ready syscall); fakes use it to script exact results deterministically.
-  bool has_value = false;
-
-  static IoCompletion Ready() { return IoCompletion{}; }
-  static IoCompletion TimedOut() {
-    IoCompletion c;
-    c.status = Status::kTimedOut;
-    return c;
-  }
-  static IoCompletion Result(int64_t v) {
-    IoCompletion c;
-    c.value = v;
-    c.has_value = true;
-    return c;
-  }
-  // kError with value = -errno but has_value left false: the supervisor's
-  // materialization order surfaces `value` for kError directly, and leaving
-  // has_value false keeps scripted-result semantics distinct.
-  static IoCompletion Error(int64_t v) {
-    IoCompletion c;
-    c.status = Status::kError;
-    c.value = v;
-    return c;
-  }
-};
+// One completion per submitted cookie; defined next to the park it
+// completes (src/wali/async.h), which ResumeMain finishes from.
+using wali::IoCompletion;
 
 // Completion-loop seam. Completions may be delivered from any thread (the
 // reactor's loop, or the test thread driving a fake) and are always
@@ -159,8 +124,8 @@ class IoBackend {
 // Production backend: one reactor thread multiplexing every parked op over
 // poll(2), woken through a self-pipe on submit/cancel/shutdown, with sleep
 // and timeout deadlines kept in the same table. fd errors (POLLERR/POLLHUP/
-// POLLNVAL) complete as kReady — the retry re-issues the real syscall and
-// surfaces the kernel's own answer (EOF, EPIPE, EBADF, ...).
+// POLLNVAL) complete as kReady — the re-dispatched syscall surfaces the
+// kernel's own answer (EOF, EPIPE, EBADF, ...).
 class IoReactor : public IoBackend {
  public:
   IoReactor();

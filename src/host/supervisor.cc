@@ -1,7 +1,6 @@
 #include "src/host/supervisor.h"
 
-#include <cstdio>
-#include <fstream>
+#include <unistd.h>
 
 #include "src/common/time_util.h"
 #include "src/wali/process_snapshot.h"
@@ -15,7 +14,6 @@ Supervisor::Supervisor(wali::WaliRuntime* runtime, const Options& options)
       clock_(options.clock ? options.clock : [] { return common::MonotonicNanos(); }),
       queue_depth_(options.queue_depth),
       io_(options.io_backend),
-      evict_dir_(options.evict_dir),
       tel_(options.telemetry),
       paused_(options.start_paused) {
   metrics::Registry& reg = SeriesRegistry(tel_, own_metrics_);
@@ -289,40 +287,20 @@ common::Status Supervisor::EvictParked(uint64_t cookie) {
   if (st.evicted) {
     return common::AlreadyExists("evict: run is already evicted");
   }
-  if (st.retry != nullptr) {
-    return common::Unimplemented(
-        "evict: parked op resumes through a live retry closure");
-  }
-  if (!st.cont.armed()) {
-    return common::FailedPrecondition("evict: no armed continuation");
-  }
   wali::WaliProcess& proc = *st.lease;
-  // The real resume closure lives in st.retry (moved out at park); the
-  // process-side slot is moved-from, so pin it to a definite null before
-  // the eligibility checks inside SnapshotProcess look at it.
-  proc.pending_io.retry = nullptr;
   common::StatusOr<std::vector<uint8_t>> snap =
       wali::SnapshotProcess(proc, st.cont);
   if (!snap.ok()) {
     return snap.status();
   }
-  if (!evict_dir_.empty()) {
-    std::string path =
-        evict_dir_ + "/evict-" + std::to_string(cookie) + ".snap";
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(snap->data()),
-              static_cast<std::streamsize>(snap->size()));
-    if (!out.good()) {
-      return common::Internal("evict: cannot write " + path);
-    }
-    st.evicted_path = std::move(path);
-  } else {
-    st.evicted_snapshot = std::move(*snap);
-  }
+  st.evicted_snapshot = std::move(*snap);
   // RunOne moved the job's argv/env into the lease; stash them for the
   // restore-time Acquire before the process goes back to the pool.
   st.saved_argv = proc.argv;
   st.saved_env = proc.env;
+  // The snapshot names the guest's fds by number, so they must stay open:
+  // the run takes them over before the slot's release would close them.
+  st.evicted_fds = proc.ReleaseGuestFds();
   st.cont.Discard();
   proc.pending_io.Reset();
   st.lease.Release();  // the slab (the actual memory pressure) goes here
@@ -347,18 +325,6 @@ size_t Supervisor::EvictAllParked() {
 }
 
 bool Supervisor::RestoreParked(RunState& st) {
-  std::vector<uint8_t> bytes = std::move(st.evicted_snapshot);
-  if (!st.evicted_path.empty()) {
-    std::ifstream in(st.evicted_path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    if (bytes.empty()) {
-      std::string msg = "restore: cannot read " + st.evicted_path;
-      FinishAbandoned(std::move(st), Outcome::kTrapped, std::move(msg));
-      return false;
-    }
-    std::remove(st.evicted_path.c_str());
-  }
   common::StatusOr<InstancePool::Lease> lease = pool_.Acquire(
       st.job.module, std::move(st.saved_argv), std::move(st.saved_env));
   if (!lease.ok()) {
@@ -368,11 +334,12 @@ bool Supervisor::RestoreParked(RunState& st) {
   }
   st.lease = std::move(*lease);
   wali::WaliProcess& proc = *st.lease;
-  common::Status restored =
-      wali::RestoreProcess(bytes.data(), bytes.size(), proc, st.cont);
+  common::Status restored = wali::RestoreProcess(
+      st.evicted_snapshot.data(), st.evicted_snapshot.size(), proc, st.cont);
   if (!restored.ok()) {
-    // The fresh lease goes back clean; the run itself is unrecoverable (its
-    // only state was the snapshot that just failed to decode).
+    // The fresh lease goes back clean (a failed restore adopts no fds); the
+    // run itself is unrecoverable (its only state was the snapshot that
+    // just failed to decode), and FinishAbandoned closes the fds it owns.
     st.lease.Release();
     FinishAbandoned(std::move(st), Outcome::kTrapped,
                     "restore: " + restored.ToString());
@@ -380,7 +347,8 @@ bool Supervisor::RestoreParked(RunState& st) {
   }
   proc.policy = st.job.policy;
   st.evicted = false;
-  st.evicted_path.clear();
+  st.evicted_snapshot = {};
+  st.evicted_fds.clear();  // re-adopted by the restored process
   c_restores_->Inc();
   g_evicted_now_->Sub(1);
   if (tel_ != nullptr) {
@@ -601,9 +569,7 @@ void Supervisor::ParkRun(RunState st) {
                                : report.executed_instrs;
   report.fuel_consumed = report.executed_instrs;
 
-  wali::PendingIo& pio = proc.pending_io;
-  st.retry = std::move(pio.retry);
-  wali::IoOp op = pio.op;
+  wali::IoOp op = proc.pending_io.op;
   st.timeout_is_shed = false;
 
   // Fold the job's queue-style deadline into the parked op: the backend
@@ -723,24 +689,6 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
     return;
   }
 
-  // Materialize the syscall result: a scripted completion wins outright; a
-  // backend error (kError: it could not wait on this op) surfaces its
-  // -errno WITHOUT running the retry — the op never became ready, and
-  // re-issuing the real syscall here would block this worker, exactly what
-  // offload exists to prevent. Otherwise the retry performs the now-ready
-  // syscall on this worker, and a sleep (no retry) completes with 0.
-  int64_t sys_ret;
-  if (c.has_value) {
-    sys_ret = c.value;
-  } else if (c.status == IoCompletion::Status::kError) {
-    sys_ret = c.value;
-  } else if (st.retry != nullptr) {
-    sys_ret = st.retry();
-  } else {
-    sys_ret = 0;
-  }
-  st.retry = nullptr;
-
   // Re-reserve budget slices for the on-worker continuation — the park
   // released this run's reservation back to the tenant's pool. The fresh
   // slices come out of the CURRENT unreserved remainder (concurrent runs
@@ -783,7 +731,7 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
 
   int64_t cpu0 = common::ThreadCpuNanos();
   int64_t t0 = common::MonotonicNanos();
-  wasm::RunResult r = runtime_->ResumeMain(proc, st.cont, sys_ret);
+  wasm::RunResult r = runtime_->ResumeMain(proc, st.cont, c);
   report.wall_nanos += common::MonotonicNanos() - t0;
   report.cpu_nanos += common::ThreadCpuNanos() - cpu0;
 
@@ -820,9 +768,10 @@ void Supervisor::FinishRun(RunState st, const wasm::RunResult& r) {
 void Supervisor::FinishAbandoned(RunState st, Outcome outcome,
                                  std::string message) {
   if (st.evicted) {
-    // No live process: drop the snapshot bytes.
-    if (!st.evicted_path.empty()) {
-      std::remove(st.evicted_path.c_str());
+    // No live process: the snapshot bytes go with the run, and nobody will
+    // re-adopt the fds it took over at eviction.
+    for (int fd : st.evicted_fds) {
+      ::close(fd);
     }
   } else {
     // Drop the suspended interpreter state before the lease goes back to

@@ -151,11 +151,6 @@ class Supervisor {
     // for every job lifecycle stage, per-tenant series, and interpreter
     // frame-entry profiling. Borrowed; must outlive Shutdown.
     Telemetry* telemetry = nullptr;
-    // Where EvictParked writes snapshots ("evict-<cookie>.snap"). Empty
-    // (default) keeps the serialized blob in memory — the slab is still
-    // released, which is most of a parked guest's footprint; a directory
-    // moves even the blob out of the process.
-    std::string evict_dir;
     InstancePool::Options pool;
   };
 
@@ -236,18 +231,20 @@ class Supervisor {
   // consumed-so-far and released the reservation, so an evict/restore
   // cycle adds zero ledger events.
   //
-  // Only pure-data parks are evictable: an op whose resume path captured a
-  // live retry closure (reads/writes re-issued on the worker) refuses with
-  // Unimplemented, and the guest simply stays resident.
+  // Every park is pure data, so any parked run is evictable unless the
+  // process itself is not (guest threads, inside a signal handler, pending
+  // virtual signals), in which case it simply stays resident. While the run
+  // is evicted its guest fds stay open, owned by the run: the restore
+  // re-adopts them, and a run abandoned while evicted (shed, budget,
+  // shutdown) closes them.
 
   // Cookies of currently parked runs, oldest first (for pressure policies:
   // evict the longest-parked first).
   std::vector<uint64_t> parked_cookies() const;
   // Evicts one parked run by cookie. NotFound if the cookie is not parked
-  // (already completed, restored, or never existed); FailedPrecondition /
-  // Unimplemented if the park is not serializable; otherwise the snapshot
-  // error. On success the run's lease is released (and the blob written to
-  // Options::evict_dir when set).
+  // (already completed, restored, or never existed); otherwise the
+  // snapshot error when the process is not serializable. On success the
+  // run's lease is released and the snapshot bytes kept in memory.
   common::Status EvictParked(uint64_t cookie);
   // Evicts every eligible parked run; returns how many were evicted.
   size_t EvictAllParked();
@@ -287,8 +284,6 @@ class Supervisor {
     TenantUsage settled;
     bool fuel_clamped = false;
     RunReport report;  // accumulated across on-worker segments
-    // Resume-time syscall closure captured at park (see wali::PendingIo).
-    std::function<int64_t()> retry;
     int64_t park_stamp = 0;       // clock_ at park, for blocked_nanos
     // The backend deadline was tightened to the job's deadline, so a
     // kTimedOut completion means "shed the parked guest", not "the
@@ -296,13 +291,14 @@ class Supervisor {
     bool timeout_is_shed = false;
     Telemetry::RunHandle trun;  // span handle; invalid without telemetry
     // Snapshot eviction (EvictParked): when set, the lease has been
-    // released and the run lives only as serialized bytes — in
-    // `evicted_snapshot`, or on disk at `evicted_path` when the supervisor
-    // has an evict_dir. argv/env are stashed for the restore-time lease
-    // (RunOne moved the job's copies into the original lease).
+    // released and the run lives only as `evicted_snapshot` plus the guest
+    // fds it took over from the process (open, and closed by nobody else
+    // until the restore re-adopts them). argv/env are stashed for the
+    // restore-time lease (RunOne moved the job's copies into the original
+    // lease).
     bool evicted = false;
     std::vector<uint8_t> evicted_snapshot;
-    std::string evicted_path;
+    std::vector<int> evicted_fds;
     std::vector<std::string> saved_argv;
     std::vector<std::string> saved_env;
   };
@@ -336,8 +332,9 @@ class Supervisor {
   // Dispatches one task: admission, lease, budget arming, first guest
   // segment. Resolves the promise itself unless the run parks.
   void RunOne(Task& task);
-  // Continues a parked run whose op completed: materializes the syscall
-  // result and runs the next on-worker segment (which may park again).
+  // Continues a parked run whose op completed: hands the completion to
+  // WaliRuntime::ResumeMain, which finishes the parked syscall and runs the
+  // next on-worker segment (which may park again).
   void ResumeOne(ReadyEntry entry);
   // Parks a suspended run: captures the pending op, tightens its deadline
   // to the job's, registers it with the backend. Sheds instead when the
@@ -347,8 +344,9 @@ class Supervisor {
   // the terminal tail.
   void FinishRun(RunState st, const wasm::RunResult& r);
   // Abandons a dispatched run mid-park (shed / budget / shutdown): discards
-  // the suspension, then the terminal tail. An evicted run (no lease) just
-  // drops its snapshot; kTrapped is an evicted run that cannot be restored.
+  // the suspension, then the terminal tail. An evicted run (no lease) drops
+  // its snapshot and closes the fds it owns; kTrapped is an evicted run
+  // that cannot be restored.
   void FinishAbandoned(RunState st, Outcome outcome, std::string message);
   // The one terminal tail of a dispatched run, so each series has exactly
   // one update site per terminal path: harvests the process's syscall trace
@@ -374,7 +372,6 @@ class Supervisor {
   std::function<int64_t()> clock_;
   size_t queue_depth_;
   IoBackend* io_;
-  std::string evict_dir_;
   std::atomic<uint64_t> dispatch_seq_{0};
 
   // Spans, per-tenant series and profiling; null when none is wired.

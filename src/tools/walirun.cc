@@ -66,32 +66,35 @@
 //                    latency, hot functions) log at info, so default
 //                    output is unchanged; same scale as WALI_LOG=0..3
 //   --snapshot-out P single-run mode: run the guest resumably; when it parks
-//                    in a blocking syscall whose state is pure data (e.g.
-//                    nanosleep), serialize the whole process — interpreter
+//                    in a blocking syscall (nanosleep, a read on a pipe,
+//                    ...), serialize the whole process — interpreter
 //                    suspension, globals, memory delta, fd table, signal
-//                    dispositions, syscall trace — to P and exit 0 (see
-//                    src/wasm/snapshot.h for the format). A guest that never
-//                    parks runs to its normal exit and no file is written;
-//                    a park that is not snapshotable (a read/write holding a
-//                    live resume closure) is completed in place instead
+//                    dispositions, syscall trace, the parked syscall — to P
+//                    and exit 0 (see src/wasm/snapshot.h for the format). A
+//                    guest that never parks runs to its normal exit and no
+//                    file is written; a process that cannot be snapshotted
+//                    at its park (guest threads, pending signals) finishes
+//                    that park in place and is tried again at the next one
 //   --restore P      single-run mode: instead of starting the program at its
 //                    entry point, rebuild the process from the snapshot at P
 //                    (the module must be structurally identical to the one
 //                    snapshotted — same code, not just the same file name),
-//                    complete the parked op natively (a sleep sleeps out its
-//                    remaining time), and continue to the normal exit;
-//                    results are bit-identical to the never-parked run
+//                    wait out the parked op, and continue to the normal
+//                    exit; results are bit-identical to the never-parked run.
+//                    Both modes wait out every park on an IoReactor, the
+//                    completion loop serve mode uses
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -107,6 +110,45 @@
 #include "src/wasm/wasm.h"
 
 namespace {
+
+// Waits out one parked op at a time on an IoReactor, for the resumable
+// single run: the completion it returns is what ResumeMain finishes the
+// parked syscall from, exactly as on the serve path.
+class ParkWaiter {
+ public:
+  ParkWaiter() {
+    reactor_.SetCompletionHandler(
+        [this](uint64_t, const host::IoCompletion& c) {
+          std::lock_guard<std::mutex> lock(mu_);
+          done_ = c;
+          ready_ = true;
+          cv_.notify_one();
+        });
+  }
+
+  host::IoCompletion Wait(const wali::IoOp& op) {
+    if (op.kind == wali::IoOp::Kind::kScripted) {
+      return host::IoCompletion::Ready();  // the op carries its own answer
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ready_ = false;
+    }
+    reactor_.Submit(/*cookie=*/1, op);
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return ready_; });
+    return done_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool ready_ = false;
+  host::IoCompletion done_;
+  // Last member, so it is destroyed (its loop joined) before the state its
+  // completion handler touches.
+  host::IoReactor reactor_;
+};
 
 int Usage() {
   std::fprintf(stderr,
@@ -628,86 +670,54 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Completes the op a resumable run parked on, on this thread: a sleep
-  // sleeps out natively; anything with a retry closure just performs the
-  // (now allowed to block) syscall. Returns the syscall result for
-  // ResumeMain. Must run BEFORE ResumeMain, which resets pending_io.
-  auto complete_parked = [](wali::WaliProcess& p) -> int64_t {
-    wali::PendingIo& pio = p.pending_io;
-    if (pio.op.kind == wali::IoOp::Kind::kScripted) {
-      return pio.op.scripted_result;  // syscall already ran; result is known
-    }
-    if (pio.op.kind == wali::IoOp::Kind::kSleep && pio.op.sleep_nanos > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(pio.op.sleep_nanos));
-    }
-    std::function<int64_t()> retry = std::move(pio.retry);
-    pio.retry = nullptr;
-    return retry ? retry() : 0;
-  };
-
   wasm::RunResult r;
-  if (!restore_in.empty()) {
-    std::ifstream in(restore_in, std::ios::binary);
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    if (bytes.empty()) {
-      std::fprintf(stderr, "walirun: cannot read snapshot %s\n",
-                   restore_in.c_str());
-      return 1;
-    }
-    wali::WaliRuntime::MainContinuation cont;
-    wali::IoOp parked_op;
-    common::Status restored = wali::RestoreProcess(
-        bytes.data(), bytes.size(), **proc, cont, &parked_op);
-    if (!restored.ok()) {
-      std::fprintf(stderr, "walirun: %s\n", restored.ToString().c_str());
-      return 1;
-    }
-    // The snapshotted run was parked on this op; finish it before resuming
-    // (pure-data ops only — that is what made the snapshot eligible).
-    int64_t first_result = 0;
-    if (parked_op.kind == wali::IoOp::Kind::kScripted) {
-      first_result = parked_op.scripted_result;
-    } else if (parked_op.kind == wali::IoOp::Kind::kSleep &&
-               parked_op.sleep_nanos > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(parked_op.sleep_nanos));
-    }
-    r = runtime.ResumeMain(**proc, cont, first_result);
-    while (r.trap == wasm::TrapKind::kSyscallPending) {
-      int64_t sys_ret = complete_parked(**proc);
-      r = runtime.ResumeMain(**proc, cont, sys_ret);
-    }
-  } else if (!snapshot_out.empty()) {
-    wali::WaliRuntime::MainContinuation cont;
-    r = runtime.RunMain(**proc, runtime.exec_options(), &cont);
-    while (r.trap == wasm::TrapKind::kSyscallPending) {
-      common::StatusOr<std::vector<uint8_t>> snap =
-          wali::SnapshotProcess(**proc, cont);
-      if (snap.ok()) {
-        std::ofstream out(snapshot_out, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char*>(snap->data()),
-                  static_cast<std::streamsize>(snap->size()));
-        if (!out.good()) {
-          std::fprintf(stderr, "walirun: cannot write %s\n",
-                       snapshot_out.c_str());
-          cont.Discard();
-          return 1;
-        }
-        std::fprintf(stderr, "walirun: wrote %zu-byte snapshot to %s\n",
-                     snap->size(), snapshot_out.c_str());
-        cont.Discard();
-        return 0;
-      }
-      // Not snapshotable at this park (live retry closure); complete it in
-      // place and try again at the next one.
-      std::fprintf(stderr, "walirun: park not snapshotable (%s); continuing\n",
-                   snap.status().ToString().c_str());
-      int64_t sys_ret = complete_parked(**proc);
-      r = runtime.ResumeMain(**proc, cont, sys_ret);
-    }
-  } else {
+  if (restore_in.empty() && snapshot_out.empty()) {
     r = runtime.RunMain(**proc);
+  } else {
+    ParkWaiter waiter;
+    wali::WaliRuntime::MainContinuation cont;
+    if (!restore_in.empty()) {
+      std::ifstream in(restore_in, std::ios::binary);
+      std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+      if (bytes.empty()) {
+        std::fprintf(stderr, "walirun: cannot read snapshot %s\n",
+                     restore_in.c_str());
+        return 1;
+      }
+      common::Status restored =
+          wali::RestoreProcess(bytes.data(), bytes.size(), **proc, cont);
+      if (!restored.ok()) {
+        std::fprintf(stderr, "walirun: %s\n", restored.ToString().c_str());
+        return 1;
+      }
+      r.trap = wasm::TrapKind::kSyscallPending;  // restored at its park
+    } else {
+      r = runtime.RunMain(**proc, runtime.exec_options(), &cont);
+    }
+    while (r.trap == wasm::TrapKind::kSyscallPending) {
+      if (restore_in.empty()) {
+        common::StatusOr<std::vector<uint8_t>> snap =
+            wali::SnapshotProcess(**proc, cont);
+        if (snap.ok()) {
+          cont.Discard();
+          std::ofstream out(snapshot_out, std::ios::binary | std::ios::trunc);
+          out.write(reinterpret_cast<const char*>(snap->data()),
+                    static_cast<std::streamsize>(snap->size()));
+          if (!out.good()) {
+            std::fprintf(stderr, "walirun: cannot write %s\n",
+                         snapshot_out.c_str());
+            return 1;
+          }
+          std::fprintf(stderr, "walirun: wrote %zu-byte snapshot to %s\n",
+                       snap->size(), snapshot_out.c_str());
+          return 0;
+        }
+        std::fprintf(stderr, "walirun: park not snapshotable (%s); continuing\n",
+                     snap.status().ToString().c_str());
+      }
+      r = runtime.ResumeMain(**proc, cont, waiter.Wait((*proc)->pending_io.op));
+    }
   }
 
   if (trace) {

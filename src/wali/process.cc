@@ -71,12 +71,7 @@ void WaliProcess::ClearOffloadCache() {
 }
 
 void WaliProcess::CloseGuestFds() {
-  std::set<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(fds_mu_);
-    fds.swap(guest_fds_);
-  }
-  for (int fd : fds) {
+  for (int fd : ReleaseGuestFds()) {
     ::close(fd);
   }
 }
@@ -98,6 +93,15 @@ void WaliProcess::AdoptGuestFds(const std::vector<int>& fds) {
       guest_fds_.insert(fd);
     }
   }
+}
+
+std::vector<int> WaliProcess::ReleaseGuestFds() {
+  std::set<int> fds;
+  {
+    std::lock_guard<std::mutex> lock(fds_mu_);
+    fds.swap(guest_fds_);
+  }
+  return std::vector<int>(fds.begin(), fds.end());
 }
 
 void WaliProcess::ResetForReuse(std::vector<std::string> argv_in,

@@ -65,6 +65,9 @@ class WaliProcess {
   // Bulk re-track on restore: adopts `fds` as the tracked set (union with
   // anything already tracked, same > 2 rule as TrackFd).
   void AdoptGuestFds(const std::vector<int>& fds);
+  // Untracks every fd WITHOUT closing it and returns them sorted: eviction
+  // hands the open fds to the evicted run before the slot is recycled.
+  std::vector<int> ReleaseGuestFds();
 
   // Cached per-fd offloadability classification (see wali::OffloadableFd):
   // with async-io on, every blocking-capable read/write/accept dispatch
@@ -137,9 +140,10 @@ class WaliProcess {
   // Park request filed by a blocking-capable syscall instead of blocking
   // (src/wali/async.h). Only the main-run invocation can park (guest
   // threads and signal-handler re-entries run without a suspension slot),
-  // so this needs no lock: it is written by the handler and read by the
-  // supervisor strictly after the interpreter unwound with
-  // kSyscallPending. Cleared per run and on slot recycling.
+  // so this needs no lock: it is written by the handler and the dispatch
+  // wrapper (or by RestoreProcess) and read by the host and ResumeMain
+  // strictly after the interpreter unwound with kSyscallPending. Cleared
+  // per run, at resume, and on slot recycling.
   PendingIo pending_io;
 
   // Deterministic park hook (snapshot round-trip harness): when nonzero,

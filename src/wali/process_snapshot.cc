@@ -1,5 +1,7 @@
 #include "src/wali/process_snapshot.h"
 
+#include <utility>
+
 #include "src/wasm/snapshot.h"
 
 namespace wali {
@@ -9,8 +11,11 @@ namespace {
 // WALI host-blob layout (carried opaquely inside the wasm snapshot; the
 // outer header's version/checksum cover it, so no inner version field):
 //   cont      start_instrs u64, entry_is_main u8
-//   pending   armed u8, kind u8, fd u32, sleep_nanos u64, timeout_nanos u64,
-//             scripted_result u64
+//   pending   kind u8 (never kNone: a snapshot is always taken at a park),
+//             fd u32, sleep_nanos u64, timeout_nanos u64, scripted_result
+//             u64, syscall id u32, 6 x arg u64, poll-set count u32
+//             (<= IoOp::kMaxPollFds, nonzero only for kPollSet), then per
+//             member fd u32, events u32
 //   fds       count u32, then count i32 host fds
 //   signals   virtual_mask u64, entry count u32, per entry: signo u8,
 //             handler u32, flags u32, mask u64, registered u8
@@ -29,12 +34,18 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
   w.U8(cont.entry_is_main ? 1 : 0);
 
   const PendingIo& pio = proc.pending_io;
-  w.U8(pio.armed ? 1 : 0);
   w.U8(static_cast<uint8_t>(pio.op.kind));
   w.U32(static_cast<uint32_t>(pio.op.fd));
   w.U64(static_cast<uint64_t>(pio.op.sleep_nanos));
   w.U64(static_cast<uint64_t>(pio.op.timeout_nanos));
   w.U64(static_cast<uint64_t>(pio.op.scripted_result));
+  w.U32(pio.syscall_id);
+  for (uint64_t arg : pio.args) w.U64(arg);
+  w.U32(static_cast<uint32_t>(pio.op.poll_fds.size()));
+  for (const IoOp::PollFd& m : pio.op.poll_fds) {
+    w.U32(static_cast<uint32_t>(m.fd));
+    w.U32(static_cast<uint16_t>(m.events));
+  }
 
   std::vector<int> fds = proc.GuestFds();
   w.U32(static_cast<uint32_t>(fds.size()));
@@ -98,27 +109,59 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
 }
 
 common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& proc,
-                              WaliRuntime::MainContinuation& cont, IoOp* pending_op) {
+                              WaliRuntime::MainContinuation& cont) {
   wasm::SnapshotReader r(blob.data(), blob.size());
   uint64_t start_instrs = 0;
   uint8_t entry_is_main = 0;
   RETURN_IF_ERROR(r.U64(&start_instrs));
   RETURN_IF_ERROR(r.U8(&entry_is_main));
 
-  uint8_t armed = 0;
+  PendingIo pending;
+  pending.armed = true;
   uint8_t kind = 0;
   uint32_t fd = 0;
   uint64_t sleep_nanos = 0;
   uint64_t timeout_nanos = 0;
   uint64_t scripted_result = 0;
-  RETURN_IF_ERROR(r.U8(&armed));
+  uint32_t poll_count = 0;
   RETURN_IF_ERROR(r.U8(&kind));
   RETURN_IF_ERROR(r.U32(&fd));
   RETURN_IF_ERROR(r.U64(&sleep_nanos));
   RETURN_IF_ERROR(r.U64(&timeout_nanos));
   RETURN_IF_ERROR(r.U64(&scripted_result));
-  if (kind > static_cast<uint8_t>(IoOp::Kind::kScripted)) {
+  RETURN_IF_ERROR(r.U32(&pending.syscall_id));
+  for (uint64_t& arg : pending.args) RETURN_IF_ERROR(r.U64(&arg));
+  RETURN_IF_ERROR(r.U32(&poll_count));
+  if (kind == static_cast<uint8_t>(IoOp::Kind::kNone) ||
+      kind > static_cast<uint8_t>(IoOp::Kind::kPollSet)) {
     return common::InvalidArgument("snapshot: bad pending io kind");
+  }
+  pending.op.kind = static_cast<IoOp::Kind>(kind);
+  // Resume re-dispatches the parked handler past the policy and budget
+  // checks that already ran at park time, so only a handler that can park
+  // may be named; a scripted park is answered from the op and never re-run.
+  if (pending.op.kind != IoOp::Kind::kScripted &&
+      !proc.runtime->CanPark(pending.syscall_id)) {
+    return common::InvalidArgument("snapshot: pending syscall cannot park");
+  }
+  if (poll_count > IoOp::kMaxPollFds) {
+    return common::InvalidArgument("snapshot: poll set too large");
+  }
+  if (poll_count != 0 && pending.op.kind != IoOp::Kind::kPollSet) {
+    return common::InvalidArgument("snapshot: poll set on a non-poll op");
+  }
+  pending.op.fd = static_cast<int>(fd);
+  pending.op.sleep_nanos = static_cast<int64_t>(sleep_nanos);
+  pending.op.timeout_nanos = static_cast<int64_t>(timeout_nanos);
+  pending.op.scripted_result = static_cast<int64_t>(scripted_result);
+  pending.op.poll_fds.resize(poll_count);
+  for (IoOp::PollFd& m : pending.op.poll_fds) {
+    uint32_t member_fd = 0;
+    uint32_t events = 0;
+    RETURN_IF_ERROR(r.U32(&member_fd));
+    RETURN_IF_ERROR(r.U32(&events));
+    m.fd = static_cast<int>(member_fd);
+    m.events = static_cast<short>(events);
   }
 
   uint32_t fd_count = 0;
@@ -214,23 +257,8 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
     return common::InvalidArgument("snapshot: trailing bytes in host blob");
   }
 
-  // Parsed clean; apply.
-  cont.start_instrs = start_instrs;
-  cont.entry_is_main = entry_is_main != 0;
-
-  if (pending_op != nullptr) {
-    IoOp op;
-    op.kind = static_cast<IoOp::Kind>(kind);
-    op.fd = static_cast<int>(fd);
-    op.sleep_nanos = static_cast<int64_t>(sleep_nanos);
-    op.timeout_nanos = static_cast<int64_t>(timeout_nanos);
-    op.scripted_result = static_cast<int64_t>(scripted_result);
-    *pending_op = armed != 0 ? op : IoOp();
-  }
-  // The park request itself is NOT re-armed: the caller owns completing the
-  // op (ResumeMain resets pending_io on entry regardless).
-
-  proc.AdoptGuestFds(fds);
+  // Parsed clean; apply. Signal dispositions first: they are the one step
+  // that can still fail, and nothing else has been touched if it does.
   for (const SigRec& s : sigs) {
     if (proc.sigtable.SetAction(s.signo, s.entry, nullptr) != 0) {
       return common::Internal("snapshot: signal disposition restore failed");
@@ -238,12 +266,17 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
   }
   proc.sigtable.set_virtual_mask(virtual_mask);
 
+  cont.start_instrs = start_instrs;
+  cont.entry_is_main = entry_is_main != 0;
+  proc.pending_io = std::move(pending);
+  proc.AdoptGuestFds(fds);
+
   proc.trace.Reset();
   proc.trace.AddWaliNanos(static_cast<int64_t>(wali_ns) +
                           static_cast<int64_t>(kernel_ns));
   proc.trace.AddKernelNanos(static_cast<int64_t>(kernel_ns));
   for (const auto& [id, n] : counts) {
-    for (uint64_t i = 0; i < n; ++i) proc.trace.Count(id);
+    proc.trace.Count(id, n);
   }
 
   proc.run_syscalls.store(run_syscalls, std::memory_order_release);
@@ -276,9 +309,8 @@ common::StatusOr<std::vector<uint8_t>> SnapshotProcess(
   if (proc.sigtable.AnyPending()) {
     return common::FailedPrecondition("snapshot: undelivered virtual signals pending");
   }
-  if (proc.pending_io.retry != nullptr) {
-    return common::Unimplemented(
-        "snapshot: pending op carries a live retry closure (not pure data)");
+  if (!proc.pending_io.armed) {
+    return common::FailedPrecondition("snapshot: no parked syscall");
   }
   std::vector<uint8_t> blob = EncodeHostBlob(proc, cont);
   return wasm::SnapshotSuspension(cont.susp, proc.main_instance.get(),
@@ -286,7 +318,7 @@ common::StatusOr<std::vector<uint8_t>> SnapshotProcess(
 }
 
 common::Status RestoreProcess(const uint8_t* data, size_t size, WaliProcess& proc,
-                              WaliRuntime::MainContinuation& cont, IoOp* pending_op) {
+                              WaliRuntime::MainContinuation& cont) {
   if (proc.main_instance == nullptr || proc.module == nullptr) {
     return common::FailedPrecondition("snapshot: process has no instance");
   }
@@ -297,7 +329,7 @@ common::Status RestoreProcess(const uint8_t* data, size_t size, WaliProcess& pro
   if (!blob.ok()) {
     return blob.status();
   }
-  common::Status st = DecodeHostBlob(*blob, proc, cont, pending_op);
+  common::Status st = DecodeHostBlob(*blob, proc, cont);
   if (!st.ok()) {
     cont.Discard();  // never leave a half-restored continuation armed
     return st;

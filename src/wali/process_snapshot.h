@@ -1,14 +1,13 @@
 // Process-level snapshot/restore: wraps wasm::SnapshotSuspension with the
 // WALI state that makes a parked run resumable as a *process* — the fd
-// table, virtual signal dispositions, the pending IoOp, the syscall trace
-// (so per-tenant accounting survives eviction without double billing), and
-// the MainContinuation bookkeeping (deferred-start fuel, entry kind).
+// table, virtual signal dispositions, the pending park (its IoOp, the
+// syscall that parked and its arguments), the syscall trace (so per-tenant
+// accounting survives eviction without double billing), and the
+// MainContinuation bookkeeping (deferred-start fuel, entry kind).
 //
-// Eligibility (refused with a Status, never a crash): single-threaded, not
-// inside a signal handler, and the park's retry closure must be null — only
-// ops whose completion value IS the syscall result (sleeps, scripted fakes)
-// are pure data. Reads/writes capture a live retry closure over the process
-// and are not serializable; the supervisor simply declines to evict those.
+// Every park is pure data, so any of them can be snapshotted. Eligibility
+// (refused with a Status, never a crash): no guest threads, not inside a
+// signal handler, and no pending virtual signals.
 #ifndef SRC_WALI_PROCESS_SNAPSHOT_H_
 #define SRC_WALI_PROCESS_SNAPSHOT_H_
 
@@ -31,14 +30,14 @@ common::StatusOr<std::vector<uint8_t>> SnapshotProcess(
 // Restores a snapshot into `proc`, which must be a FRESH process of the
 // structurally identical module (CreateProcess or a pool-recycled slot):
 // rebuilds the interpreter suspension, globals, memory, fd table, signal
-// dispositions, trace counters, and budgets captured at snapshot time, and
-// arms `cont` so WaliRuntime::ResumeMain continues the run bit-identically.
-// `pending_op` (optional) receives the IoOp the run was parked on, for
-// callers that must complete or re-arm it (walirun --restore sleeps it off).
+// dispositions, trace counters, and budgets captured at snapshot time,
+// re-arms proc.pending_io with the park, and arms `cont` so
+// WaliRuntime::ResumeMain continues the run bit-identically once the
+// caller has waited out proc.pending_io.op. On error `cont` is left
+// disarmed.
 common::Status RestoreProcess(const uint8_t* data, size_t size,
                               WaliProcess& proc,
-                              WaliRuntime::MainContinuation& cont,
-                              IoOp* pending_op = nullptr);
+                              WaliRuntime::MainContinuation& cont);
 
 }  // namespace wali
 

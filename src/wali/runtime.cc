@@ -8,8 +8,10 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -135,18 +137,6 @@ bool OffloadableFd(int fd) {
   // blocking path this offload must match bit-for-bit.
   int fl = ::fcntl(fd, F_GETFL);
   return fl >= 0 && (fl & O_NONBLOCK) == 0;
-}
-
-int64_t RetryRaw(WaliProcess& proc, long number, long a0, long a1, long a2,
-                 long a3, long a4, long a5) {
-  const bool timed = proc.runtime->options().attribute_time;
-  int64_t t0 = timed ? common::MonotonicNanos() : 0;
-  long r = ::syscall(number, a0, a1, a2, a3, a4, a5);
-  int64_t ret = r >= 0 ? static_cast<int64_t>(r) : -static_cast<int64_t>(errno);
-  if (timed) {
-    proc.trace.AddKernelNanos(common::MonotonicNanos() - t0);
-  }
-  return ret;
 }
 
 int64_t WaliCtx::Raw(long number, long a0, long a1, long a2, long a3, long a4,
@@ -435,82 +425,94 @@ void WaliRuntime::RegisterAll() {
     linker_->DefineHostFunc(
         "wali", std::string("SYS_") + def.name, type,
         [this, id](wasm::ExecContext& ctx, const uint64_t* args,
-                   uint64_t* results) -> wasm::TrapKind {
-          auto* proc = static_cast<WaliProcess*>(ctx.current_instance()->user_data());
-          if (proc == nullptr) {
-            ctx.SetTrap(wasm::TrapKind::kHostError, "WALI call outside a WALI process");
-            return ctx.trap;
-          }
-          const SyscallDef& def = defs_[id];
-          // Tenant syscall budget: enforced at the dispatch boundary (the
-          // natural "safepoint" for syscalls — nothing kernel-visible has
-          // happened yet when it trips, and the tripping dispatch itself
-          // never reaches the trace, so it is not billed).
-          uint64_t prior_syscalls =
-              proc->run_syscalls.fetch_add(1, std::memory_order_acq_rel);
-          uint64_t sys_budget = proc->syscall_budget.load(std::memory_order_acquire);
-          if (sys_budget != 0 && prior_syscalls >= sys_budget) {
-            ctx.SetTrap(wasm::TrapKind::kBudgetExhausted,
-                        "tenant syscall budget exhausted");
-            return ctx.trap;
-          }
-          if (proc->policy != nullptr) {
-            SyscallPolicy::Decision d = proc->policy->Evaluate(def.name);
-            if (d.action == SyscallPolicy::Action::kKill) {
-              ctx.SetTrap(wasm::TrapKind::kHostError,
-                          "syscall killed by policy");
-              return ctx.trap;
-            }
-            if (d.action == SyscallPolicy::Action::kDeny || d.inject_fault) {
-              proc->trace.Count(static_cast<uint32_t>(id));
-              results[0] = static_cast<uint64_t>(-static_cast<int64_t>(d.err));
-              return ctx.trap;
-            }
-          }
-          WaliCtx c{ctx, *proc, *proc->memory, *this};
-          const bool timed = options_.attribute_time;
-          int64_t t0 = timed ? common::MonotonicNanos() : 0;
-          int64_t ret = def.fn(c, reinterpret_cast<const int64_t*>(args));
-          if (timed) {
-            proc->trace.AddWaliNanos(common::MonotonicNanos() - t0);
-          }
-          if (proc->pending_io.armed) {
-            // Park at the WALI boundary: the handler filed a PendingIo
-            // instead of blocking. The dispatch is counted NOW (suspended
-            // runs must match blocking runs bit-for-bit in syscall counts);
-            // the result — and any fd effect — is materialized at resume.
-            proc->pending_io.syscall = def.name;
-            proc->trace.Count(static_cast<uint32_t>(id));
-            ctx.SetTrap(wasm::TrapKind::kSyscallPending,
-                        "syscall parked for async completion");
-            return ctx.trap;
-          }
-          if (ctx.trap == wasm::TrapKind::kNone &&
-              ctx.opts.suspend_to != nullptr && proc->park_after_syscalls != 0 &&
-              ++proc->syscalls_since_park >= proc->park_after_syscalls) {
-            // Deterministic park hook (snapshot round-trip harness): the
-            // handler already completed, so park with its result as a
-            // scripted completion. Every effect of the dispatch — fd set,
-            // trace count — is applied NOW; resuming with scripted_result
-            // is bit-identical to never having parked.
-            proc->syscalls_since_park = 0;
-            ApplyFdEffect(*proc, id, args, ret);
-            proc->trace.Count(static_cast<uint32_t>(id));
-            proc->pending_io.armed = true;
-            proc->pending_io.op = IoOp::Scripted(ret);
-            proc->pending_io.syscall = def.name;
-            ctx.SetTrap(wasm::TrapKind::kSyscallPending,
-                        "syscall parked (scripted completion)");
-            return ctx.trap;
-          }
-          ApplyFdEffect(*proc, id, args, ret);
-          proc->trace.Count(static_cast<uint32_t>(id));
-          if (common::LogEnabled(common::LogLevel::kDebug)) {
-            LOG_DEBUG() << "SYS_" << def.name << " -> " << ret;
-          }
-          results[0] = static_cast<uint64_t>(ret);
-          return ctx.trap;  // kExit/kHostError propagate; kNone continues
+                   uint64_t* results) {
+          return Dispatch(ctx, static_cast<uint32_t>(id), args, results);
         });
+  }
+}
+
+wasm::TrapKind WaliRuntime::Dispatch(wasm::ExecContext& ctx, uint32_t id,
+                                     const uint64_t* args, uint64_t* results) {
+  auto* proc = static_cast<WaliProcess*>(ctx.current_instance()->user_data());
+  if (proc == nullptr) {
+    ctx.SetTrap(wasm::TrapKind::kHostError, "WALI call outside a WALI process");
+    return ctx.trap;
+  }
+  const SyscallDef& def = defs_[id];
+  // Tenant syscall budget: enforced at the dispatch boundary (the natural
+  // "safepoint" for syscalls — nothing kernel-visible has happened yet when
+  // it trips, and the tripping dispatch itself never reaches the trace, so
+  // it is not billed).
+  uint64_t prior_syscalls =
+      proc->run_syscalls.fetch_add(1, std::memory_order_acq_rel);
+  uint64_t sys_budget = proc->syscall_budget.load(std::memory_order_acquire);
+  if (sys_budget != 0 && prior_syscalls >= sys_budget) {
+    ctx.SetTrap(wasm::TrapKind::kBudgetExhausted,
+                "tenant syscall budget exhausted");
+    return ctx.trap;
+  }
+  if (proc->policy != nullptr) {
+    SyscallPolicy::Decision d = proc->policy->Evaluate(def.name);
+    if (d.action == SyscallPolicy::Action::kKill) {
+      ctx.SetTrap(wasm::TrapKind::kHostError, "syscall killed by policy");
+      return ctx.trap;
+    }
+    if (d.action == SyscallPolicy::Action::kDeny || d.inject_fault) {
+      proc->trace.Count(id);
+      results[0] = static_cast<uint64_t>(-static_cast<int64_t>(d.err));
+      return ctx.trap;
+    }
+  }
+  WaliCtx c{ctx, *proc, *proc->memory, *this};
+  const int64_t ret = CallHandler(c, id, args);
+  // Counted once, here, whether or not the syscall parks: suspended runs
+  // must match blocking runs bit-for-bit in syscall counts, so the
+  // resume-time re-dispatch never counts again.
+  proc->trace.Count(id);
+  PendingIo& pio = proc->pending_io;
+  if (!pio.armed) {
+    Complete(*proc, id, args, ret);
+    if (ctx.trap != wasm::TrapKind::kNone || ctx.opts.suspend_to == nullptr ||
+        proc->park_after_syscalls == 0 ||
+        ++proc->syscalls_since_park < proc->park_after_syscalls) {
+      results[0] = static_cast<uint64_t>(ret);
+      return ctx.trap;  // kExit/kHostError propagate; kNone continues
+    }
+    // Deterministic park hook (snapshot round-trip harness): the handler
+    // already completed and its fd effect is applied, so park with its
+    // result as a scripted completion; resuming with scripted_result is
+    // bit-identical to never having parked.
+    proc->syscalls_since_park = 0;
+    pio.armed = true;
+    pio.op = IoOp::Scripted(ret);
+  }
+  // Park at the WALI boundary: the handler filed a PendingIo instead of
+  // blocking. Recording which syscall parked, with its arguments, is what
+  // lets ResumeMain finish it by re-dispatching the same handler; its
+  // result and fd effect are materialized then.
+  pio.syscall_id = id;
+  std::copy_n(args, def.nargs, pio.args);
+  ctx.SetTrap(wasm::TrapKind::kSyscallPending,
+              "syscall parked for async completion");
+  return ctx.trap;
+}
+
+int64_t WaliRuntime::CallHandler(WaliCtx& c, uint32_t id,
+                                 const uint64_t* args) const {
+  const bool timed = options_.attribute_time;
+  int64_t t0 = timed ? common::MonotonicNanos() : 0;
+  int64_t ret = defs_[id].fn(c, reinterpret_cast<const int64_t*>(args));
+  if (timed) {
+    c.proc.trace.AddWaliNanos(common::MonotonicNanos() - t0);
+  }
+  return ret;
+}
+
+void WaliRuntime::Complete(WaliProcess& proc, uint32_t id, const uint64_t* args,
+                           int64_t ret) const {
+  ApplyFdEffect(proc, id, args, ret);
+  if (common::LogEnabled(common::LogLevel::kDebug)) {
+    LOG_DEBUG() << "SYS_" << defs_[id].name << " -> " << ret;
   }
 }
 
@@ -754,9 +756,23 @@ wasm::RunResult WaliRuntime::RunMain(WaliProcess& process,
 
 wasm::RunResult WaliRuntime::ResumeMain(WaliProcess& process,
                                         MainContinuation& cont,
-                                        int64_t syscall_result) {
-  process.pending_io.Reset();
-  uint64_t bits = static_cast<uint64_t>(syscall_result);
+                                        const IoCompletion& completion) {
+  const PendingIo pio = std::exchange(process.pending_io, PendingIo());
+  int64_t ret;
+  if (completion.has_value ||
+      completion.status == IoCompletion::Status::kError) {
+    ret = completion.value;
+  } else if (pio.op.kind == IoOp::Kind::kScripted) {
+    ret = pio.op.scripted_result;
+  } else if (pio.armed && cont.armed()) {
+    WaliCtx c{*cont.susp.ctx, process, *process.memory, *this,
+              /*resumed=*/true};
+    ret = CallHandler(c, pio.syscall_id, pio.args);
+    Complete(process, pio.syscall_id, pio.args, ret);
+  } else {
+    ret = -ENOSYS;  // nothing parked: no handler to re-run
+  }
+  uint64_t bits = static_cast<uint64_t>(ret);
   wasm::RunResult r = wasm::ResumeInvoke(cont.susp, &bits, 1);
   if (r.trap == wasm::TrapKind::kSyscallPending) {
     return r;  // parked again; cont stays armed

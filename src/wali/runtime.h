@@ -31,6 +31,10 @@ struct WaliCtx {
   WaliProcess& proc;
   wasm::Memory& mem;
   WaliRuntime& rt;
+  // Set when WaliRuntime::ResumeMain re-dispatches a parked syscall: the
+  // wait the handler parked on has already ended (the fd is ready, the
+  // sleep or timeout elapsed), so the handler answers without waiting.
+  bool resumed = false;
 
   // Bounds-checked wasm->host pointer translation; nullptr on fault
   // (handlers then return -EFAULT, mirroring the kernel).
@@ -53,21 +57,20 @@ struct WaliCtx {
               long a4 = 0, long a5 = 0) const;
 
   // True when this invocation may park at the syscall boundary instead of
-  // blocking: the host entered it resumably (ExecOptions::suspend_to) and
-  // no park request is already armed. Guest threads and signal-handler
-  // re-entries always see false and take the blocking path.
+  // blocking: the host entered it resumably (ExecOptions::suspend_to), no
+  // park request is already armed, and this is not the resume-time
+  // re-dispatch of a park. Guest threads and signal-handler re-entries
+  // always see false and take the blocking path.
   bool CanOffload() const {
-    return exec.opts.suspend_to != nullptr && !proc.pending_io.armed;
+    return !resumed && exec.opts.suspend_to != nullptr && !proc.pending_io.armed;
   }
-  // Files a park request (see src/wali/async.h): the dispatch wrapper turns
-  // it into kSyscallPending and the handler's return value is ignored. Only
-  // call when CanOffload().
-  void Park(IoOp op, std::function<int64_t()> retry,
-            const char* syscall_name = nullptr) const {
+  // Files a park request (see src/wali/async.h): the dispatch wrapper
+  // records the syscall and its arguments, turns the request into
+  // kSyscallPending, and ignores the handler's return value. Only call when
+  // CanOffload().
+  void Park(IoOp op) const {
     proc.pending_io.armed = true;
-    proc.pending_io.op = op;
-    proc.pending_io.syscall = syscall_name;
-    proc.pending_io.retry = std::move(retry);
+    proc.pending_io.op = std::move(op);
   }
 };
 
@@ -79,6 +82,8 @@ struct SyscallDef {
   SyscallHandler fn;
   bool stateful;     // maintains engine-side state (Table 2 "State" column)
   int loc_estimate;  // implementation size (Table 2 "LOC" column)
+  // The handler may park (WaliCtx::Park); resume re-dispatches it.
+  bool can_park = false;
 };
 
 class WaliRuntime {
@@ -143,21 +148,33 @@ class WaliRuntime {
   wasm::RunResult RunMain(WaliProcess& process, const wasm::ExecOptions& opts);
   // Same, resumable: a blocking-capable syscall may park instead of
   // blocking, returning trap == kSyscallPending with `*cont` armed and the
-  // park request in process.pending_io. The caller registers the op with
-  // its completion loop and calls ResumeMain once the result is known.
+  // park request in process.pending_io. The caller registers
+  // pending_io.op with its completion loop and passes the completion to
+  // ResumeMain.
   // A null `cont` is the synchronous overload. The deferred (start)
   // function always runs synchronously — only the entry call can park.
   wasm::RunResult RunMain(WaliProcess& process, const wasm::ExecOptions& opts,
                           MainContinuation* cont);
-  // Continues a parked main run with the suspended syscall's result
-  // (kernel convention). May park again (kSyscallPending, `cont` re-armed);
-  // any other return is final, with executed_instrs / fuel / exit-code
-  // semantics bit-identical to an uninterrupted RunMain.
+  // Continues a parked main run once its op completed, finishing the
+  // parked syscall first (process.pending_io): a completion that carries
+  // the answer (a scripted result, or a backend kError's -errno) is the
+  // result as is, a kScripted park answers its scripted_result, and
+  // otherwise the parked handler is re-dispatched with WaliCtx::resumed
+  // set — timed, fd-effected and logged like any dispatch, but not counted
+  // or budget-checked a second time.
+  // May park again (kSyscallPending, `cont` re-armed); any other return is
+  // final, with executed_instrs / fuel / exit-code semantics bit-identical
+  // to an uninterrupted RunMain.
   wasm::RunResult ResumeMain(WaliProcess& process, MainContinuation& cont,
-                             int64_t syscall_result);
+                             const IoCompletion& completion);
 
   const std::vector<SyscallDef>& syscalls() const { return defs_; }
   int SyscallId(const std::string& name) const;
+  // True for the syscalls whose handler may park (the only ids a snapshot's
+  // pending park may name).
+  bool CanPark(uint32_t id) const {
+    return id < defs_.size() && defs_[id].can_park;
+  }
   wasm::Linker* linker() { return linker_; }
   const Options& options() const { return options_; }
   wasm::ExecOptions exec_options() const;
@@ -178,6 +195,14 @@ class WaliRuntime {
 
   void RegisterAll();
   void RegisterSupportMethods();
+  // The dispatch wrapper every ("wali", "SYS_<name>") import runs.
+  wasm::TrapKind Dispatch(wasm::ExecContext& ctx, uint32_t id,
+                          const uint64_t* args, uint64_t* results);
+  // Runs handler `id`, booking its time as WALI time.
+  int64_t CallHandler(WaliCtx& c, uint32_t id, const uint64_t* args) const;
+  // The tail of every dispatch that produced a result: fd effect and log.
+  void Complete(WaliProcess& proc, uint32_t id, const uint64_t* args,
+                int64_t ret) const;
   void ApplyFdEffect(WaliProcess& proc, size_t id, const uint64_t* args,
                      int64_t ret) const;
 
@@ -200,12 +225,6 @@ class WaliRuntime {
 // invalidated on close/dup2/dup3/fcntl(F_SETFL)/ioctl(FIONBIO) and slot
 // recycling.
 bool OffloadableFd(int fd);
-
-// Raw syscall with kernel-time attribution for resume-time retry closures,
-// which run on a worker thread after the original ExecContext (and thus
-// WaliCtx::Raw) is gone. Returns the kernel convention (-errno on failure).
-int64_t RetryRaw(WaliProcess& proc, long number, long a0 = 0, long a1 = 0,
-                 long a2 = 0, long a3 = 0, long a4 = 0, long a5 = 0);
 
 // Validates a guest timespec and flattens it to nanoseconds (kernel
 // nanosleep rules: negative seconds or out-of-range nanos are EINVAL,

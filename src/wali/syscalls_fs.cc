@@ -20,10 +20,7 @@ namespace {
 
 constexpr int kMaxIov = 64;
 
-// Builds a host iovec array from a guest wasm32 iovec array. Takes the
-// memory directly (not WaliCtx) so resume-time retry closures — which run
-// on a worker thread after the original ExecContext is gone — can
-// re-translate against the live memory with the same bounds rules.
+// Builds a host iovec array from a guest wasm32 iovec array.
 int TranslateIovecs(wasm::Memory& mem, uint64_t iov_addr, uint64_t iovcnt,
                     struct iovec* out) {
   if (iovcnt > kMaxIov) {
@@ -61,24 +58,17 @@ int64_t StatCommon(WaliCtx& c, int64_t raw_result, const struct stat& native,
   return 0;
 }
 
+// read/write/readv/writev on a blocking pipe, socket or tty park until the
+// fd is ready instead of blocking (arguments are validated first, so faults
+// answer inline exactly as on the blocking path). At resume the same call
+// is re-dispatched with offload off: the fd is ready, so the synchronous
+// path below returns promptly with the kernel's answer.
 int64_t SysRead(WaliCtx& c, const int64_t* a) {
   void* buf = c.Ptr(a[1], a[2]);
   if (buf == nullptr && a[2] != 0) return -EFAULT;
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
-    // Park until the fd is readable; the retry performs the read on a
-    // worker thread at resume, when it completes promptly. The guest
-    // address is re-translated then — the slab base is fixed, but the
-    // bounds are re-checked against the live memory.
-    WaliProcess* proc = &c.proc;
-    uint64_t addr = static_cast<uint64_t>(a[1]);
-    uint64_t len = static_cast<uint64_t>(a[2]);
-    c.Park(IoOp::Readable(fd), [proc, fd, addr, len]() -> int64_t {
-      if (len != 0 && !proc->memory->InBounds(addr, len)) return -EFAULT;
-      void* p = len != 0 ? proc->memory->At(addr) : nullptr;
-      return RetryRaw(*proc, SYS_read, fd, reinterpret_cast<long>(p),
-                      static_cast<long>(len));
-    });
+    c.Park(IoOp::Readable(fd));
     return 0;
   }
   return c.Raw(SYS_read, a[0], reinterpret_cast<long>(buf), a[2]);
@@ -89,15 +79,7 @@ int64_t SysWrite(WaliCtx& c, const int64_t* a) {
   if (buf == nullptr && a[2] != 0) return -EFAULT;
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
-    WaliProcess* proc = &c.proc;
-    uint64_t addr = static_cast<uint64_t>(a[1]);
-    uint64_t len = static_cast<uint64_t>(a[2]);
-    c.Park(IoOp::Writable(fd), [proc, fd, addr, len]() -> int64_t {
-      if (len != 0 && !proc->memory->InBounds(addr, len)) return -EFAULT;
-      void* p = len != 0 ? proc->memory->At(addr) : nullptr;
-      return RetryRaw(*proc, SYS_write, fd, reinterpret_cast<long>(p),
-                      static_cast<long>(len));
-    });
+    c.Park(IoOp::Writable(fd));
     return 0;
   }
   return c.Raw(SYS_write, a[0], reinterpret_cast<long>(buf), a[2]);
@@ -109,19 +91,7 @@ int64_t SysReadv(WaliCtx& c, const int64_t* a) {
   if (rc != 0) return rc;
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
-    // Validated inline above (same -EINVAL/-EFAULT as the blocking path),
-    // then parked like SysRead; the retry re-translates the whole iovec
-    // array against the live memory at resume.
-    WaliProcess* proc = &c.proc;
-    uint64_t iov_addr = static_cast<uint64_t>(a[1]);
-    uint64_t iovcnt = static_cast<uint64_t>(a[2]);
-    c.Park(IoOp::Readable(fd), [proc, fd, iov_addr, iovcnt]() -> int64_t {
-      struct iovec riov[kMaxIov];
-      int rrc = TranslateIovecs(*proc->memory, iov_addr, iovcnt, riov);
-      if (rrc != 0) return rrc;
-      return RetryRaw(*proc, SYS_readv, fd, reinterpret_cast<long>(riov),
-                      static_cast<long>(iovcnt));
-    });
+    c.Park(IoOp::Readable(fd));
     return 0;
   }
   return c.Raw(SYS_readv, a[0], reinterpret_cast<long>(iov), a[2]);
@@ -133,16 +103,7 @@ int64_t SysWritev(WaliCtx& c, const int64_t* a) {
   if (rc != 0) return rc;
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
-    WaliProcess* proc = &c.proc;
-    uint64_t iov_addr = static_cast<uint64_t>(a[1]);
-    uint64_t iovcnt = static_cast<uint64_t>(a[2]);
-    c.Park(IoOp::Writable(fd), [proc, fd, iov_addr, iovcnt]() -> int64_t {
-      struct iovec riov[kMaxIov];
-      int rrc = TranslateIovecs(*proc->memory, iov_addr, iovcnt, riov);
-      if (rrc != 0) return rrc;
-      return RetryRaw(*proc, SYS_writev, fd, reinterpret_cast<long>(riov),
-                      static_cast<long>(iovcnt));
-    });
+    c.Park(IoOp::Writable(fd));
     return 0;
   }
   return c.Raw(SYS_writev, a[0], reinterpret_cast<long>(iov), a[2]);
@@ -520,10 +481,10 @@ int64_t SysCopyFileRange(WaliCtx& c, const int64_t* a) {
 
 void RegisterFsSyscalls(std::vector<SyscallDef>& defs) {
   defs.insert(defs.end(), {
-      {"read", 3, SysRead, false, 4},
-      {"write", 3, SysWrite, false, 5},
-      {"readv", 3, SysReadv, false, 10},
-      {"writev", 3, SysWritev, false, 10},
+      {"read", 3, SysRead, false, 4, /*can_park=*/true},
+      {"write", 3, SysWrite, false, 5, /*can_park=*/true},
+      {"readv", 3, SysReadv, false, 10, /*can_park=*/true},
+      {"writev", 3, SysWritev, false, 10, /*can_park=*/true},
       {"pread64", 4, SysPread64, false, 4},
       {"pwrite64", 4, SysPwrite64, false, 4},
       {"open", 3, SysOpen, false, 4},

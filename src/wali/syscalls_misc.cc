@@ -18,11 +18,6 @@ namespace wali {
 
 namespace {
 
-// Offloadable poll/ppoll sets are bounded: the completion loops register
-// one waiter per member, so an attacker-sized nfds must not translate into
-// unbounded kernel registrations. Larger sets take the blocking path.
-constexpr uint64_t kMaxOffloadPollFds = 64;
-
 int64_t SysFutex(WaliCtx& c, const int64_t* a) {
   void* uaddr = c.Ptr(a[0], 4);
   if (uaddr == nullptr) return -EFAULT;
@@ -32,17 +27,16 @@ int64_t SysFutex(WaliCtx& c, const int64_t* a) {
   // process that has no other threads has no possible waker, so the wait
   // can only end when the timeout elapses — a pure timer park. The value
   // check happens inline (no concurrent writer exists to race with):
-  // mismatch answers -EAGAIN without parking, and the retry reports
-  // -ETIMEDOUT exactly as the kernel would. Untimed or multi-threaded
-  // waits keep the blocking path, where a real waker can reach them.
-  // The gate tolerates only FUTEX_PRIVATE_FLAG: FUTEX_CLOCK_REALTIME (or
-  // any other modifier) changes what the timeout means — the offload would
-  // silently park on a relative monotonic sleep — so those stay on the
-  // blocking path, where the kernel also reports its true errno for
-  // combinations it rejects.
-  if ((a[1] & ~0x80L) == 0 /*FUTEX_WAIT, no modifier bits*/ &&
-      c.CanOffload() && a[3] != 0 &&
-      c.proc.thread_count() == 0) {
+  // mismatch answers -EAGAIN without parking, and the re-dispatch at
+  // resume reports -ETIMEDOUT exactly as the kernel would. Untimed or
+  // multi-threaded waits keep the blocking path, where a real waker can
+  // reach them. The gate tolerates only FUTEX_PRIVATE_FLAG:
+  // FUTEX_CLOCK_REALTIME (or any other modifier) changes what the timeout
+  // means — the offload would silently park on a relative monotonic sleep
+  // — so those stay on the blocking path, where the kernel also reports its
+  // true errno for combinations it rejects.
+  if ((a[1] & ~0x80L) == 0 /*FUTEX_WAIT, no modifier bits*/ && a[3] != 0 &&
+      (c.resumed || c.CanOffload()) && c.proc.thread_count() == 0) {
     void* tsp = c.Ptr(a[3], 16);
     if (tsp == nullptr) return -EFAULT;
     wabi::WaliTimespec ts;
@@ -52,7 +46,8 @@ int64_t SysFutex(WaliCtx& c, const int64_t* a) {
     uint32_t cur;
     std::memcpy(&cur, uaddr, 4);
     if (cur != static_cast<uint32_t>(a[2])) return -EAGAIN;
-    c.Park(IoOp::Sleep(dur), []() -> int64_t { return -ETIMEDOUT; });
+    if (c.resumed) return -ETIMEDOUT;  // the parked timeout elapsed
+    c.Park(IoOp::Sleep(dur));
     return 0;
   }
   // FUTEX_WAIT-class ops pass a timespec; WAKE-class pass a count in arg4.
@@ -74,30 +69,16 @@ int64_t SysFutex(WaliCtx& c, const int64_t* a) {
                uaddr2, a[5]);
 }
 
-// Re-issues a parked poll with timeout 0 at resume: readiness completions
-// fill in revents, timeout completions correctly report 0 ready fds.
-int64_t PollRetryNow(WaliProcess& proc, uint64_t fds_addr, uint64_t nfds) {
-  if (!proc.memory->InBounds(fds_addr, nfds * 8)) return -EFAULT;
-  void* fds = proc.memory->At(fds_addr);
-#ifdef SYS_poll
-  return RetryRaw(proc, SYS_poll, reinterpret_cast<long>(fds),
-                  static_cast<long>(nfds), 0);
-#else
-  struct timespec zero = {0, 0};
-  return RetryRaw(proc, SYS_ppoll, reinterpret_cast<long>(fds),
-                  static_cast<long>(nfds), reinterpret_cast<long>(&zero), 0, 8);
-#endif
-}
-
 // Parks a poll/ppoll on its full interest set: one kPollSet member per
 // guest pollfd entry, events passed through verbatim (the union of
 // requested interests — a POLLIN|POLLOUT waiter wakes on either class, and
 // error/hup/nval always count). Negative fds ride along as placeholders
 // and are skipped by every backend, so an all-negative set parks as a pure
-// timer, matching poll(2). The retry re-polls with timeout 0 to
-// materialize revents into guest memory.
-void ParkPollSet(WaliCtx& c, const void* fds, uint64_t fds_addr,
-                 uint64_t nfds, int64_t timeout_nanos) {
+// timer, matching poll(2). At resume the call is re-dispatched with
+// timeout 0: readiness completions fill in revents, timeout completions
+// report 0 ready fds.
+void ParkPollSet(WaliCtx& c, const void* fds, uint64_t nfds,
+                 int64_t timeout_nanos) {
   std::vector<IoOp::PollFd> set;
   set.reserve(nfds);
   for (uint64_t i = 0; i < nfds; ++i) {
@@ -105,39 +86,37 @@ void ParkPollSet(WaliCtx& c, const void* fds, uint64_t fds_addr,
     std::memcpy(&pfd, static_cast<const char*>(fds) + i * 8, sizeof(pfd));
     set.push_back(IoOp::PollFd{pfd.fd, pfd.events});
   }
-  WaliProcess* proc = &c.proc;
-  c.Park(IoOp::PollSet(std::move(set), timeout_nanos),
-         [proc, fds_addr, nfds]() -> int64_t {
-           return PollRetryNow(*proc, fds_addr, nfds);
-         });
+  c.Park(IoOp::PollSet(std::move(set), timeout_nanos));
 }
 
 int64_t SysPoll(WaliCtx& c, const int64_t* a) {
   uint64_t nfds = static_cast<uint64_t>(a[1]);
   void* fds = c.Ptr(a[0], nfds * 8);  // struct pollfd = 8 bytes everywhere
   if (fds == nullptr && nfds != 0) return -EFAULT;
+  const int64_t timeout = c.resumed ? 0 : a[2];
   // Blocking polls park on the whole interest set — multi-fd, dual-interest
   // (POLLIN|POLLOUT), the lot — bounded by the poll's own timeout.
   // Zero-timeout polls are non-blocking by contract and go straight to the
-  // kernel; oversized sets take the blocking path (see kMaxOffloadPollFds).
-  if (c.CanOffload() && a[2] != 0 && nfds >= 1 && nfds <= kMaxOffloadPollFds) {
+  // kernel; oversized sets take the blocking path (see IoOp::kMaxPollFds).
+  if (c.CanOffload() && timeout != 0 && nfds >= 1 &&
+      nfds <= IoOp::kMaxPollFds) {
     // poll(2)'s timeout is an int of milliseconds; clamp to that range
     // before converting so a guest-supplied 64-bit value can't signed-
     // overflow the nanosecond product (>INT_MAX ms is ~25 days — treat it
     // as infinite rather than wrap negative and park with no timeout).
     int64_t timeout_nanos =
-        (a[2] < 0 || a[2] > INT_MAX) ? -1 : a[2] * 1000000;
-    ParkPollSet(c, fds, static_cast<uint64_t>(a[0]), nfds, timeout_nanos);
+        (timeout < 0 || timeout > INT_MAX) ? -1 : timeout * 1000000;
+    ParkPollSet(c, fds, nfds, timeout_nanos);
     return 0;
   }
 #ifdef SYS_poll
-  return c.Raw(SYS_poll, reinterpret_cast<long>(fds), nfds, a[2]);
+  return c.Raw(SYS_poll, reinterpret_cast<long>(fds), nfds, timeout);
 #else
   struct timespec ts;
   struct timespec* tsp = nullptr;
-  if (a[2] >= 0) {
-    ts.tv_sec = a[2] / 1000;
-    ts.tv_nsec = (a[2] % 1000) * 1000000;
+  if (timeout >= 0) {
+    ts.tv_sec = timeout / 1000;
+    ts.tv_nsec = (timeout % 1000) * 1000000;
     tsp = &ts;
   }
   return c.Raw(SYS_ppoll, reinterpret_cast<long>(fds), nfds,
@@ -163,11 +142,12 @@ int64_t SysPpoll(WaliCtx& c, const int64_t* a) {
   // ppoll is what musl-linked guests actually call for poll(3), so it
   // parks through the same path as SysPoll. A non-null sigmask needs the
   // atomic mask-swap ppoll exists for, which a parked completion loop
-  // cannot honor — refuse to park and let the kernel do it. ppoll never
-  // writes the remaining time back, so the timeout-0 poll retry is
-  // semantically equivalent at resume. A null timespec blocks forever
-  // (timeout -1); a zero one is non-blocking and answers inline.
-  if (c.CanOffload() && a[3] == 0 && nfds >= 1 && nfds <= kMaxOffloadPollFds) {
+  // cannot honor — refuse to park and let the kernel do it. The parked
+  // guest's timespec is never written back, so re-dispatching with a
+  // host-side zero timeout is semantically equivalent at resume. A null
+  // timespec blocks forever (timeout -1); a zero one is non-blocking and
+  // answers inline.
+  if (c.CanOffload() && a[3] == 0 && nfds >= 1 && nfds <= IoOp::kMaxPollFds) {
     int64_t timeout_nanos = -1;
     if (ts_ptr != 0) {
       wabi::WaliTimespec ts;
@@ -175,9 +155,13 @@ int64_t SysPpoll(WaliCtx& c, const int64_t* a) {
       if (!SleepDurationNanos(ts, &timeout_nanos)) return -EINVAL;
     }
     if (timeout_nanos != 0) {
-      ParkPollSet(c, fds, static_cast<uint64_t>(a[0]), nfds, timeout_nanos);
+      ParkPollSet(c, fds, nfds, timeout_nanos);
       return 0;
     }
+  }
+  struct timespec zero = {0, 0};
+  if (c.resumed) {
+    ts_ptr = reinterpret_cast<long>(&zero);
   }
   return c.Raw(SYS_ppoll, reinterpret_cast<long>(fds), nfds, ts_ptr, mask_ptr, 8);
 }
@@ -284,9 +268,9 @@ int64_t SysEnosys(WaliCtx& c, const int64_t* a) { return -ENOSYS; }
 
 void RegisterMiscSyscalls(std::vector<SyscallDef>& defs) {
   defs.insert(defs.end(), {
-      {"futex", 6, SysFutex, false, 6},
-      {"poll", 3, SysPoll, false, 12},
-      {"ppoll", 5, SysPpoll, false, 12},
+      {"futex", 6, SysFutex, false, 6, /*can_park=*/true},
+      {"poll", 3, SysPoll, false, 12, /*can_park=*/true},
+      {"ppoll", 5, SysPpoll, false, 12, /*can_park=*/true},
       {"select", 5, SysSelect, false, 14},
       {"pselect6", 6, SysPselect6, false, 14},
       {"epoll_create1", 1, SysEpollCreate1, false, 3},

@@ -63,49 +63,22 @@ int64_t AddrLenCall(WaliCtx& c, long nr, int64_t fd, int64_t addr, int64_t lenp,
 }
 
 // Offloaded accept: park until the listening socket is readable (a pending
-// connection), then perform the accept in the retry — which also re-does
-// the addr/len translation against live memory and tracks the minted fd
-// (the dispatch wrapper's fd-effect pass is skipped on the parked path).
-int64_t ParkAccept(WaliCtx& c, long nr, int64_t fd, int64_t addr, int64_t lenp,
-                   int64_t flags, bool has_flags) {
-  WaliProcess* proc = &c.proc;
-  c.Park(IoOp::Readable(static_cast<int>(fd)),
-         [proc, nr, fd, addr, lenp, flags, has_flags]() -> int64_t {
-           long addr_ptr = 0, len_ptr = 0;
-           if (addr != 0) {
-             if (!proc->memory->InBounds(static_cast<uint64_t>(lenp), 4)) {
-               return -EFAULT;
-             }
-             auto* len = reinterpret_cast<uint32_t*>(
-                 proc->memory->At(static_cast<uint64_t>(lenp)));
-             if (!proc->memory->InBounds(static_cast<uint64_t>(addr), *len)) {
-               return -EFAULT;
-             }
-             addr_ptr = reinterpret_cast<long>(
-                 proc->memory->At(static_cast<uint64_t>(addr)));
-             len_ptr = reinterpret_cast<long>(len);
-           }
-           int64_t r = has_flags
-                           ? RetryRaw(*proc, nr, fd, addr_ptr, len_ptr, flags)
-                           : RetryRaw(*proc, nr, fd, addr_ptr, len_ptr);
-           if (r >= 0) {
-             proc->TrackFd(static_cast<int>(r));
-           }
-           return r;
-         });
-  return 0;
-}
-
+// connection). At resume the call is re-dispatched with offload off and
+// takes the synchronous path, so the addr/len translation happens once,
+// against live memory, and the minted fd is tracked by the dispatch
+// wrapper's fd-effect pass like every other fd a syscall mints.
 int64_t SysAccept(WaliCtx& c, const int64_t* a) {
   if (c.CanOffload() && c.proc.OffloadableCached(static_cast<int>(a[0]))) {
-    return ParkAccept(c, SYS_accept, a[0], a[1], a[2], 0, false);
+    c.Park(IoOp::Readable(static_cast<int>(a[0])));
+    return 0;
   }
   return AddrLenCall(c, SYS_accept, a[0], a[1], a[2]);
 }
 
 int64_t SysAccept4(WaliCtx& c, const int64_t* a) {
   if (c.CanOffload() && c.proc.OffloadableCached(static_cast<int>(a[0]))) {
-    return ParkAccept(c, SYS_accept4, a[0], a[1], a[2], a[3], true);
+    c.Park(IoOp::Readable(static_cast<int>(a[0])));
+    return 0;
   }
   return AddrLenCall(c, SYS_accept4, a[0], a[1], a[2], a[3], /*has_flags=*/true);
 }
@@ -114,14 +87,24 @@ int64_t SysConnect(WaliCtx& c, const int64_t* a) {
   const void* addr = c.Ptr(a[1], a[2]);
   if (addr == nullptr) return -EFAULT;
   int fd = static_cast<int>(a[0]);
-  // Offloaded connect: start the handshake non-blocking, park until the
-  // socket is writable (connect(2)'s completion signal), and read the
-  // outcome from SO_ERROR in the retry. The O_NONBLOCK flip is reverted
-  // immediately — the guest never observes the flag, and the offload cache
-  // keys on the guest-visible state. Sockets the guest itself made
-  // non-blocking answer inline by definition (OffloadableCached is false
-  // for them), so -EINPROGRESS never leaks to a guest that didn't ask for
-  // it.
+  if (c.resumed) {
+    // Re-dispatched after an -EINPROGRESS park: the socket turned writable,
+    // so the handshake has finished and SO_ERROR holds its outcome.
+    int err = 0;
+    uint32_t len = sizeof(err);
+    int64_t gr = c.Raw(SYS_getsockopt, fd, SOL_SOCKET, SO_ERROR,
+                       reinterpret_cast<long>(&err),
+                       reinterpret_cast<long>(&len));
+    if (gr < 0) return gr;
+    return err == 0 ? 0 : -err;
+  }
+  // Offloaded connect: start the handshake non-blocking and park until the
+  // socket is writable (connect(2)'s completion signal). The O_NONBLOCK
+  // flip is reverted immediately — the guest never observes the flag, and
+  // the offload cache keys on the guest-visible state. Sockets the guest
+  // itself made non-blocking answer inline by definition
+  // (OffloadableCached is false for them), so -EINPROGRESS never leaks to a
+  // guest that didn't ask for it.
   if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
     const int64_t flags = c.Raw(SYS_fcntl, fd, F_GETFL, 0);
     if (flags >= 0 &&
@@ -129,16 +112,7 @@ int64_t SysConnect(WaliCtx& c, const int64_t* a) {
       int64_t r = c.Raw(SYS_connect, fd, reinterpret_cast<long>(addr), a[2]);
       (void)c.Raw(SYS_fcntl, fd, F_SETFL, flags);
       if (r == -EINPROGRESS) {
-        WaliProcess* proc = &c.proc;
-        c.Park(IoOp::Writable(fd), [proc, fd]() -> int64_t {
-          int err = 0;
-          uint32_t len = sizeof(err);
-          int64_t gr = RetryRaw(*proc, SYS_getsockopt, fd, SOL_SOCKET,
-                                SO_ERROR, reinterpret_cast<long>(&err),
-                                reinterpret_cast<long>(&len));
-          if (gr < 0) return gr;
-          return err == 0 ? 0 : -err;
-        });
+        c.Park(IoOp::Writable(fd));
         return 0;
       }
       if (r != -EAGAIN) {
@@ -274,9 +248,9 @@ void RegisterNetSyscalls(std::vector<SyscallDef>& defs) {
       {"socketpair", 4, SysSocketpair, false, 5},
       {"bind", 3, SysBind, false, 5},
       {"listen", 2, SysListen, false, 3},
-      {"accept", 3, SysAccept, false, 8},
-      {"accept4", 4, SysAccept4, false, 8},
-      {"connect", 3, SysConnect, false, 5},
+      {"accept", 3, SysAccept, false, 8, /*can_park=*/true},
+      {"accept4", 4, SysAccept4, false, 8, /*can_park=*/true},
+      {"connect", 3, SysConnect, false, 5, /*can_park=*/true},
       {"getsockname", 3, SysGetsockname, false, 8},
       {"getpeername", 3, SysGetpeername, false, 8},
       {"sendto", 6, SysSendto, false, 10},

@@ -61,16 +61,17 @@ int64_t SysNanosleep(WaliCtx& c, const int64_t* a) {
     if (rem == nullptr) return -EFAULT;
     rem_ptr = reinterpret_cast<long>(rem);
   }
-  if (c.CanOffload()) {
+  if (c.resumed || c.CanOffload()) {
     // Offload: elapse the duration on the host's completion loop instead of
-    // parking a worker thread in the kernel. The completion value (0) is
-    // the syscall result — an offloaded sleep is never EINTR'd, so `rem`
-    // is left untouched, exactly like an uninterrupted kernel sleep.
+    // parking a worker thread in the kernel. By the time the park is
+    // re-dispatched the sleep has elapsed, so both paths answer 0 — an
+    // offloaded sleep is never EINTR'd, so `rem` is left untouched, exactly
+    // like an uninterrupted kernel sleep.
     wabi::WaliTimespec ts;
     std::memcpy(&ts, req, sizeof(ts));
     int64_t dur = 0;
     if (!SleepDurationNanos(ts, &dur)) return -EINVAL;
-    c.Park(IoOp::Sleep(dur), nullptr);
+    if (!c.resumed) c.Park(IoOp::Sleep(dur));
     return 0;
   }
   return c.Raw(SYS_nanosleep, reinterpret_cast<long>(req), rem_ptr);
@@ -88,12 +89,12 @@ int64_t SysClockNanosleep(WaliCtx& c, const int64_t* a) {
   // Only the relative form is offloadable: TIMER_ABSTIME is anchored to the
   // target clock's epoch, which a manual-clock completion loop cannot
   // honor; it takes the blocking path.
-  if (c.CanOffload() && (a[1] & TIMER_ABSTIME) == 0) {
+  if ((a[1] & TIMER_ABSTIME) == 0 && (c.resumed || c.CanOffload())) {
     wabi::WaliTimespec ts;
     std::memcpy(&ts, req, sizeof(ts));
     int64_t dur = 0;
     if (!SleepDurationNanos(ts, &dur)) return -EINVAL;
-    c.Park(IoOp::Sleep(dur), nullptr);
+    if (!c.resumed) c.Park(IoOp::Sleep(dur));
     return 0;
   }
   return c.Raw(SYS_clock_nanosleep, a[0], a[1], reinterpret_cast<long>(req), rem_ptr);
@@ -144,8 +145,8 @@ void RegisterTimeSyscalls(std::vector<SyscallDef>& defs) {
       {"clock_gettime", 2, SysClockGettime, false, 4},
       {"clock_getres", 2, SysClockGetres, false, 6},
       {"clock_settime", 2, SysClockSettime, false, 1},
-      {"nanosleep", 2, SysNanosleep, false, 8},
-      {"clock_nanosleep", 4, SysClockNanosleep, false, 8},
+      {"nanosleep", 2, SysNanosleep, false, 8, /*can_park=*/true},
+      {"clock_nanosleep", 4, SysClockNanosleep, false, 8, /*can_park=*/true},
       {"gettimeofday", 2, SysGettimeofday, false, 5},
       {"times", 1, SysTimes, false, 5},
       {"setitimer", 3, SysSetitimer, false, 8},

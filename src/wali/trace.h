@@ -14,9 +14,9 @@ inline constexpr size_t kMaxTracedSyscalls = 256;
 
 class SyscallTrace {
  public:
-  void Count(uint32_t syscall_id) {
+  void Count(uint32_t syscall_id, uint64_t n = 1) {
     if (syscall_id < kMaxTracedSyscalls) {
-      counts_[syscall_id].fetch_add(1, std::memory_order_relaxed);
+      counts_[syscall_id].fetch_add(n, std::memory_order_relaxed);
     }
   }
   void AddWaliNanos(int64_t ns) { wali_ns_.fetch_add(ns, std::memory_order_relaxed); }

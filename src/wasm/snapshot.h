@@ -3,8 +3,8 @@
 // wasm::Suspension holds — frames, the operand stack (already in plain
 // spilled form at kSyscallPending, the STACK_SYNC invariant), globals, and
 // linear memory as a zero-page-skipping delta against the module's data
-// segments — so an idle parked guest can be evicted to disk and rebuilt
-// later into an ExecContext that ResumeInvoke accepts.
+// segments — so an idle parked guest can be evicted (or written to a file)
+// and rebuilt later into an ExecContext that ResumeInvoke accepts.
 //
 // Format (all integers little-endian):
 //
@@ -31,9 +31,9 @@
 // format drift without a bump fails CI.
 //
 // Deliberately NOT captured: host fds' kernel state (only the wali layer's
-// fd table rides in the host blob), live retry closures (only parks whose
-// pending op is pure data — sleeps — are evictable), guest threads, signal
-// handlers mid-flight, and in-flight profile attribution windows.
+// fd table rides in the host blob; the fds stay open while a run is
+// evicted), guest threads, signal handlers mid-flight, and in-flight
+// profile attribution windows.
 #ifndef SRC_WASM_SNAPSHOT_H_
 #define SRC_WASM_SNAPSHOT_H_
 
@@ -46,7 +46,7 @@
 namespace wasm {
 
 inline constexpr uint32_t kSnapshotMagic = 0x504e5357;  // "WSNP" LE
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 // Bounds-checked little-endian cursor primitives, shared with the wali
 // layer's host-blob encoding (src/wali/process_snapshot.cc). The writer

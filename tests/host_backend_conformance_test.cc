@@ -146,7 +146,8 @@ TYPED_TEST(BackendConformance, SleepCompletesTimedOut) {
   EXPECT_EQ(this->cap_.got[0].second.status,
             host::IoCompletion::Status::kTimedOut);
   EXPECT_FALSE(this->cap_.got[0].second.has_value)
-      << "timeouts carry no scripted value; the retry decides the result";
+      << "timeouts carry no scripted value; the re-dispatched syscall "
+         "decides the result";
   EXPECT_EQ(this->backend_->pending(), 0u);
 }
 
@@ -183,7 +184,7 @@ TYPED_TEST(BackendConformance, HangupCompletesReadyAndRetrySeesKernelTruth) {
             host::IoCompletion::Status::kReady)
       << "error states complete kReady; they never invent a result";
   EXPECT_FALSE(this->cap_.got[0].second.has_value);
-  // The retry's re-issued syscall is where the kernel's answer surfaces.
+  // The re-dispatched syscall is where the kernel's answer surfaces.
   char byte;
   EXPECT_EQ(read(fds[0], &byte, 1), 0) << "EOF is the kernel truth here";
   close(fds[0]);

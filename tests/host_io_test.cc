@@ -11,7 +11,6 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -108,8 +107,9 @@ const char* kNonBlockGuest = R"(
 )";
 
 // ppoll on an empty pipe with a 50ms timespec: musl's poll(3) shape. Must
-// park (kPollSet) instead of pinning a worker in the kernel; the timeout
-// completion's retry re-polls with timeout 0 and reports 0 ready fds.
+// park (kPollSet) instead of pinning a worker in the kernel; after the
+// timeout completion the re-dispatched ppoll runs with timeout 0 and
+// reports 0 ready fds.
 const char* kPpollSleeperGuest = R"(
   (memory 2)
   (func (export "main") (result i32)
@@ -130,8 +130,9 @@ const char* kPpollSleeperGuest = R"(
 )";
 
 // poll with events = POLLIN|POLLOUT on a fresh socketpair end, 1s timeout.
-// The park must carry BOTH interests; the socket is writable, so the retry
-// materializes revents = POLLOUT and the guest exits with it (4).
+// The park must carry BOTH interests; the socket is writable, so the
+// re-dispatched poll materializes revents = POLLOUT and the guest exits
+// with it (4).
 const char* kDualInterestPollGuest = R"(
   (memory 2)
   (func (export "main") (result i32)
@@ -152,7 +153,8 @@ const char* kDualInterestPollGuest = R"(
 
 // Plain FUTEX_WAIT with a 50ms timeout in a threadless process: value
 // mismatch answers -EAGAIN inline; a matching value parks as a pure timer
-// and the retry reports -ETIMEDOUT, exactly as the kernel would.
+// and the re-dispatched wait reports -ETIMEDOUT, exactly as the kernel
+// would.
 const char* kFutexWaitGuest = R"(
   (memory 2)
   (func (export "main") (result i32)
@@ -206,7 +208,7 @@ const char* kVectoredPipeGuest = R"(
 // TCP loopback connect: bind+listen on 127.0.0.1:0, learn the port via
 // getsockname, then connect a second socket to it. Nonblocking TCP connect
 // always answers -EINPROGRESS, so the connect parks (Writable) and the
-// retry reads the outcome from SO_ERROR.
+// re-dispatched connect reads the outcome from SO_ERROR.
 const char* kConnectGuest = R"(
   (memory 2)
   (func (export "main") (result i32)
@@ -317,34 +319,53 @@ bool WaitForPending(const host::FakeIoBackend& fake, size_t n,
   return fake.pending() == n;
 }
 
+// The park tests' second input: with `evict` set, every park is evicted to
+// snapshot bytes (Supervisor::EvictParked) before the test completes it,
+// and the run must finish exactly like the resident one.
+void EvictIf(bool evict, host::Supervisor& sup, uint64_t cookie) {
+  if (evict) {
+    common::Status s = sup.EvictParked(cookie);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+}
+
+const char* EvictLabel(bool evict) {
+  return evict ? "evicted at every park" : "resident";
+}
+
 TEST(HostIo, ParkedSleepReleasesWorkerAndResumes) {
-  IoWorld w = MakeIoWorld(/*workers=*/1);
-  auto sleeper = w.cache->Load(WrapModule(kSleeperGuest));
-  ASSERT_TRUE(sleeper.ok()) << sleeper.status().ToString();
-  auto burner = w.cache->Load(WrapModule(kBurnGuest));
-  ASSERT_TRUE(burner.ok());
+  for (bool evict : {false, true}) {
+    SCOPED_TRACE(EvictLabel(evict));
+    IoWorld w = MakeIoWorld(/*workers=*/1);
+    auto sleeper = w.cache->Load(WrapModule(kSleeperGuest));
+    ASSERT_TRUE(sleeper.ok()) << sleeper.status().ToString();
+    auto burner = w.cache->Load(WrapModule(kBurnGuest));
+    ASSERT_TRUE(burner.ok());
 
-  std::future<host::RunReport> slept = w.sup->Submit(MakeJob(*sleeper, "t"));
-  ASSERT_TRUE(WaitForPending(*w.fake, 1));
-  EXPECT_EQ(w.sup->parked(), 1u);
-  EXPECT_EQ(slept.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+    std::future<host::RunReport> slept = w.sup->Submit(MakeJob(*sleeper, "t"));
+    ASSERT_TRUE(WaitForPending(*w.fake, 1));
+    EXPECT_EQ(w.sup->parked(), 1u);
+    EXPECT_EQ(slept.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+    EvictIf(evict, *w.sup, w.fake->PendingCookies()[0]);
 
-  // The single worker is free while the sleeper is parked: an unrelated job
-  // runs to completion with the sleeper still blocked.
-  host::RunReport quick = w.sup->Submit(MakeJob(*burner, "t")).get();
-  EXPECT_TRUE(quick.completed());
-  EXPECT_EQ(w.sup->parked(), 1u);
+    // The single worker is free while the sleeper is parked: an unrelated
+    // job runs to completion with the sleeper still blocked.
+    host::RunReport quick = w.sup->Submit(MakeJob(*burner, "t")).get();
+    EXPECT_TRUE(quick.completed());
+    EXPECT_EQ(w.sup->parked(), 1u);
 
-  w.fake->AdvanceBy(50 * kMs);
-  host::RunReport r = slept.get();
-  EXPECT_TRUE(r.completed()) << r.trap_message;
-  EXPECT_EQ(r.exit_code, 42);
-  EXPECT_EQ(r.parks, 1u);
-  EXPECT_EQ(r.total_syscalls, 1u);
-  host::Supervisor::IoStats s = w.sup->io_stats();
-  EXPECT_EQ(s.parks_total, 1u);
-  EXPECT_EQ(s.resumes_total, 1u);
-  EXPECT_EQ(s.parked_now, 0u);
+    w.fake->AdvanceBy(50 * kMs);
+    host::RunReport r = slept.get();
+    EXPECT_TRUE(r.completed()) << r.trap_message;
+    EXPECT_EQ(r.exit_code, 42);
+    EXPECT_EQ(r.parks, 1u);
+    EXPECT_EQ(r.total_syscalls, 1u);
+    host::Supervisor::IoStats s = w.sup->io_stats();
+    EXPECT_EQ(s.parks_total, 1u);
+    EXPECT_EQ(s.resumes_total, 1u);
+    EXPECT_EQ(s.parked_now, 0u);
+    EXPECT_EQ(s.restores_total, evict ? 1u : 0u);
+  }
 }
 
 TEST(HostIo, SixtyFourGuestsInFlightOnFourWorkers) {
@@ -428,36 +449,45 @@ TEST(HostIo, SuspendedRunBitIdenticalToBlockingRun) {
 
 TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
   // Write parks (Writable), read parks (Readable); the test drives the
-  // completion ORDER and the retries perform the real, now-ready syscalls.
-  IoWorld w = MakeIoWorld(1);
-  auto module = w.cache->Load(WrapModule(kPipeGuest));
-  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  // completion ORDER and the re-dispatched syscalls perform the real,
+  // now-ready I/O.
+  for (bool evict : {false, true}) {
+    SCOPED_TRACE(EvictLabel(evict));
+    IoWorld w = MakeIoWorld(1);
+    auto module = w.cache->Load(WrapModule(kPipeGuest));
+    ASSERT_TRUE(module.ok()) << module.status().ToString();
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
-  ASSERT_TRUE(WaitForPending(*w.fake, 1));
-  std::vector<uint64_t> cookies = w.fake->PendingCookies();
-  ASSERT_EQ(cookies.size(), 1u);
-  wali::IoOp op;
-  ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
-  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space: retry writes
+    std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+    ASSERT_TRUE(WaitForPending(*w.fake, 1));
+    std::vector<uint64_t> cookies = w.fake->PendingCookies();
+    ASSERT_EQ(cookies.size(), 1u);
+    wali::IoOp op;
+    ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
+    EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+    EvictIf(evict, *w.sup, cookies[0]);
+    ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space: write
 
-  ASSERT_TRUE(WaitForPending(*w.fake, 1));
-  cookies = w.fake->PendingCookies();
-  ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
-  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // byte is there: retry reads
+    ASSERT_TRUE(WaitForPending(*w.fake, 1));
+    cookies = w.fake->PendingCookies();
+    ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
+    EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+    EvictIf(evict, *w.sup, cookies[0]);
+    ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // byte is there: read
 
-  host::RunReport r = fut.get();
-  EXPECT_TRUE(r.completed()) << r.trap_message;
-  EXPECT_EQ(r.exit_code, 77);
-  EXPECT_EQ(r.parks, 2u);
+    host::RunReport r = fut.get();
+    EXPECT_TRUE(r.completed()) << r.trap_message;
+    EXPECT_EQ(r.exit_code, 77);
+    EXPECT_EQ(r.parks, 2u);
+    // Resume-time kernel time is booked inside the re-dispatched handler,
+    // so WALI time (handler time minus kernel time) never goes negative.
+    EXPECT_GE(r.wali_nanos, 0);
+  }
 }
 
-TEST(HostIo, ScriptedResultOverridesRetry) {
-  // A completion carrying a value IS the syscall result — the retry is
-  // skipped. This is how tests inject exact kernel answers (here: EBADF
-  // for an fd that "closed while the op was in flight").
+TEST(HostIo, ScriptedResultSkipsRedispatch) {
+  // A completion carrying a value IS the syscall result — nothing is
+  // re-dispatched. This is how tests inject exact kernel answers (here:
+  // EBADF for an fd that "closed while the op was in flight").
   IoWorld w = MakeIoWorld(1);
   auto module = w.cache->Load(WrapModule(kPipeGuest));
   ASSERT_TRUE(module.ok());
@@ -481,27 +511,31 @@ TEST(HostIo, PpollSleeperParksInsteadOfPinningWorker) {
   // musl guest (whose poll(3) IS ppoll) pinned a worker in the kernel for
   // the full timeout. It must park like poll does. Pre-fix this test hangs
   // at WaitForPending: the fake backend never sees an op.
-  IoWorld w = MakeIoWorld(1);
-  auto module = w.cache->Load(WrapModule(kPpollSleeperGuest));
-  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  for (bool evict : {false, true}) {
+    SCOPED_TRACE(EvictLabel(evict));
+    IoWorld w = MakeIoWorld(1);
+    auto module = w.cache->Load(WrapModule(kPpollSleeperGuest));
+    ASSERT_TRUE(module.ok()) << module.status().ToString();
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
-  ASSERT_TRUE(WaitForPending(*w.fake, 1))
-      << "ppoll must offload, not block a worker";
-  std::vector<uint64_t> cookies = w.fake->PendingCookies();
-  ASSERT_EQ(cookies.size(), 1u);
-  wali::IoOp op;
-  ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kPollSet);
-  ASSERT_EQ(op.poll_fds.size(), 1u);
-  EXPECT_EQ(op.poll_fds[0].events, POLLIN);
-  EXPECT_EQ(op.timeout_nanos, 50 * kMs);
+    std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+    ASSERT_TRUE(WaitForPending(*w.fake, 1))
+        << "ppoll must offload, not block a worker";
+    std::vector<uint64_t> cookies = w.fake->PendingCookies();
+    ASSERT_EQ(cookies.size(), 1u);
+    wali::IoOp op;
+    ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
+    EXPECT_EQ(op.kind, wali::IoOp::Kind::kPollSet);
+    ASSERT_EQ(op.poll_fds.size(), 1u);
+    EXPECT_EQ(op.poll_fds[0].events, POLLIN);
+    EXPECT_EQ(op.timeout_nanos, 50 * kMs);
+    EvictIf(evict, *w.sup, cookies[0]);
 
-  w.fake->AdvanceBy(50 * kMs);  // kTimedOut: retry re-polls with timeout 0
-  host::RunReport r = fut.get();
-  EXPECT_TRUE(r.completed()) << r.trap_message;
-  EXPECT_EQ(r.exit_code, 21);
-  EXPECT_EQ(r.parks, 1u);
+    w.fake->AdvanceBy(50 * kMs);  // kTimedOut: ppoll re-runs with timeout 0
+    host::RunReport r = fut.get();
+    EXPECT_TRUE(r.completed()) << r.trap_message;
+    EXPECT_EQ(r.exit_code, 21);
+    EXPECT_EQ(r.parks, 1u);
+  }
 }
 
 TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
@@ -509,103 +543,121 @@ TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
   // POLLOUT", so events = POLLIN|POLLOUT either refused to park or parked
   // on readability alone and slept to the full timeout on a
   // writable-but-silent socket. The park must carry BOTH interests and the
-  // retry must surface the kernel's revents (POLLOUT here).
-  IoWorld w = MakeIoWorld(1);
-  auto module = w.cache->Load(WrapModule(kDualInterestPollGuest));
-  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  // re-dispatched poll must surface the kernel's revents (POLLOUT here).
+  for (bool evict : {false, true}) {
+    SCOPED_TRACE(EvictLabel(evict));
+    IoWorld w = MakeIoWorld(1);
+    auto module = w.cache->Load(WrapModule(kDualInterestPollGuest));
+    ASSERT_TRUE(module.ok()) << module.status().ToString();
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
-  ASSERT_TRUE(WaitForPending(*w.fake, 1))
-      << "dual-interest poll must still offload";
-  std::vector<uint64_t> cookies = w.fake->PendingCookies();
-  ASSERT_EQ(cookies.size(), 1u);
-  wali::IoOp op;
-  ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  ASSERT_EQ(op.kind, wali::IoOp::Kind::kPollSet);
-  ASSERT_EQ(op.poll_fds.size(), 1u);
-  EXPECT_EQ(op.poll_fds[0].events, POLLIN | POLLOUT)
-      << "the parked op must keep the union of interests";
+    std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+    ASSERT_TRUE(WaitForPending(*w.fake, 1))
+        << "dual-interest poll must still offload";
+    std::vector<uint64_t> cookies = w.fake->PendingCookies();
+    ASSERT_EQ(cookies.size(), 1u);
+    wali::IoOp op;
+    ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
+    ASSERT_EQ(op.kind, wali::IoOp::Kind::kPollSet);
+    ASSERT_EQ(op.poll_fds.size(), 1u);
+    EXPECT_EQ(op.poll_fds[0].events, POLLIN | POLLOUT)
+        << "the parked op must keep the union of interests";
+    EvictIf(evict, *w.sup, cookies[0]);
 
-  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // socket is writable
-  host::RunReport r = fut.get();
-  EXPECT_TRUE(r.completed()) << r.trap_message;
-  EXPECT_EQ(r.exit_code, POLLOUT) << "guest exits with materialized revents";
-  EXPECT_EQ(r.parks, 1u);
+    ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // socket is writable
+    host::RunReport r = fut.get();
+    EXPECT_TRUE(r.completed()) << r.trap_message;
+    EXPECT_EQ(r.exit_code, POLLOUT) << "guest exits with materialized revents";
+    EXPECT_EQ(r.parks, 1u);
+  }
 }
 
 TEST(HostIo, FutexWaitParksAsTimer) {
   // A threadless FUTEX_WAIT with a timeout has no possible waker, so it is
   // a pure timer: value mismatch answers -EAGAIN inline (no park), a match
-  // parks as kSleep and the retry reports -ETIMEDOUT.
-  IoWorld w = MakeIoWorld(1);
-  auto module = w.cache->Load(WrapModule(kFutexWaitGuest));
-  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  // parks as kSleep and the re-dispatched wait reports -ETIMEDOUT.
+  for (bool evict : {false, true}) {
+    SCOPED_TRACE(EvictLabel(evict));
+    IoWorld w = MakeIoWorld(1);
+    auto module = w.cache->Load(WrapModule(kFutexWaitGuest));
+    ASSERT_TRUE(module.ok()) << module.status().ToString();
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
-  ASSERT_TRUE(WaitForPending(*w.fake, 1));
-  std::vector<uint64_t> cookies = w.fake->PendingCookies();
-  wali::IoOp op;
-  ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kSleep);
-  EXPECT_EQ(op.sleep_nanos, 50 * kMs);
+    std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+    ASSERT_TRUE(WaitForPending(*w.fake, 1));
+    std::vector<uint64_t> cookies = w.fake->PendingCookies();
+    wali::IoOp op;
+    ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
+    EXPECT_EQ(op.kind, wali::IoOp::Kind::kSleep);
+    EXPECT_EQ(op.sleep_nanos, 50 * kMs);
+    EvictIf(evict, *w.sup, cookies[0]);
 
-  w.fake->AdvanceBy(50 * kMs);
-  host::RunReport r = fut.get();
-  EXPECT_TRUE(r.completed()) << r.trap_message;
-  EXPECT_EQ(r.exit_code, 31);
-  EXPECT_EQ(r.parks, 1u) << "the -EAGAIN probe must answer inline";
+    w.fake->AdvanceBy(50 * kMs);
+    host::RunReport r = fut.get();
+    EXPECT_TRUE(r.completed()) << r.trap_message;
+    EXPECT_EQ(r.exit_code, 31);
+    EXPECT_EQ(r.parks, 1u) << "the -EAGAIN probe must answer inline";
+  }
 }
 
 TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
-  // readv/writev ride the same readiness classes as read/write; the retry
-  // re-translates the guest iovec array against live memory at resume time.
-  IoWorld w = MakeIoWorld(1);
-  auto module = w.cache->Load(WrapModule(kVectoredPipeGuest));
-  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  // readv/writev ride the same readiness classes as read/write; the
+  // re-dispatched call translates the guest iovec array against live
+  // memory at resume time.
+  for (bool evict : {false, true}) {
+    SCOPED_TRACE(EvictLabel(evict));
+    IoWorld w = MakeIoWorld(1);
+    auto module = w.cache->Load(WrapModule(kVectoredPipeGuest));
+    ASSERT_TRUE(module.ok()) << module.status().ToString();
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
-  ASSERT_TRUE(WaitForPending(*w.fake, 1));
-  std::vector<uint64_t> cookies = w.fake->PendingCookies();
-  wali::IoOp op;
-  ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
-  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space
+    std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+    ASSERT_TRUE(WaitForPending(*w.fake, 1));
+    std::vector<uint64_t> cookies = w.fake->PendingCookies();
+    wali::IoOp op;
+    ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
+    EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+    EvictIf(evict, *w.sup, cookies[0]);
+    ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space
 
-  ASSERT_TRUE(WaitForPending(*w.fake, 1));
-  cookies = w.fake->PendingCookies();
-  ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
-  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // both bytes are there
+    ASSERT_TRUE(WaitForPending(*w.fake, 1));
+    cookies = w.fake->PendingCookies();
+    ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
+    EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+    EvictIf(evict, *w.sup, cookies[0]);
+    ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // both bytes are there
 
-  host::RunReport r = fut.get();
-  EXPECT_TRUE(r.completed()) << r.trap_message;
-  EXPECT_EQ(r.exit_code, 42);
-  EXPECT_EQ(r.parks, 2u);
+    host::RunReport r = fut.get();
+    EXPECT_TRUE(r.completed()) << r.trap_message;
+    EXPECT_EQ(r.exit_code, 42);
+    EXPECT_EQ(r.parks, 2u);
+  }
 }
 
 TEST(HostIo, ConnectParksUntilEstablished) {
   // Nonblocking TCP connect answers -EINPROGRESS even on loopback; the
   // handler must park on writability and read the outcome from SO_ERROR
   // instead of holding a worker through the handshake.
-  IoWorld w = MakeIoWorld(1);
-  auto module = w.cache->Load(WrapModule(kConnectGuest));
-  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  for (bool evict : {false, true}) {
+    SCOPED_TRACE(EvictLabel(evict));
+    IoWorld w = MakeIoWorld(1);
+    auto module = w.cache->Load(WrapModule(kConnectGuest));
+    ASSERT_TRUE(module.ok()) << module.status().ToString();
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
-  ASSERT_TRUE(WaitForPending(*w.fake, 1))
-      << "connect must offload instead of blocking";
-  std::vector<uint64_t> cookies = w.fake->PendingCookies();
-  wali::IoOp op;
-  ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-  EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
-  // Loopback handshakes complete in the kernel without our help; SO_ERROR
-  // is 0 by the time the retry runs.
-  ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));
+    std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+    ASSERT_TRUE(WaitForPending(*w.fake, 1))
+        << "connect must offload instead of blocking";
+    std::vector<uint64_t> cookies = w.fake->PendingCookies();
+    wali::IoOp op;
+    ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
+    EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+    EvictIf(evict, *w.sup, cookies[0]);
+    // Loopback handshakes complete in the kernel without our help; SO_ERROR
+    // is 0 by the time connect is re-dispatched.
+    ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));
 
-  host::RunReport r = fut.get();
-  EXPECT_TRUE(r.completed()) << r.trap_message;
-  EXPECT_EQ(r.exit_code, 52);
-  EXPECT_EQ(r.parks, 1u);
+    host::RunReport r = fut.get();
+    EXPECT_TRUE(r.completed()) << r.trap_message;
+    EXPECT_EQ(r.exit_code, 52);
+    EXPECT_EQ(r.parks, 1u);
+  }
 }
 
 TEST(HostIo, BlockedTimeIsNotQueueTime) {
@@ -836,7 +888,7 @@ TEST(HostIo, SetflInvalidatesOffloadabilityCache) {
   // Resume with "read returned 0". The guest then flips O_NONBLOCK and
   // reads again: that read must NOT park — a second kSyscallPending here
   // means the stale cache routed a non-blocking fd to the async path.
-  r = runtime.ResumeMain(**proc, cont, 0);
+  r = runtime.ResumeMain(**proc, cont, host::IoCompletion::Result(0));
   ASSERT_NE(r.trap, wasm::TrapKind::kSyscallPending)
       << "read after F_SETFL(O_NONBLOCK) must take the sync path";
   EXPECT_TRUE(r.ok() || r.trap == wasm::TrapKind::kExit) << r.trap_message;
@@ -873,7 +925,7 @@ TEST(HostIo, IoctlFionbioInvalidatesOffloadabilityCache) {
   wali::WaliRuntime::MainContinuation cont;
   wasm::RunResult r = runtime.RunMain(**proc, runtime.exec_options(), &cont);
   ASSERT_EQ(r.trap, wasm::TrapKind::kSyscallPending) << r.trap_message;
-  r = runtime.ResumeMain(**proc, cont, 0);
+  r = runtime.ResumeMain(**proc, cont, host::IoCompletion::Result(0));
   ASSERT_NE(r.trap, wasm::TrapKind::kSyscallPending)
       << "read after ioctl(FIONBIO) must take the sync path";
   EXPECT_TRUE(r.ok() || r.trap == wasm::TrapKind::kExit) << r.trap_message;
@@ -944,7 +996,7 @@ TEST(HostIo, RunAllPreservesSubmissionOrderAcrossParks) {
 // Snapshot eviction: a parked guest's state leaves the process (or the
 // process's memory) entirely and comes back bit-exact.
 
-// IoWorld plus a telemetry sink and an optional on-disk evict directory.
+// IoWorld plus a telemetry sink.
 struct EvictWorld {
   std::unique_ptr<wasm::Linker> linker;
   std::unique_ptr<wali::WaliRuntime> runtime;
@@ -956,7 +1008,7 @@ struct EvictWorld {
   std::unique_ptr<host::Supervisor> sup;
 };
 
-EvictWorld MakeEvictWorld(size_t workers, const std::string& evict_dir = "") {
+EvictWorld MakeEvictWorld(size_t workers) {
   EvictWorld w;
   w.linker = std::make_unique<wasm::Linker>();
   w.runtime = std::make_unique<wali::WaliRuntime>(w.linker.get());
@@ -966,7 +1018,6 @@ EvictWorld MakeEvictWorld(size_t workers, const std::string& evict_dir = "") {
   opts.clock = w.clock.fn();
   opts.pool.max_idle_per_module = workers;
   opts.telemetry = w.tel.get();
-  opts.evict_dir = evict_dir;
   w.fake->SetTelemetry(w.tel.get());
   opts.io_backend = w.fake.get();
   w.sup = std::make_unique<host::Supervisor>(w.runtime.get(), opts);
@@ -1036,32 +1087,49 @@ TEST(HostIo, EvictParkedRestoreLedgerExact) {
   EXPECT_EQ(usage.syscalls, burn.total_syscalls + r.total_syscalls);
 }
 
-TEST(HostIo, EvictParkedToDiskAndRestore) {
-  // Same lifecycle with Options::evict_dir set: the snapshot lands as a
-  // file (nothing retained in memory), and the restore consumes + deletes
-  // it.
-  std::string dir = testing::TempDir() + "wali_evict_test";
-  ::mkdir(dir.c_str(), 0700);
-  EvictWorld w = MakeEvictWorld(/*workers=*/1, dir);
-  auto sleeper = w.cache->Load(WrapModule(kSleeperGuest));
-  ASSERT_TRUE(sleeper.ok()) << sleeper.status().ToString();
+// pipe2(O_NONBLOCK), write one byte (non-blocking fds answer inline),
+// park in a 50ms nanosleep, then read the byte back. Exits with the byte,
+// or 100 minus a failed read's -errno (109 for -EBADF).
+const char* kPipeAcrossSleepGuest = R"(
+  (memory 2)
+  (func (export "main") (result i32)
+    (local $rfd i64) (local $wfd i64) (local $r i64)
+    (drop (call $pipe2 (i64.const 256) (i64.const 2048)))  ;; O_NONBLOCK
+    (local.set $rfd (i64.load32_s (i32.const 256)))
+    (local.set $wfd (i64.load32_s (i32.const 260)))
+    (i32.store8 (i32.const 1024) (i32.const 77))
+    (drop (call $write (local.get $wfd) (i64.const 1024) (i64.const 1)))
+    (i64.store (i32.const 512) (i64.const 0))
+    (i64.store (i32.const 520) (i64.const 50000000))
+    (drop (call $nanosleep (i64.const 512) (i64.const 0)))
+    (local.set $r (call $read (local.get $rfd) (i64.const 2048) (i64.const 1)))
+    (if (i64.ne (local.get $r) (i64.const 1))
+      (then (return (i32.sub (i32.const 100) (i32.wrap_i64 (local.get $r))))))
+    (i32.load8_u (i32.const 2048)))
+)";
 
-  std::future<host::RunReport> slept = w.sup->Submit(MakeJob(*sleeper, "t"));
+TEST(HostIo, EvictionKeepsGuestFdsOpen) {
+  // Regression: eviction released the lease, and the pool closed every fd
+  // the guest had opened while the snapshot kept their numbers, so the
+  // restored guest's read answered -EBADF (or read whatever another tenant
+  // had opened under that number since). The evicted run now owns its fds
+  // until the restore re-adopts them.
+  IoWorld w = MakeIoWorld(1);
+  auto module = w.cache->Load(WrapModule(kPipeAcrossSleepGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+
+  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
-  std::vector<uint64_t> cookies = w.sup->parked_cookies();
+  std::vector<uint64_t> cookies = w.fake->PendingCookies();
   ASSERT_EQ(cookies.size(), 1u);
-  ASSERT_TRUE(w.sup->EvictParked(cookies[0]).ok());
-
-  std::string path = dir + "/evict-" + std::to_string(cookies[0]) + ".snap";
-  EXPECT_EQ(::access(path.c_str(), F_OK), 0) << "snapshot file must exist";
+  common::Status ev = w.sup->EvictParked(cookies[0]);
+  ASSERT_TRUE(ev.ok()) << ev.ToString();
 
   w.fake->AdvanceBy(50 * kMs);
-  host::RunReport r = slept.get();
+  host::RunReport r = fut.get();
   EXPECT_TRUE(r.completed()) << r.trap_message;
-  EXPECT_EQ(r.exit_code, 42);
-  EXPECT_NE(::access(path.c_str(), F_OK), 0)
-      << "restore must consume and remove the snapshot file";
-  ::rmdir(dir.c_str());
+  EXPECT_EQ(r.exit_code, 77) << "the restored guest must read its own pipe";
+  EXPECT_EQ(w.sup->io_stats().restores_total, 1u);
 }
 
 TEST(HostIo, EvictAllParkedSweepsTheParkedSet) {

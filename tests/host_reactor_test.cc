@@ -114,8 +114,9 @@ TEST(IoReactor, CancelSuppressesCompletion) {
 
 TEST(IoReactor, ClosedFdCompletesInsteadOfHanging) {
   // Fd trouble while an op is in flight: closing the WRITE end makes the
-  // read end POLLHUP-ready; the completion is kReady and the retry (here:
-  // the caller) observes EOF from the kernel. The reactor must not hang.
+  // read end POLLHUP-ready; the completion is kReady and the re-dispatched
+  // read (here: the caller) observes EOF from the kernel. The reactor must
+  // not hang.
   host::IoReactor reactor;
   Collector c;
   reactor.SetCompletionHandler(c.fn());
@@ -127,7 +128,7 @@ TEST(IoReactor, ClosedFdCompletesInsteadOfHanging) {
   ASSERT_TRUE(c.WaitFor(1));
   EXPECT_EQ(c.got[0].second.status, host::IoCompletion::Status::kReady);
   char b;
-  EXPECT_EQ(::read(fds[0], &b, 1), 0) << "retry sees EOF";
+  EXPECT_EQ(::read(fds[0], &b, 1), 0) << "the re-issued read sees EOF";
   ::close(fds[0]);
 }
 

@@ -30,6 +30,7 @@
 #include "src/wasm/snapshot.h"
 #include "src/wasm/wasm.h"
 #include "src/workloads/workloads.h"
+#include "tests/wali_test_util.h"
 #include "tests/wat_test_util.h"
 
 namespace {
@@ -671,19 +672,128 @@ TEST(WasmSnapshotHostile, HeaderFieldRejections) {
   expect_reject(trailing, rig.hash, "trailing bytes");
 }
 
+// ppoll on an empty pipe with a 50ms timeout: parks on a one-member poll
+// set, so the WALI host blob carries the richest park there is — the
+// syscall id, its arguments and the interest set.
+const char* kPpollParkGuest = R"(
+  (memory 1)
+  (func (export "main") (result i32)
+    (drop (call $pipe2 (i64.const 256) (i64.const 0)))
+    ;; pollfd at 512: the read end, events=POLLIN(1)
+    (i32.store (i32.const 512) (i32.load (i32.const 256)))
+    (i32.store16 (i32.const 516) (i32.const 1))
+    ;; timespec at 528: 50ms
+    (i64.store (i32.const 528) (i64.const 0))
+    (i64.store (i32.const 536) (i64.const 50000000))
+    (i32.wrap_i64 (call $ppoll (i64.const 512) (i64.const 1) (i64.const 528)
+                               (i64.const 0) (i64.const 8))))
+)";
+
+TEST(WasmSnapshotHostile, WaliHostBlobTruncationsAndBitFlips) {
+  // The checksum rejects a damaged file before the WALI decoder sees it, so
+  // this sweep re-seals each mutated host blob (re-wraps it with
+  // SnapshotSuspension) to reach that decoder directly. Every truncation
+  // must error; every single-bit flip must error or decode, never crash or
+  // over-read (ASan in CI); an error leaves the continuation disarmed; and
+  // whatever decodes is a park resume may re-run: a handler that can park,
+  // at most IoOp::kMaxPollFds poll members, and those only on a kPollSet.
+  auto parsed = wasm::ParseAndValidateWat(std::string("(module ") +
+                                          wali_test::kPrelude +
+                                          kPpollParkGuest + ")");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const uint64_t hash = wasm::ModuleStructuralHash(**parsed);
+  wasm::Linker linker;
+  wali::WaliRuntime rt(&linker);
+  auto proc = rt.CreateProcess(*parsed, {"ppoll"}, {});
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+  wali::WaliRuntime::MainContinuation cont;
+  RunResult r = rt.RunMain(**proc, rt.exec_options(), &cont);
+  ASSERT_EQ(r.trap, TrapKind::kSyscallPending) << r.trap_message;
+  ASSERT_EQ((*proc)->pending_io.op.kind, wali::IoOp::Kind::kPollSet);
+  auto snap = wali::SnapshotProcess(**proc, cont);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+
+  // Take the host blob back out of the snapshot.
+  std::vector<uint8_t> blob;
+  {
+    auto scratch = rt.CreateProcess(*parsed, {"ppoll"}, {});
+    ASSERT_TRUE(scratch.ok());
+    wasm::Suspension susp;
+    auto got = wasm::RestoreSuspension(snap->data(), snap->size(),
+                                       (*scratch)->main_instance.get(), hash,
+                                       nullptr, &susp);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    susp.Discard();
+    blob = std::move(*got);
+  }
+
+  // Restores a re-sealed blob into a fresh process; true when it decoded.
+  auto restore = [&](const std::vector<uint8_t>& host_blob,
+                     const std::string& what) {
+    auto bytes = wasm::SnapshotSuspension(
+        cont.susp, (*proc)->main_instance.get(), hash, host_blob);
+    EXPECT_TRUE(bytes.ok()) << what;
+    auto fresh = rt.CreateProcess(*parsed, {"ppoll"}, {});
+    EXPECT_TRUE(fresh.ok()) << what;
+    if (!bytes.ok() || !fresh.ok()) return false;
+    wali::WaliProcess& p = **fresh;
+    wali::WaliRuntime::MainContinuation restored;
+    common::Status st =
+        wali::RestoreProcess(bytes->data(), bytes->size(), p, restored);
+    if (st.ok()) {
+      const wali::PendingIo& pio = p.pending_io;
+      EXPECT_TRUE(pio.armed) << what;
+      EXPECT_TRUE(pio.op.kind == wali::IoOp::Kind::kScripted ||
+                  rt.CanPark(pio.syscall_id))
+          << what << ": id " << pio.syscall_id;
+      EXPECT_LE(pio.op.poll_fds.size(), wali::IoOp::kMaxPollFds) << what;
+      EXPECT_TRUE(pio.op.poll_fds.empty() ||
+                  pio.op.kind == wali::IoOp::Kind::kPollSet)
+          << what;
+      restored.Discard();
+    } else {
+      EXPECT_FALSE(restored.armed()) << what;
+    }
+    // The fd numbers came from a mutated blob: forget them, never close.
+    p.ReleaseGuestFds();
+    return st.ok();
+  };
+
+  ASSERT_TRUE(restore(blob, "unmutated blob"));
+  for (size_t len = 0; len < blob.size(); ++len) {
+    std::vector<uint8_t> cut(blob.begin(), blob.begin() + len);
+    EXPECT_FALSE(restore(cut, "truncated to " + std::to_string(len)));
+  }
+  std::vector<uint8_t> mutated = blob;
+  size_t decoded = 0;
+  for (size_t i = 0; i < blob.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      mutated[i] = blob[i] ^ static_cast<uint8_t>(1u << bit);
+      decoded += restore(mutated, "flip byte " + std::to_string(i) + " bit " +
+                                      std::to_string(bit));
+    }
+    mutated[i] = blob[i];
+  }
+  // Plenty of fields are free-form (arguments, timings, counters), so many
+  // flips decode; the structural ones (kind, id, counts) must not all.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, blob.size() * 8);
+  cont.Discard();
+}
+
 // ------------------------------------------------------- format stability --
 
-// Golden pin for snapshot format v1. The bytes of a fixed, fully
+// Golden pin for snapshot format v2. The bytes of a fixed, fully
 // deterministic park (kGoldenKernelWat under kEveryInstr + kSwitch with a
 // fixed fake module hash) are summarized by (length, FNV-1a). If either
 // changes, the on-disk format changed: bump wasm::kSnapshotVersion and
 // regenerate these constants from the failure message. DO NOT update the
 // constants without the version bump — old snapshots would decode wrong.
 constexpr size_t kGoldenSnapshotSize = 65695;
-constexpr uint64_t kGoldenSnapshotFnv = 0x9bb3a85ef3728f77ULL;
+constexpr uint64_t kGoldenSnapshotFnv = 0x26c9961054264396ULL;
 // First bytes of the golden snapshot (header + start of the exec section),
 // for quick diagnosis of what moved.
-constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x01, 0x00,
+constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x02, 0x00,
                                      0x00, 0x00};
 
 uint64_t Fnv64(const std::vector<uint8_t>& bytes) {
@@ -812,47 +922,34 @@ TEST(WasmSnapshotWorkloads, ParkEveryNthSyscallRoundTrip) {
           ++parks;
           ASSERT_LT(parks, 100000) << label << ": runaway park loop";
           wali::WaliProcess& cur = *live.back();
-          // Work out the park's completion value first.
-          int64_t result = 0;
-          if (cur.pending_io.retry != nullptr) {
-            // A live retry closure is not snapshotable by design — but once
-            // completed, its answer is pure data: convert the park to a
-            // scripted completion and snapshot THERE. (The closure applies
-            // its own fd/trace effects, so they land in the blob.)
-            std::function<int64_t()> retry = std::move(cur.pending_io.retry);
-            cur.pending_io.retry = nullptr;
-            result = retry();
-            cur.pending_io.op = wali::IoOp::Scripted(result);
-          } else if (cur.pending_io.op.kind == wali::IoOp::Kind::kScripted) {
-            result = cur.pending_io.op.scripted_result;
-          }  // kSleep completes with 0; no need to actually sleep.
-
+          // Every park is snapshotted as it stands. At resume a scripted
+          // park answers from its op and a real one is re-dispatched (a
+          // sleep answers 0 without sleeping, a ready fd promptly).
           auto snap = wali::SnapshotProcess(cur, cont);
           if (!snap.ok()) {
             // Ineligible at this boundary (e.g. undelivered virtual
             // signals): resume in place, park again later.
-            got = rt.ResumeMain(cur, cont, result);
+            got = rt.ResumeMain(cur, cont, wali::IoCompletion::Ready());
             continue;
           }
           cont.Discard();
           // Hand fd ownership to the restored process: the snapshot carries
           // the fd numbers, and double-close on teardown could hit an
           // unrelated fd opened later.
-          for (int fd : cur.GuestFds()) cur.UntrackFd(fd);
+          cur.ReleaseGuestFds();
 
           auto fresh = rt.CreateProcess(*parsed, {w.name}, {});
           ASSERT_TRUE(fresh.ok()) << label << " " << fresh.status().ToString();
-          wali::IoOp op;
-          common::Status restored = wali::RestoreProcess(
-              snap->data(), snap->size(), **fresh, cont, &op);
+          common::Status restored =
+              wali::RestoreProcess(snap->data(), snap->size(), **fresh, cont);
           ASSERT_TRUE(restored.ok()) << label << " " << restored.ToString();
-          EXPECT_EQ(static_cast<int>(op.kind),
+          EXPECT_EQ(static_cast<int>((*fresh)->pending_io.op.kind),
                     static_cast<int>(cur.pending_io.op.kind))
               << label;
           (*fresh)->park_after_syscalls = kParkEvery;
           live.push_back(std::move(*fresh));
           ++round_trips;
-          got = rt.ResumeMain(*live.back(), cont, result);
+          got = rt.ResumeMain(*live.back(), cont, wali::IoCompletion::Ready());
         }
 
         EXPECT_GT(parks, 0) << label << ": workload never parked — park hook dead?";
@@ -907,16 +1004,7 @@ TEST(WasmSnapshotWorkloads, ScriptedParkHookIsTransparent) {
   while (got.trap == TrapKind::kSyscallPending) {
     ++parks;
     ASSERT_LT(parks, 1000000);
-    wali::WaliProcess& cur = **proc;
-    int64_t result = 0;
-    if (cur.pending_io.retry != nullptr) {
-      std::function<int64_t()> retry = std::move(cur.pending_io.retry);
-      cur.pending_io.retry = nullptr;
-      result = retry();
-    } else if (cur.pending_io.op.kind == wali::IoOp::Kind::kScripted) {
-      result = cur.pending_io.op.scripted_result;
-    }
-    got = rt.ResumeMain(cur, cont, result);
+    got = rt.ResumeMain(**proc, cont, wali::IoCompletion::Ready());
   }
   EXPECT_GT(parks, 0);
   EXPECT_EQ(want.trap, got.trap) << got.trap_message;
