@@ -43,7 +43,7 @@ void WaliProcess::UntrackFd(int fd) {
   guest_fds_.erase(fd);
 }
 
-bool WaliProcess::OffloadableCached(int fd) {
+short WaliProcess::OffloadableCached(int fd) {
   // Classify under the lock: a concurrent InvalidateOffloadFd (another
   // guest thread's close/dup2/F_SETFL dispatch) must serialize either
   // before the fstat+fcntl here (we classify the new state) or after the
@@ -55,9 +55,9 @@ bool WaliProcess::OffloadableCached(int fd) {
   if (it != offload_cache_.end()) {
     return it->second;
   }
-  bool offloadable = OffloadableFd(fd);
-  offload_cache_[fd] = offloadable;
-  return offloadable;
+  short events = OffloadableFd(fd);
+  offload_cache_[fd] = events;
+  return events;
 }
 
 void WaliProcess::InvalidateOffloadFd(int fd) {

@@ -69,17 +69,21 @@ class WaliProcess {
   // hands the open fds to the evicted run before the slot is recycled.
   std::vector<int> ReleaseGuestFds();
 
-  // Cached per-fd offloadability classification (see wali::OffloadableFd):
-  // with async-io on, every blocking-capable read/write/accept dispatch
-  // used to pay an fstat+fcntl to decide sync-vs-park. The classification
-  // is a pure function of the open file description's type and O_NONBLOCK
-  // flag, so it is cached per process and invalidated wherever either can
-  // change under us: close (fd number freed for reuse), dup2/dup3 (target
-  // fd silently replaced), fcntl(F_SETFL) and ioctl(FIONBIO) (O_NONBLOCK
-  // flipped), and slot recycling (ResetForReuse). Invalidation hooks live in the syscall
-  // dispatch wrapper (WaliRuntime::ApplyFdEffect), so no handler can mint
-  // or retire an fd without the cache hearing about it.
-  bool OffloadableCached(int fd);
+  // Cached per-fd classification (see wali::OffloadableFd): the poll(2)
+  // directions in which a read/write/accept gate on `fd` can block. Every
+  // blocking-capable gate under async-io consults it before the readiness
+  // probe (WaliCtx::WouldBlock), so regular files, directories, O_NONBLOCK
+  // and wrong-direction fds never pay the probe, and a hit costs a lookup
+  // instead of an fstat+fcntl. The classification is a pure function of the
+  // open file description's type, access mode and O_NONBLOCK flag, so it is
+  // cached per process and invalidated wherever one of them can change under
+  // us: close (fd number freed for reuse), dup2/dup3 (target fd silently
+  // replaced), fcntl(F_SETFL) and ioctl(FIONBIO) (O_NONBLOCK flipped; the
+  // access mode cannot change), and slot recycling (ResetForReuse).
+  // Invalidation hooks live in the syscall dispatch wrapper
+  // (WaliRuntime::ApplyFdEffect), so no handler can mint or retire an fd
+  // without the cache hearing about it.
+  short OffloadableCached(int fd);
   void InvalidateOffloadFd(int fd);
   void ClearOffloadCache();
 
@@ -177,7 +181,7 @@ class WaliProcess {
   std::set<int> guest_fds_;
 
   std::mutex offload_mu_;
-  std::map<int, bool> offload_cache_;
+  std::map<int, short> offload_cache_;
 };
 
 }  // namespace wali

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <sys/ioctl.h>
 #include <limits.h>
+#include <poll.h>
 #include <sys/stat.h>
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -123,20 +124,48 @@ bool WaliCtx::GetStr(uint64_t addr, std::string* out) const {
   return true;
 }
 
-bool OffloadableFd(int fd) {
+short OffloadableFd(int fd) {
   struct stat st;
   if (::fstat(fd, &st) != 0) {
-    return false;  // bad fd: let the real syscall surface the errno
+    return 0;  // bad fd: let the real syscall surface the errno
   }
   if (!(S_ISFIFO(st.st_mode) || S_ISSOCK(st.st_mode) || S_ISCHR(st.st_mode))) {
-    return false;
+    return 0;
   }
   // O_NONBLOCK fds never block — the kernel answers -EAGAIN instantly, and
   // event-loop guests depend on exactly that. Parking one would turn a
   // readiness probe into an indefinite suspension, diverging from the
   // blocking path this offload must match bit-for-bit.
   int fl = ::fcntl(fd, F_GETFL);
-  return fl >= 0 && (fl & O_NONBLOCK) == 0;
+  if (fl < 0 || (fl & O_NONBLOCK) != 0) {
+    return 0;
+  }
+  // The access mode decides which direction can wait: the wrong one answers
+  // -EBADF at once, and its probe would report "not ready" forever (a read
+  // end never polls POLLOUT), parking the guest for good.
+  switch (fl & O_ACCMODE) {
+    case O_RDONLY:
+      return POLLIN;
+    case O_WRONLY:
+      return POLLOUT;
+    case O_RDWR:
+      return POLLIN | POLLOUT;
+    default:
+      return 0;
+  }
+}
+
+bool WaliCtx::WouldBlock(int fd, short events) const {
+  if ((proc.OffloadableCached(fd) & events) == 0) {
+    return false;
+  }
+  struct pollfd probe = {fd, events, 0};
+  struct timespec zero = {0, 0};
+  // 0 ready, or a failed probe (which proves nothing): park. POLLERR,
+  // POLLHUP and POLLNVAL count as ready: the kernel answers those promptly
+  // on the synchronous path.
+  return Raw(SYS_ppoll, reinterpret_cast<long>(&probe), 1,
+             reinterpret_cast<long>(&zero), 0, 8) <= 0;
 }
 
 int64_t WaliCtx::Raw(long number, long a0, long a1, long a2, long a3, long a4,

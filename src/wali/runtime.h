@@ -64,6 +64,16 @@ struct WaliCtx {
   bool CanOffload() const {
     return !resumed && exec.opts.suspend_to != nullptr && !proc.pending_io.armed;
   }
+  // The would-block rule of the fd gates that can park (read, write, readv,
+  // writev, accept, accept4): true only when `fd` can block on `events`
+  // (POLLIN or POLLOUT) by its cached classification
+  // (WaliProcess::OffloadableCached) AND a zero-timeout poll probe reports
+  // it not ready (or fails). A ready fd takes the gate's synchronous path,
+  // so a park costs a round trip only when the kernel would really block.
+  // The probe goes through Raw (booked as kernel time); it is not a guest
+  // syscall, so it is neither counted nor charged against the budget.
+  // Call only when CanOffload().
+  bool WouldBlock(int fd, short events) const;
   // Files a park request (see src/wali/async.h): the dispatch wrapper
   // records the syscall and its arguments, turns the request into
   // kSyscallPending, and ignores the handler's return value. Only call when
@@ -215,16 +225,20 @@ class WaliRuntime {
 
 // Async-offload helpers shared by the syscall groups.
 //
-// True for fd types whose read/write/accept can block indefinitely (pipes,
-// FIFOs, sockets, character devices such as ttys); regular files and
-// directories return false and take the synchronous thin-interface path —
-// page-cache I/O is the fast path the paper's design optimizes for, and
-// offloading it would only add completion-loop latency. This is the UNCACHED
+// The poll(2) directions in which a gate on `fd` can block indefinitely
+// (the classification WaliCtx::WouldBlock checks before its probe): POLLIN
+// and/or POLLOUT, as the access mode allows, for pipes, FIFOs, sockets and
+// character devices (ttys) — a read on an O_WRONLY fd or a write on an
+// O_RDONLY one answers -EBADF at once. 0 for regular files and directories
+// (page-cache I/O is the thin-interface fast path and always polls ready),
+// O_NONBLOCK fds (the kernel answers -EAGAIN inline, and event-loop guests
+// depend on exactly that) and bad fds (the real syscall surfaces the
+// errno); none of these reaches the probe. This is the UNCACHED
 // classification (one fstat + one fcntl); dispatch-path callers go through
 // WaliProcess::OffloadableCached, which memoizes it per fd and is
 // invalidated on close/dup2/dup3/fcntl(F_SETFL)/ioctl(FIONBIO) and slot
 // recycling.
-bool OffloadableFd(int fd);
+short OffloadableFd(int fd);
 
 // Validates a guest timespec and flattens it to nanoseconds (kernel
 // nanosleep rules: negative seconds or out-of-range nanos are EINVAL,

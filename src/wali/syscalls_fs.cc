@@ -3,6 +3,7 @@
 // the ISA layout conversion of §3.5 via src/abi.
 #include <errno.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/ioctl.h>
 #include <sys/stat.h>
 #include <sys/syscall.h>
@@ -58,16 +59,18 @@ int64_t StatCommon(WaliCtx& c, int64_t raw_result, const struct stat& native,
   return 0;
 }
 
-// read/write/readv/writev on a blocking pipe, socket or tty park until the
-// fd is ready instead of blocking (arguments are validated first, so faults
-// answer inline exactly as on the blocking path). At resume the same call
-// is re-dispatched with offload off: the fd is ready, so the synchronous
-// path below returns promptly with the kernel's answer.
+// read/write/readv/writev on a blocking pipe, socket or tty park only when
+// the kernel would block (WaliCtx::WouldBlock: the fd can block in that
+// direction and a poll probe finds it not ready); a ready fd takes the
+// synchronous path at once. Arguments are validated first, so faults answer
+// inline exactly as on the blocking path. At resume the same call is
+// re-dispatched with offload off: the fd is ready, so the synchronous path
+// below returns promptly with the kernel's answer.
 int64_t SysRead(WaliCtx& c, const int64_t* a) {
   void* buf = c.Ptr(a[1], a[2]);
   if (buf == nullptr && a[2] != 0) return -EFAULT;
   int fd = static_cast<int>(a[0]);
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
+  if (c.CanOffload() && c.WouldBlock(fd, POLLIN)) {
     c.Park(IoOp::Readable(fd));
     return 0;
   }
@@ -78,7 +81,7 @@ int64_t SysWrite(WaliCtx& c, const int64_t* a) {
   void* buf = c.Ptr(a[1], a[2]);
   if (buf == nullptr && a[2] != 0) return -EFAULT;
   int fd = static_cast<int>(a[0]);
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
+  if (c.CanOffload() && c.WouldBlock(fd, POLLOUT)) {
     c.Park(IoOp::Writable(fd));
     return 0;
   }
@@ -90,7 +93,7 @@ int64_t SysReadv(WaliCtx& c, const int64_t* a) {
   int rc = TranslateIovecs(c.mem, a[1], a[2], iov);
   if (rc != 0) return rc;
   int fd = static_cast<int>(a[0]);
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
+  if (c.CanOffload() && c.WouldBlock(fd, POLLIN)) {
     c.Park(IoOp::Readable(fd));
     return 0;
   }
@@ -102,7 +105,7 @@ int64_t SysWritev(WaliCtx& c, const int64_t* a) {
   int rc = TranslateIovecs(c.mem, a[1], a[2], iov);
   if (rc != 0) return rc;
   int fd = static_cast<int>(a[0]);
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
+  if (c.CanOffload() && c.WouldBlock(fd, POLLOUT)) {
     c.Park(IoOp::Writable(fd));
     return 0;
   }

@@ -89,26 +89,8 @@ void ParkPollSet(WaliCtx& c, const void* fds, uint64_t nfds,
   c.Park(IoOp::PollSet(std::move(set), timeout_nanos));
 }
 
-int64_t SysPoll(WaliCtx& c, const int64_t* a) {
-  uint64_t nfds = static_cast<uint64_t>(a[1]);
-  void* fds = c.Ptr(a[0], nfds * 8);  // struct pollfd = 8 bytes everywhere
-  if (fds == nullptr && nfds != 0) return -EFAULT;
-  const int64_t timeout = c.resumed ? 0 : a[2];
-  // Blocking polls park on the whole interest set — multi-fd, dual-interest
-  // (POLLIN|POLLOUT), the lot — bounded by the poll's own timeout.
-  // Zero-timeout polls are non-blocking by contract and go straight to the
-  // kernel; oversized sets take the blocking path (see IoOp::kMaxPollFds).
-  if (c.CanOffload() && timeout != 0 && nfds >= 1 &&
-      nfds <= IoOp::kMaxPollFds) {
-    // poll(2)'s timeout is an int of milliseconds; clamp to that range
-    // before converting so a guest-supplied 64-bit value can't signed-
-    // overflow the nanosecond product (>INT_MAX ms is ~25 days — treat it
-    // as infinite rather than wrap negative and park with no timeout).
-    int64_t timeout_nanos =
-        (timeout < 0 || timeout > INT_MAX) ? -1 : timeout * 1000000;
-    ParkPollSet(c, fds, nfds, timeout_nanos);
-    return 0;
-  }
+// poll(2) itself: SYS_poll where the ISA has it, else ppoll.
+int64_t RawPoll(WaliCtx& c, void* fds, uint64_t nfds, int64_t timeout) {
 #ifdef SYS_poll
   return c.Raw(SYS_poll, reinterpret_cast<long>(fds), nfds, timeout);
 #else
@@ -122,6 +104,33 @@ int64_t SysPoll(WaliCtx& c, const int64_t* a) {
   return c.Raw(SYS_ppoll, reinterpret_cast<long>(fds), nfds,
                reinterpret_cast<long>(tsp), 0, 8);
 #endif
+}
+
+int64_t SysPoll(WaliCtx& c, const int64_t* a) {
+  uint64_t nfds = static_cast<uint64_t>(a[1]);
+  void* fds = c.Ptr(a[0], nfds * 8);  // struct pollfd = 8 bytes everywhere
+  if (fds == nullptr && nfds != 0) return -EFAULT;
+  const int64_t timeout = c.resumed ? 0 : a[2];
+  // Blocking polls park on the whole interest set — multi-fd, dual-interest
+  // (POLLIN|POLLOUT), the lot — bounded by the poll's own timeout, but only
+  // when the kernel would block: the guest's own call runs first with
+  // timeout 0, and a ready member answers it at once. Zero-timeout polls
+  // are non-blocking by contract and go straight to the kernel; oversized
+  // sets take the blocking path (see IoOp::kMaxPollFds).
+  if (c.CanOffload() && timeout != 0 && nfds >= 1 &&
+      nfds <= IoOp::kMaxPollFds) {
+    const int64_t ready = RawPoll(c, fds, nfds, 0);
+    if (ready > 0) return ready;
+    // poll(2)'s timeout is an int of milliseconds; clamp to that range
+    // before converting so a guest-supplied 64-bit value can't signed-
+    // overflow the nanosecond product (>INT_MAX ms is ~25 days — treat it
+    // as infinite rather than wrap negative and park with no timeout).
+    int64_t timeout_nanos =
+        (timeout < 0 || timeout > INT_MAX) ? -1 : timeout * 1000000;
+    ParkPollSet(c, fds, nfds, timeout_nanos);
+    return 0;
+  }
+  return RawPoll(c, fds, nfds, timeout);
 }
 
 int64_t SysPpoll(WaliCtx& c, const int64_t* a) {
@@ -140,13 +149,15 @@ int64_t SysPpoll(WaliCtx& c, const int64_t* a) {
     mask_ptr = reinterpret_cast<long>(mask);
   }
   // ppoll is what musl-linked guests actually call for poll(3), so it
-  // parks through the same path as SysPoll. A non-null sigmask needs the
-  // atomic mask-swap ppoll exists for, which a parked completion loop
-  // cannot honor — refuse to park and let the kernel do it. The parked
-  // guest's timespec is never written back, so re-dispatching with a
-  // host-side zero timeout is semantically equivalent at resume. A null
-  // timespec blocks forever (timeout -1); a zero one is non-blocking and
-  // answers inline.
+  // parks through the same path as SysPoll, under the same rule: the call
+  // runs first with a host-side zero timeout, and only 0 ready fds (or an
+  // error) parks. A non-null sigmask needs the atomic mask-swap ppoll
+  // exists for, which a parked completion loop cannot honor — refuse to
+  // park and let the kernel do it. The parked guest's timespec is never
+  // written back, so re-dispatching with a host-side zero timeout is
+  // semantically equivalent at resume. A null timespec blocks forever
+  // (timeout -1); a zero one is non-blocking and answers inline.
+  struct timespec zero = {0, 0};
   if (c.CanOffload() && a[3] == 0 && nfds >= 1 && nfds <= IoOp::kMaxPollFds) {
     int64_t timeout_nanos = -1;
     if (ts_ptr != 0) {
@@ -155,11 +166,13 @@ int64_t SysPpoll(WaliCtx& c, const int64_t* a) {
       if (!SleepDurationNanos(ts, &timeout_nanos)) return -EINVAL;
     }
     if (timeout_nanos != 0) {
+      const int64_t ready = c.Raw(SYS_ppoll, reinterpret_cast<long>(fds), nfds,
+                                  reinterpret_cast<long>(&zero), 0, 8);
+      if (ready > 0) return ready;
       ParkPollSet(c, fds, nfds, timeout_nanos);
       return 0;
     }
   }
-  struct timespec zero = {0, 0};
   if (c.resumed) {
     ts_ptr = reinterpret_cast<long>(&zero);
   }

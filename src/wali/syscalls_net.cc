@@ -3,6 +3,7 @@
 // after translation. msghdr is rebuilt from the guest's wasm32 layout.
 #include <errno.h>
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
 
@@ -63,21 +64,24 @@ int64_t AddrLenCall(WaliCtx& c, long nr, int64_t fd, int64_t addr, int64_t lenp,
 }
 
 // Offloaded accept: park until the listening socket is readable (a pending
-// connection). At resume the call is re-dispatched with offload off and
-// takes the synchronous path, so the addr/len translation happens once,
-// against live memory, and the minted fd is tracked by the dispatch
-// wrapper's fd-effect pass like every other fd a syscall mints.
+// connection) — only when none is pending yet (WaliCtx::WouldBlock); with one
+// queued, accept answers inline. At resume the call is re-dispatched with
+// offload off and takes the synchronous path, so the addr/len translation
+// happens once, against live memory, and the minted fd is tracked by the
+// dispatch wrapper's fd-effect pass like every other fd a syscall mints.
 int64_t SysAccept(WaliCtx& c, const int64_t* a) {
-  if (c.CanOffload() && c.proc.OffloadableCached(static_cast<int>(a[0]))) {
-    c.Park(IoOp::Readable(static_cast<int>(a[0])));
+  int fd = static_cast<int>(a[0]);
+  if (c.CanOffload() && c.WouldBlock(fd, POLLIN)) {
+    c.Park(IoOp::Readable(fd));
     return 0;
   }
   return AddrLenCall(c, SYS_accept, a[0], a[1], a[2]);
 }
 
 int64_t SysAccept4(WaliCtx& c, const int64_t* a) {
-  if (c.CanOffload() && c.proc.OffloadableCached(static_cast<int>(a[0]))) {
-    c.Park(IoOp::Readable(static_cast<int>(a[0])));
+  int fd = static_cast<int>(a[0]);
+  if (c.CanOffload() && c.WouldBlock(fd, POLLIN)) {
+    c.Park(IoOp::Readable(fd));
     return 0;
   }
   return AddrLenCall(c, SYS_accept4, a[0], a[1], a[2], a[3], /*has_flags=*/true);
@@ -99,13 +103,14 @@ int64_t SysConnect(WaliCtx& c, const int64_t* a) {
     return err == 0 ? 0 : -err;
   }
   // Offloaded connect: start the handshake non-blocking and park until the
-  // socket is writable (connect(2)'s completion signal). The O_NONBLOCK
-  // flip is reverted immediately — the guest never observes the flag, and
-  // the offload cache keys on the guest-visible state. Sockets the guest
-  // itself made non-blocking answer inline by definition
-  // (OffloadableCached is false for them), so -EINPROGRESS never leaks to a
-  // guest that didn't ask for it.
-  if (c.CanOffload() && c.proc.OffloadableCached(fd)) {
+  // socket is writable (connect(2)'s completion signal). No readiness probe
+  // first: the attempt itself is the probe — a handshake that finishes (or
+  // fails) inline answers without a park. The O_NONBLOCK flip is reverted
+  // immediately — the guest never observes the flag, and the offload cache
+  // keys on the guest-visible state. Sockets the guest itself made
+  // non-blocking answer inline by definition (OffloadableCached classifies
+  // them 0), so -EINPROGRESS never leaks to a guest that didn't ask for it.
+  if (c.CanOffload() && (c.proc.OffloadableCached(fd) & POLLOUT) != 0) {
     const int64_t flags = c.Raw(SYS_fcntl, fd, F_GETFL, 0);
     if (flags >= 0 &&
         c.Raw(SYS_fcntl, fd, F_SETFL, flags | O_NONBLOCK) == 0) {

@@ -250,7 +250,9 @@ common::StatusOr<std::unique_ptr<Instance>> Linker::Instantiate(
     uint64_t offset = seg.offset.kind == InitExpr::Kind::kConst
                           ? seg.offset.bits
                           : inst->globals_[seg.offset.global_index].bits;
-    if (offset + seg.func_indices.size() > table.elems.size()) {
+    // Overflow-safe: a huge offset must not wrap past the check.
+    if (offset > table.elems.size() ||
+        seg.func_indices.size() > table.elems.size() - offset) {
       return common::OutOfRange("elem segment out of table bounds");
     }
     for (size_t i = 0; i < seg.func_indices.size(); ++i) {

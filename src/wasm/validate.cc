@@ -539,17 +539,29 @@ common::Status FunctionValidator::Run() {
 }
 
 common::Status ValidateInitExpr(const Module& module, const InitExpr& init,
-                                ValType want, uint32_t num_imported_globals) {
+                                ValType want) {
   if (init.kind == InitExpr::Kind::kConst) {
     if (init.type != want) {
       return common::InvalidArgument("init expr type mismatch");
     }
     return common::OkStatus();
   }
-  if (init.global_index >= num_imported_globals) {
-    return common::InvalidArgument("init expr may only reference imported globals");
+  // global.get names an imported global, whose declared type must be the
+  // one the slot wants: an i64 import feeding an i32 offset would hand
+  // instantiation a value no i32 can hold.
+  uint32_t global_index = 0;
+  for (const Import& imp : module.imports) {
+    if (imp.kind != ExternKind::kGlobal) {
+      continue;
+    }
+    if (global_index++ == init.global_index) {
+      if (imp.global_type.type != want) {
+        return common::InvalidArgument("init expr type mismatch");
+      }
+      return common::OkStatus();
+    }
   }
-  return common::OkStatus();
+  return common::InvalidArgument("init expr may only reference imported globals");
 }
 
 }  // namespace
@@ -593,8 +605,7 @@ common::Status Validate(Module& module) {
     }
   }
   for (const Global& g : module.globals) {
-    RETURN_IF_ERROR(ValidateInitExpr(module, g.init, g.type.type,
-                                     module.num_imported_globals));
+    RETURN_IF_ERROR(ValidateInitExpr(module, g.init, g.type.type));
     global_types.push_back(g.type);
   }
 
@@ -630,8 +641,7 @@ common::Status Validate(Module& module) {
     if (seg.table_index >= module.NumTables()) {
       return common::InvalidArgument("elem table index out of range");
     }
-    RETURN_IF_ERROR(ValidateInitExpr(module, seg.offset, ValType::kI32,
-                                     module.num_imported_globals));
+    RETURN_IF_ERROR(ValidateInitExpr(module, seg.offset, ValType::kI32));
     for (uint32_t fi : seg.func_indices) {
       if (fi >= module.NumFuncs()) {
         return common::InvalidArgument("elem function index out of range");
@@ -642,8 +652,7 @@ common::Status Validate(Module& module) {
     if (seg.memory_index >= module.NumMemories()) {
       return common::InvalidArgument("data memory index out of range");
     }
-    RETURN_IF_ERROR(ValidateInitExpr(module, seg.offset, ValType::kI32,
-                                     module.num_imported_globals));
+    RETURN_IF_ERROR(ValidateInitExpr(module, seg.offset, ValType::kI32));
   }
 
   if (module.start.has_value()) {

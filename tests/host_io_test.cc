@@ -11,6 +11,9 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -20,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/host/host.h"
@@ -68,22 +72,48 @@ const char* kTwoSleepGuest = R"(
     (i32.rem_u (local.get $acc) (i32.const 97)))
 )";
 
-// Pipe round-trip through parked writes and reads: pipe2, write one byte
-// (parks: Writable), read it back (parks: Readable), exit with the byte.
-const char* kPipeGuest = R"(
+// argv[$i] as a decimal fd: the test-owned fds a guest is handed, so the
+// test can make them ready or not ready around the guest's syscalls (which
+// it cannot do to the guest's own fds while the guest is parked).
+const char* kArgFdFunc = R"(
+  (func $argfd (param $i i64) (result i64)
+    (local $len i32) (local $k i32) (local $v i64)
+    ;; copy_argv answers strlen + 1 (the NUL)
+    (local.set $len
+      (i32.sub (i32.wrap_i64 (call $copy_argv (i64.const 3072) (local.get $i)))
+               (i32.const 1)))
+    (block $done
+      (loop $digit
+        (br_if $done (i32.ge_s (local.get $k) (local.get $len)))
+        (local.set $v
+          (i64.add (i64.mul (local.get $v) (i64.const 10))
+                   (i64.extend_i32_u
+                     (i32.sub (i32.load8_u (i32.add (i32.const 3072) (local.get $k)))
+                              (i32.const 48)))))
+        (local.set $k (i32.add (local.get $k) (i32.const 1)))
+        (br $digit)))
+    (local.get $v))
+)";
+
+// Round trip through two test-owned pipes: write one byte (77) to the fd in
+// argv[1], read one byte from the fd in argv[2], exit with it (255 when the
+// read did not return 1). With argv[1] full and argv[2] empty, the write
+// parks (Writable) and so does the read (Readable); with room in argv[1]
+// and a byte buffered in argv[2], neither parks.
+std::string PipeRelayGuest() {
+  return std::string(R"(
   (memory 2)
+)") + kArgFdFunc + R"(
   (func (export "main") (result i32)
-    (local $rfd i64) (local $wfd i64) (local $r i64)
-    (drop (call $pipe2 (i64.const 256) (i64.const 0)))
-    (local.set $rfd (i64.load32_s (i32.const 256)))
-    (local.set $wfd (i64.load32_s (i32.const 260)))
+    (local $r i64)
     (i32.store8 (i32.const 1024) (i32.const 77))
-    (drop (call $write (local.get $wfd) (i64.const 1024) (i64.const 1)))
-    (local.set $r (call $read (local.get $rfd) (i64.const 2048) (i64.const 1)))
+    (drop (call $write (call $argfd (i64.const 1)) (i64.const 1024) (i64.const 1)))
+    (local.set $r (call $read (call $argfd (i64.const 2)) (i64.const 2048) (i64.const 1)))
     (if (i64.ne (local.get $r) (i64.const 1))
       (then (return (i32.const 255))))
     (i32.load8_u (i32.const 2048)))
 )";
+}
 
 // Non-blocking I/O must NOT park: O_NONBLOCK pipe (pipe2 flag 0x800) read
 // returns -EAGAIN (-11) inline, and poll with timeout 0 returns 0 inline.
@@ -129,26 +159,91 @@ const char* kPpollSleeperGuest = R"(
     (i32.const 21))
 )";
 
-// poll with events = POLLIN|POLLOUT on a fresh socketpair end, 1s timeout.
-// The park must carry BOTH interests; the socket is writable, so the
-// re-dispatched poll materializes revents = POLLOUT and the guest exits
-// with it (4).
-const char* kDualInterestPollGuest = R"(
+// poll with events = POLLIN|POLLOUT on the socket in argv[1], 1s timeout;
+// exits with the materialized revents (251 when poll did not report one
+// ready fd). With the socket's send buffer full and nothing to read, the
+// park must carry BOTH interests; once the peer drains, the re-dispatched
+// poll materializes revents = POLLOUT and the guest exits with it (4).
+std::string DualInterestPollGuest() {
+  return std::string(R"(
   (memory 2)
+)") + kArgFdFunc + R"(
   (func (export "main") (result i32)
-    (local $fd i64) (local $r i64)
-    (if (i64.ne (call $socketpair (i64.const 1) (i64.const 1) (i64.const 0)
-                                  (i64.const 256))
-                (i64.const 0))
-      (then (return (i32.const 250))))
-    (local.set $fd (i64.load32_s (i32.const 256)))
+    (local $r i64)
     ;; pollfd at 512: fd, events = POLLIN|POLLOUT = 5
-    (i32.store (i32.const 512) (i32.wrap_i64 (local.get $fd)))
+    (i32.store (i32.const 512) (i32.wrap_i64 (call $argfd (i64.const 1))))
     (i32.store16 (i32.const 516) (i32.const 5))
     (local.set $r (call $poll (i64.const 512) (i64.const 1) (i64.const 1000)))
     (if (i64.ne (local.get $r) (i64.const 1))
       (then (return (i32.const 251))))
     (i32.load16_u (i32.const 518)))
+)";
+}
+
+// poll, then ppoll, on two POLLIN members (the fds in argv[1] and argv[2])
+// with nonzero timeouts. Exits 10 * poll's answer + ppoll's, or 250 when a
+// ready member's revents are not POLLIN.
+std::string PollPairGuest() {
+  return std::string(R"(
+  (memory 2)
+)") + kArgFdFunc + R"(
+  (func (export "main") (result i32)
+    (local $p i64) (local $pp i64)
+    ;; pollfds at 512 and 520: events = POLLIN
+    (i32.store (i32.const 512) (i32.wrap_i64 (call $argfd (i64.const 1))))
+    (i32.store16 (i32.const 516) (i32.const 1))
+    (i32.store (i32.const 520) (i32.wrap_i64 (call $argfd (i64.const 2))))
+    (i32.store16 (i32.const 524) (i32.const 1))
+    (local.set $p (call $poll (i64.const 512) (i64.const 2) (i64.const 1000)))
+    (if (i32.ne (i32.load16_u (i32.const 526)) (i32.const 1))
+      (then (return (i32.const 250))))
+    ;; timespec at 528: 1s
+    (i64.store (i32.const 528) (i64.const 1))
+    (i64.store (i32.const 536) (i64.const 0))
+    (local.set $pp (call $ppoll (i64.const 512) (i64.const 2) (i64.const 528)
+                                (i64.const 0) (i64.const 8)))
+    (i32.wrap_i64 (i64.add (i64.mul (local.get $p) (i64.const 10))
+                           (local.get $pp))))
+)";
+}
+
+// accept, then accept4, on the listening socket in argv[1]. Exits 5 when
+// both minted an fd, 250/251 otherwise.
+std::string AcceptGuest() {
+  return std::string(R"(
+  (import "wali" "SYS_accept4" (func $accept4 (param i64 i64 i64 i64) (result i64)))
+  (memory 2)
+)") + kArgFdFunc + R"(
+  (func (export "main") (result i32)
+    (if (i64.lt_s (call $accept (call $argfd (i64.const 1)) (i64.const 0)
+                                (i64.const 0))
+                  (i64.const 0))
+      (then (return (i32.const 250))))
+    (if (i64.lt_s (call $accept4 (call $argfd (i64.const 1)) (i64.const 0)
+                                 (i64.const 0) (i64.const 0))
+                  (i64.const 0))
+      (then (return (i32.const 251))))
+    (i32.const 5))
+)";
+}
+
+// pipe2(0), then write to its read end and read from its write end: the
+// kernel answers both at once with -EBADF (-9). Exits 9 when both did, 1 or
+// 2 when the write or the read answered anything else.
+const char* kWrongDirectionGuest = R"(
+  (memory 2)
+  (func (export "main") (result i32)
+    (local $rfd i64) (local $wfd i64)
+    (drop (call $pipe2 (i64.const 256) (i64.const 0)))
+    (local.set $rfd (i64.load32_s (i32.const 256)))
+    (local.set $wfd (i64.load32_s (i32.const 260)))
+    (if (i64.ne (call $write (local.get $rfd) (i64.const 1024) (i64.const 1))
+                (i64.const -9))
+      (then (return (i32.const 1))))
+    (if (i64.ne (call $read (local.get $wfd) (i64.const 1024) (i64.const 1))
+                (i64.const -9))
+      (then (return (i32.const 2))))
+    (i32.const 9))
 )";
 
 // Plain FUTEX_WAIT with a 50ms timeout in a threadless process: value
@@ -174,16 +269,16 @@ const char* kFutexWaitGuest = R"(
     (i32.const 31))
 )";
 
-// writev then readv through a pipe, two single-byte iovecs each: both park
-// on their readiness class and the retries re-translate the iovec arrays
-// against live memory. Exits 40 + 2 = 42.
-const char* kVectoredPipeGuest = R"(
+// writev of two single-byte iovecs (40, 2) to the fd in argv[1], then readv
+// of two single-byte iovecs from the fd in argv[2]; exits with their sum
+// (42), or 254/253 when writev/readv did not move 2 bytes. Parked retries
+// re-translate the iovec arrays against live memory.
+std::string VectoredRelayGuest() {
+  return std::string(R"(
   (memory 2)
+)") + kArgFdFunc + R"(
   (func (export "main") (result i32)
-    (local $rfd i64) (local $wfd i64) (local $r i64)
-    (drop (call $pipe2 (i64.const 256) (i64.const 0)))
-    (local.set $rfd (i64.load32_s (i32.const 256)))
-    (local.set $wfd (i64.load32_s (i32.const 260)))
+    (local $r i64)
     (i32.store8 (i32.const 1024) (i32.const 40))
     (i32.store8 (i32.const 1025) (i32.const 2))
     ;; iov at 768: [{1024,1},{1025,1}]
@@ -191,7 +286,8 @@ const char* kVectoredPipeGuest = R"(
     (i32.store (i32.const 772) (i32.const 1))
     (i32.store (i32.const 776) (i32.const 1025))
     (i32.store (i32.const 780) (i32.const 1))
-    (local.set $r (call $writev (local.get $wfd) (i64.const 768) (i64.const 2)))
+    (local.set $r (call $writev (call $argfd (i64.const 1)) (i64.const 768)
+                                (i64.const 2)))
     (if (i64.ne (local.get $r) (i64.const 2))
       (then (return (i32.const 254))))
     ;; iov at 832: [{2048,1},{2049,1}]
@@ -199,11 +295,13 @@ const char* kVectoredPipeGuest = R"(
     (i32.store (i32.const 836) (i32.const 1))
     (i32.store (i32.const 840) (i32.const 2049))
     (i32.store (i32.const 844) (i32.const 1))
-    (local.set $r (call $readv (local.get $rfd) (i64.const 832) (i64.const 2)))
+    (local.set $r (call $readv (call $argfd (i64.const 2)) (i64.const 832)
+                               (i64.const 2)))
     (if (i64.ne (local.get $r) (i64.const 2))
       (then (return (i32.const 253))))
     (i32.add (i32.load8_u (i32.const 2048)) (i32.load8_u (i32.const 2049))))
 )";
+}
 
 // TCP loopback connect: bind+listen on 127.0.0.1:0, learn the port via
 // getsockname, then connect a second socket to it. Nonblocking TCP connect
@@ -333,6 +431,130 @@ const char* EvictLabel(bool evict) {
   return evict ? "evicted at every park" : "resident";
 }
 
+// Test-owned fds a guest receives through argv (see kArgFdFunc); closed when
+// the holder goes out of scope.
+class TestFds {
+ public:
+  TestFds() = default;
+  ~TestFds() {
+    for (int fd : fds_) ::close(fd);
+  }
+  TestFds(const TestFds&) = delete;
+  TestFds& operator=(const TestFds&) = delete;
+
+  // {read end, write end}
+  std::pair<int, int> Pipe() {
+    int p[2] = {-1, -1};
+    EXPECT_EQ(::pipe(p), 0);
+    return {Own(p[0]), Own(p[1])};
+  }
+  std::pair<int, int> SocketPair() {
+    int sv[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    return {Own(sv[0]), Own(sv[1])};
+  }
+  // A listening AF_UNIX stream socket on an autobound abstract address.
+  int Listener() {
+    int ls = Own(::socket(AF_UNIX, SOCK_STREAM, 0));
+    sockaddr_un addr = {};
+    addr.sun_family = AF_UNIX;
+    EXPECT_EQ(::bind(ls, reinterpret_cast<sockaddr*>(&addr), sizeof(sa_family_t)), 0);
+    EXPECT_EQ(::listen(ls, 8), 0);
+    return ls;
+  }
+  // Connects a new client to `listener`: a unix-socket connect queues the
+  // connection on the listener before it returns, so accept finds it.
+  int Connect(int listener) {
+    sockaddr_un addr = {};
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    int cs = Own(::socket(AF_UNIX, SOCK_STREAM, 0));
+    EXPECT_EQ(::connect(cs, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    return cs;
+  }
+
+ private:
+  int Own(int fd) {
+    EXPECT_GE(fd, 0);
+    fds_.push_back(fd);
+    return fd;
+  }
+  std::vector<int> fds_;
+};
+
+// Runs `io` on `fd` with O_NONBLOCK set, until it answers -1 (EAGAIN), and
+// restores the fd's flags. Returns the bytes moved.
+template <typename Io>
+size_t UntilWouldBlock(int fd, Io io) {
+  const int fl = ::fcntl(fd, F_GETFL);
+  EXPECT_EQ(::fcntl(fd, F_SETFL, fl | O_NONBLOCK), 0);
+  size_t total = 0;
+  char buf[4096] = {};
+  for (ssize_t n; (n = io(fd, buf, sizeof(buf))) > 0;) {
+    total += static_cast<size_t>(n);
+  }
+  EXPECT_EQ(errno, EAGAIN);
+  EXPECT_EQ(::fcntl(fd, F_SETFL, fl), 0);
+  return total;
+}
+
+// Fills `fd` (a pipe's write end or a socket) until a write would block.
+void FillUntilFull(int fd) {
+  EXPECT_GT(UntilWouldBlock(fd, [](int f, char* b, size_t n) { return ::write(f, b, n); }),
+            0u);
+}
+
+// Reads and discards everything buffered on `fd`.
+void Drain(int fd) {
+  UntilWouldBlock(fd, [](int f, char* b, size_t n) { return ::read(f, b, n); });
+}
+
+// Moves `n` bytes from `from` to `to` (the test's half of a relay).
+void Relay(int from, int to, size_t n) {
+  std::vector<char> buf(n);
+  ASSERT_EQ(::read(from, buf.data(), n), static_cast<ssize_t>(n));
+  ASSERT_EQ(::write(to, buf.data(), n), static_cast<ssize_t>(n));
+}
+
+// `job` with `fds` appended to its argv as decimal strings.
+host::GuestJob WithFds(host::GuestJob job, std::initializer_list<int> fds) {
+  for (int fd : fds) job.argv.push_back(std::to_string(fd));
+  return job;
+}
+
+// One guest run under a resumable RunMain with no supervisor: every park is
+// counted (by op kind) and answered with a readiness completion, so the
+// re-dispatched syscall does the real I/O — only hand such a run fds that
+// are ready by the time it resumes.
+struct CountedRun {
+  wasm::RunResult result;
+  std::vector<wali::IoOp::Kind> parks;
+};
+
+CountedRun RunCountingParks(const std::string& guest,
+                            const std::vector<int>& fds) {
+  CountedRun out;
+  wasm::Linker linker;
+  wali::WaliRuntime runtime(&linker);
+  auto parsed = wasm::ParseAndValidateWat(WrapModule(guest));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return out;
+  std::vector<std::string> argv = {"counted"};
+  for (int fd : fds) argv.push_back(std::to_string(fd));
+  auto proc = runtime.CreateProcess(*parsed, std::move(argv), {});
+  EXPECT_TRUE(proc.ok()) << proc.status().ToString();
+  if (!proc.ok()) return out;
+  wali::WaliRuntime::MainContinuation cont;
+  out.result = runtime.RunMain(**proc, runtime.exec_options(), &cont);
+  while (out.result.trap == wasm::TrapKind::kSyscallPending &&
+         out.parks.size() < 8) {
+    out.parks.push_back((*proc)->pending_io.op.kind);
+    out.result = runtime.ResumeMain(**proc, cont, host::IoCompletion::Ready());
+  }
+  cont.Discard();
+  return out;
+}
+
 TEST(HostIo, ParkedSleepReleasesWorkerAndResumes) {
   for (bool evict : {false, true}) {
     SCOPED_TRACE(EvictLabel(evict));
@@ -448,16 +670,21 @@ TEST(HostIo, SuspendedRunBitIdenticalToBlockingRun) {
 }
 
 TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
-  // Write parks (Writable), read parks (Readable); the test drives the
-  // completion ORDER and the re-dispatched syscalls perform the real,
-  // now-ready I/O.
+  // Write parks (Writable) on a full pipe, read parks (Readable) on an
+  // empty one; the test drives the completion ORDER — making each fd ready
+  // first — and the re-dispatched syscalls perform the real, now-ready I/O.
   for (bool evict : {false, true}) {
     SCOPED_TRACE(EvictLabel(evict));
     IoWorld w = MakeIoWorld(1);
-    auto module = w.cache->Load(WrapModule(kPipeGuest));
+    auto module = w.cache->Load(WrapModule(PipeRelayGuest()));
     ASSERT_TRUE(module.ok()) << module.status().ToString();
+    TestFds fds;
+    auto [out_r, out_w] = fds.Pipe();  // the guest writes here
+    auto [in_r, in_w] = fds.Pipe();    // the guest reads here
+    FillUntilFull(out_w);
 
-    std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+    std::future<host::RunReport> fut =
+        w.sup->Submit(WithFds(MakeJob(*module, "t"), {out_w, in_r}));
     ASSERT_TRUE(WaitForPending(*w.fake, 1));
     std::vector<uint64_t> cookies = w.fake->PendingCookies();
     ASSERT_EQ(cookies.size(), 1u);
@@ -465,6 +692,7 @@ TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
     EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
     EvictIf(evict, *w.sup, cookies[0]);
+    Drain(out_r);
     ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space: write
 
     ASSERT_TRUE(WaitForPending(*w.fake, 1));
@@ -472,6 +700,7 @@ TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
     EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
     EvictIf(evict, *w.sup, cookies[0]);
+    Relay(out_r, in_w, 1);  // the guest's byte comes back to it
     ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // byte is there: read
 
     host::RunReport r = fut.get();
@@ -489,12 +718,18 @@ TEST(HostIo, ScriptedResultSkipsRedispatch) {
   // re-dispatched. This is how tests inject exact kernel answers (here:
   // EBADF for an fd that "closed while the op was in flight").
   IoWorld w = MakeIoWorld(1);
-  auto module = w.cache->Load(WrapModule(kPipeGuest));
+  auto module = w.cache->Load(WrapModule(PipeRelayGuest()));
   ASSERT_TRUE(module.ok());
+  TestFds fds;
+  auto [out_r, out_w] = fds.Pipe();
+  auto [in_r, in_w] = fds.Pipe();
+  FillUntilFull(out_w);
 
-  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  std::future<host::RunReport> fut =
+      w.sup->Submit(WithFds(MakeJob(*module, "t"), {out_w, in_r}));
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   std::vector<uint64_t> cookies = w.fake->PendingCookies();
+  Drain(out_r);
   ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // write proceeds
   ASSERT_TRUE(WaitForPending(*w.fake, 1));
   cookies = w.fake->PendingCookies();
@@ -504,6 +739,7 @@ TEST(HostIo, ScriptedResultSkipsRedispatch) {
   host::RunReport r = fut.get();
   EXPECT_TRUE(r.completed());
   EXPECT_EQ(r.exit_code, 255);
+  EXPECT_EQ(r.parks, 2u);
 }
 
 TEST(HostIo, PpollSleeperParksInsteadOfPinningWorker) {
@@ -547,10 +783,14 @@ TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
   for (bool evict : {false, true}) {
     SCOPED_TRACE(EvictLabel(evict));
     IoWorld w = MakeIoWorld(1);
-    auto module = w.cache->Load(WrapModule(kDualInterestPollGuest));
+    auto module = w.cache->Load(WrapModule(DualInterestPollGuest()));
     ASSERT_TRUE(module.ok()) << module.status().ToString();
+    TestFds fds;
+    auto [sock, peer] = fds.SocketPair();
+    FillUntilFull(sock);  // neither readable nor writable: the poll parks
 
-    std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+    std::future<host::RunReport> fut =
+        w.sup->Submit(WithFds(MakeJob(*module, "t"), {sock}));
     ASSERT_TRUE(WaitForPending(*w.fake, 1))
         << "dual-interest poll must still offload";
     std::vector<uint64_t> cookies = w.fake->PendingCookies();
@@ -563,6 +803,7 @@ TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
         << "the parked op must keep the union of interests";
     EvictIf(evict, *w.sup, cookies[0]);
 
+    Drain(peer);
     ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // socket is writable
     host::RunReport r = fut.get();
     EXPECT_TRUE(r.completed()) << r.trap_message;
@@ -605,16 +846,22 @@ TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
   for (bool evict : {false, true}) {
     SCOPED_TRACE(EvictLabel(evict));
     IoWorld w = MakeIoWorld(1);
-    auto module = w.cache->Load(WrapModule(kVectoredPipeGuest));
+    auto module = w.cache->Load(WrapModule(VectoredRelayGuest()));
     ASSERT_TRUE(module.ok()) << module.status().ToString();
+    TestFds fds;
+    auto [out_r, out_w] = fds.Pipe();
+    auto [in_r, in_w] = fds.Pipe();
+    FillUntilFull(out_w);
 
-    std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+    std::future<host::RunReport> fut =
+        w.sup->Submit(WithFds(MakeJob(*module, "t"), {out_w, in_r}));
     ASSERT_TRUE(WaitForPending(*w.fake, 1));
     std::vector<uint64_t> cookies = w.fake->PendingCookies();
     wali::IoOp op;
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
     EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
     EvictIf(evict, *w.sup, cookies[0]);
+    Drain(out_r);
     ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space
 
     ASSERT_TRUE(WaitForPending(*w.fake, 1));
@@ -622,6 +869,7 @@ TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
     EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
     EvictIf(evict, *w.sup, cookies[0]);
+    Relay(out_r, in_w, 2);
     ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // both bytes are there
 
     host::RunReport r = fut.get();
@@ -806,6 +1054,100 @@ TEST(HostIo, NonBlockingIoNeverParks) {
   EXPECT_EQ(w.sup->io_stats().parks_total, 0u);
 }
 
+TEST(HostIo, ReadyFdGatesAnswerWithoutParking) {
+  // A park is a round trip through the completion loop; it only pays when
+  // the kernel would block. A ready fd at any blocking-capable gate, or a
+  // ready member of a poll set, must answer on the synchronous path.
+  TestFds fds;
+  const int space_w = fds.Pipe().second;  // room to write
+  auto [byte_r, byte_w] = fds.Pipe();     // one buffered byte to read
+  ASSERT_EQ(::write(byte_w, "M", 1), 1);  // 77
+  const int vspace_w = fds.Pipe().second;
+  auto [vbytes_r, vbytes_w] = fds.Pipe();
+  ASSERT_EQ(::write(vbytes_w, "\x28\x02", 2), 2);  // 40, 2
+  const int quiet_r = fds.Pipe().first;  // never ready
+  auto [ready_r, ready_w] = fds.Pipe();
+  ASSERT_EQ(::write(ready_w, "x", 1), 1);
+  const int sock = fds.SocketPair().first;  // a fresh socket is writable
+  const int listener = fds.Listener();
+  fds.Connect(listener);
+  fds.Connect(listener);
+
+  struct Case {
+    const char* name;
+    std::string guest;
+    std::vector<int> fds;
+    int exit_code;
+  };
+  const Case cases[] = {
+      {"write with space, buffered read", PipeRelayGuest(), {space_w, byte_r}, 77},
+      {"writev with space, buffered readv", VectoredRelayGuest(),
+       {vspace_w, vbytes_r}, 42},
+      {"poll and ppoll with one ready member", PollPairGuest(),
+       {quiet_r, ready_r}, 11},
+      {"dual-interest poll on a writable socket", DualInterestPollGuest(), {sock},
+       POLLOUT},
+      {"accept and accept4 with pending connections", AcceptGuest(), {listener}, 5},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    CountedRun run = RunCountingParks(c.guest, c.fds);
+    EXPECT_TRUE(run.result.ok()) << run.result.trap_message;
+    EXPECT_EQ(run.result.exit_code, c.exit_code);
+    EXPECT_EQ(run.parks.size(), 0u)
+        << "first park: kind " << static_cast<int>(run.parks[0]);
+  }
+}
+
+TEST(HostIo, AcceptParksOnlyWithoutPendingConnection) {
+  // The not-ready side of the accept gates: with no connection queued,
+  // accept and then accept4 each park on the listener's readability, and
+  // each re-dispatch accepts the connection that arrived meanwhile.
+  TestFds fds;
+  int listener = fds.Listener();
+  wasm::Linker linker;
+  wali::WaliRuntime runtime(&linker);
+  auto parsed = wasm::ParseAndValidateWat(WrapModule(AcceptGuest()));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto proc = runtime.CreateProcess(*parsed, {"accept", std::to_string(listener)}, {});
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+
+  wali::WaliRuntime::MainContinuation cont;
+  wasm::RunResult r = runtime.RunMain(**proc, runtime.exec_options(), &cont);
+  for (const char* gate : {"accept", "accept4"}) {
+    SCOPED_TRACE(gate);
+    ASSERT_EQ(r.trap, wasm::TrapKind::kSyscallPending) << r.trap_message;
+    EXPECT_EQ((*proc)->pending_io.op.kind, wali::IoOp::Kind::kReadable);
+    EXPECT_EQ((*proc)->pending_io.op.fd, listener);
+    fds.Connect(listener);
+    r = runtime.ResumeMain(**proc, cont, host::IoCompletion::Ready());
+  }
+  EXPECT_TRUE(r.ok()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 5);
+}
+
+TEST(HostIo, WrongDirectionIoAnswersEbadfWithoutParking) {
+  // Regression: a write to a pipe's read end (or a read from its write end)
+  // parked on a readiness that can never come — a read end never polls
+  // POLLOUT — so a supervised run hung until its deadline, holding a pool
+  // slot, where the blocking path answers -EBADF at once. The access mode
+  // in the fd's classification keeps both directions off the park path.
+  wasm::Linker linker;
+  wali::WaliRuntime runtime(&linker);
+  auto parsed = wasm::ParseAndValidateWat(WrapModule(kWrongDirectionGuest));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto proc = runtime.CreateProcess(*parsed, {"wrong-direction"}, {});
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+
+  wali::WaliRuntime::MainContinuation cont;
+  wasm::RunResult r = runtime.RunMain(**proc, runtime.exec_options(), &cont);
+  ASSERT_NE(r.trap, wasm::TrapKind::kSyscallPending)
+      << "parked on op kind " << static_cast<int>((*proc)->pending_io.op.kind);
+  EXPECT_TRUE(r.ok()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 9) << "1: write to the read end, 2: read from the "
+                               "write end did not answer -EBADF";
+}
+
 TEST(HostIo, ParkedRunReleasesLedgerReservation) {
   // A parked guest must not sit on its budget reservation: the park settles
   // consumed-so-far and releases the slices, so a runnable job of the same
@@ -941,21 +1283,47 @@ TEST(HostIo, OffloadCacheClassifiesAndInvalidates) {
   ASSERT_TRUE(proc.ok());
   wali::WaliProcess& p = **proc;
 
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  // Pipes classify offloadable; the answer is cached.
-  EXPECT_TRUE(p.OffloadableCached(fds[0]));
-  // Flip O_NONBLOCK behind the cache's back: the cached (now stale) answer
-  // survives until an invalidation hook fires — this is exactly why the
-  // dispatch wrapper invalidates on fcntl(F_SETFL).
-  int fl = ::fcntl(fds[0], F_GETFL);
+  // The classification is the set of directions a gate can block in; a 0
+  // keeps every gate on the fd off the readiness probe entirely.
+  TestFds fds;
+  auto [pipe_r, pipe_w] = fds.Pipe();
+  const int sock = fds.SocketPair().first;
+  const int nb_r = fds.Pipe().first;
+  ASSERT_EQ(::fcntl(nb_r, F_SETFL, O_NONBLOCK), 0);
+  char file_path[] = "/tmp/wali_host_io_XXXXXX";
+  int file = ::mkstemp(file_path);
+  ASSERT_GE(file, 0);
+  ::unlink(file_path);
+  int dir = ::open("/tmp", O_RDONLY | O_DIRECTORY);
+  ASSERT_GE(dir, 0);
+  const struct {
+    const char* name;
+    int fd;
+    short want;
+  } cases[] = {
+      {"pipe read end", pipe_r, POLLIN},
+      {"pipe write end", pipe_w, POLLOUT},
+      {"socket", sock, POLLIN | POLLOUT},
+      {"O_NONBLOCK pipe", nb_r, 0},
+      {"regular file", file, 0},
+      {"directory", dir, 0},
+      {"bad fd", 1 << 20, 0},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(p.OffloadableCached(c.fd), c.want) << c.name;
+  }
+  ::close(file);
+  ::close(dir);
+
+  // The answer is cached. Flip O_NONBLOCK behind the cache's back: the
+  // cached (now stale) answer survives until an invalidation hook fires —
+  // this is exactly why the dispatch wrapper invalidates on fcntl(F_SETFL).
+  int fl = ::fcntl(pipe_r, F_GETFL);
   ASSERT_GE(fl, 0);
-  ASSERT_EQ(::fcntl(fds[0], F_SETFL, fl | O_NONBLOCK), 0);
-  EXPECT_TRUE(p.OffloadableCached(fds[0]));  // stale, by construction
-  p.InvalidateOffloadFd(fds[0]);
-  EXPECT_FALSE(p.OffloadableCached(fds[0]));  // reclassified: non-blocking
-  ::close(fds[0]);
-  ::close(fds[1]);
+  ASSERT_EQ(::fcntl(pipe_r, F_SETFL, fl | O_NONBLOCK), 0);
+  EXPECT_EQ(p.OffloadableCached(pipe_r), POLLIN);  // stale, by construction
+  p.InvalidateOffloadFd(pipe_r);
+  EXPECT_EQ(p.OffloadableCached(pipe_r), 0);  // reclassified: non-blocking
 }
 
 TEST(HostIo, RunAllPreservesSubmissionOrderAcrossParks) {

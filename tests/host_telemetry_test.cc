@@ -709,7 +709,9 @@ TEST(HostTelemetry, TieredFunctionsReportBlacklist) {
   for (const host::Telemetry::TieredFunction& tf : s.tiered_functions) {
     const bool fp = tf.func.find("fploop") != std::string::npos;
     EXPECT_EQ(tf.blacklisted, fp) << tf.func;
-    if (fp) EXPECT_GE(tf.deopts, 1024u);
+    if (fp) {
+      EXPECT_GE(tf.deopts, 1024u);
+    }
   }
 }
 

@@ -276,6 +276,18 @@ TEST(Control, ValidatorRejectsBadModules) {
   auto bad6 = wasm::ParseAndValidateWat(
       "(module (func (result i32) (i32.load (i32.const 0))))");
   EXPECT_FALSE(bad6.ok());
+  // global.get of an i64 import initializing an i32 global.
+  auto bad7 = wasm::ParseAndValidateWat(
+      "(module (import \"env\" \"g\" (global $g64 i64))"
+      " (global i32 (global.get $g64)))");
+  EXPECT_FALSE(bad7.ok());
+  // ... or as an elem segment's i32 offset: instantiated against an i64
+  // global holding ~0, the offset wrapped the table bounds check and the
+  // segment was written far outside the table.
+  auto bad8 = wasm::ParseAndValidateWat(
+      "(module (import \"env\" \"g\" (global $g64 i64)) (table 1 funcref)"
+      " (func $f) (elem (global.get $g64) $f))");
+  EXPECT_FALSE(bad8.ok());
 }
 
 }  // namespace
