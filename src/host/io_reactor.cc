@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <string>
 #include <utility>
 
@@ -34,6 +35,19 @@ struct Due {
   IoCompletion completion;
 };
 
+// An op's absolute deadline on a clock reading `now` (>= 0): -1 when it
+// waits forever, else now + timeout_nanos, saturating at INT64_MAX. A guest
+// can ask for a timeout near INT64_MAX (SleepDurationNanos saturates huge
+// timespecs there by design), and a wrapped sum would read as "no
+// deadline".
+int64_t OpDeadline(int64_t now, const wali::IoOp& op) {
+  if (op.timeout_nanos < 0) {
+    return -1;
+  }
+  return op.timeout_nanos > INT64_MAX - now ? INT64_MAX
+                                            : now + op.timeout_nanos;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- IoReactor ---
@@ -61,15 +75,7 @@ IoReactor::~IoReactor() {
 }
 
 void IoReactor::SetCompletionHandler(CompletionFn fn) {
-  std::lock_guard<std::mutex> lock(deliver_mu_);
-  complete_ = std::move(fn);
-}
-
-void IoReactor::Deliver(uint64_t cookie, const IoCompletion& completion) {
-  std::lock_guard<std::mutex> lock(deliver_mu_);
-  if (complete_) {
-    complete_(cookie, completion);
-  }
+  sink_.Set(std::move(fn));
 }
 
 int64_t IoReactor::NowNanos() const { return common::MonotonicNanos(); }
@@ -91,15 +97,10 @@ void IoReactor::Wake() {
 void IoReactor::Submit(uint64_t cookie, const wali::IoOp& op) {
   Op rec;
   rec.op = op;
-  const int64_t now = NowNanos();
-  if (op.kind == wali::IoOp::Kind::kSleep) {
-    rec.deadline_nanos = now + std::max<int64_t>(op.sleep_nanos, 0);
-  } else if (op.timeout_nanos >= 0) {
-    rec.deadline_nanos = now + op.timeout_nanos;
-  }
+  rec.deadline_nanos = OpDeadline(NowNanos(), op);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ops_[cookie] = rec;
+    ops_[cookie] = std::move(rec);
   }
   tm_.OnSubmit();
   Wake();
@@ -130,30 +131,15 @@ void IoReactor::Loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& [cookie, rec] : ops_) {
-        if (rec.op.kind == wali::IoOp::Kind::kReadable ||
-            rec.op.kind == wali::IoOp::Kind::kWritable) {
-          struct pollfd p;
-          p.fd = rec.op.fd;
-          p.events =
-              rec.op.kind == wali::IoOp::Kind::kReadable ? POLLIN : POLLOUT;
-          p.revents = 0;
-          pfds.push_back(p);
-          pfd_cookies.push_back(cookie);
-        } else if (rec.op.kind == wali::IoOp::Kind::kPollSet) {
-          // One table entry per interest-set member, all mapped back to the
-          // same cookie: the first member with revents completes the op and
-          // erases it, so later members of the same set miss the find below.
-          for (const wali::IoOp::PollFd& m : rec.op.poll_fds) {
-            if (m.fd < 0) {
-              continue;  // poll(2): negative fds are ignored
-            }
-            struct pollfd p;
-            p.fd = m.fd;
-            p.events = m.events;
-            p.revents = 0;
-            pfds.push_back(p);
-            pfd_cookies.push_back(cookie);
+        // One table entry per member, all mapped back to the same cookie:
+        // the first member with revents completes the op and erases it, so
+        // later members of the same set miss the find below.
+        for (const wali::IoOp::PollFd& m : rec.op.poll_fds) {
+          if (m.fd < 0) {
+            continue;  // poll(2): negative fds are ignored
           }
+          pfds.push_back({m.fd, m.events, 0});
+          pfd_cookies.push_back(cookie);
         }
         if (rec.deadline_nanos >= 0 &&
             (next_deadline < 0 || rec.deadline_nanos < next_deadline)) {
@@ -161,13 +147,8 @@ void IoReactor::Loop() {
         }
       }
     }
-    int timeout_ms = -1;
-    if (next_deadline >= 0) {
-      int64_t wait = next_deadline - NowNanos();
-      // Round up so we never spin a whole extra wakeup below 1ms.
-      timeout_ms = wait <= 0 ? 0 : static_cast<int>((wait + 999999) / 1000000);
-    }
-    int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    int rc = ::poll(pfds.data(), pfds.size(),
+                    PollTimeoutMillis(next_deadline, NowNanos()));
     if (rc < 0 && errno != EINTR) {
       LOG_ERROR() << "IoReactor: poll failed errno=" << errno;
     }
@@ -203,23 +184,27 @@ void IoReactor::Loop() {
     }
     for (const Due& d : due) {
       tm_.OnComplete();
-      Deliver(d.cookie, d.completion);
+      sink_.Deliver(d.cookie, d.completion);
     }
   }
+}
+
+int IoReactor::PollTimeoutMillis(int64_t deadline, int64_t now) {
+  if (deadline < 0) {
+    return -1;
+  }
+  if (deadline <= now) {
+    return 0;
+  }
+  const int64_t wait = deadline - now;
+  const int64_t ms = wait / 1000000 + (wait % 1000000 != 0 ? 1 : 0);
+  return ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
 }
 
 // --------------------------------------------------------- FakeIoBackend ---
 
 void FakeIoBackend::SetCompletionHandler(CompletionFn fn) {
-  std::lock_guard<std::mutex> lock(deliver_mu_);
-  complete_ = std::move(fn);
-}
-
-void FakeIoBackend::Deliver(uint64_t cookie, const IoCompletion& completion) {
-  std::lock_guard<std::mutex> lock(deliver_mu_);
-  if (complete_) {
-    complete_(cookie, completion);
-  }
+  sink_.Set(std::move(fn));
 }
 
 int64_t FakeIoBackend::NowNanos() const {
@@ -238,12 +223,8 @@ void FakeIoBackend::Submit(uint64_t cookie, const wali::IoOp& op) {
     Op rec;
     rec.op = op;
     rec.seq = seq_++;
-    if (op.kind == wali::IoOp::Kind::kSleep) {
-      rec.deadline_nanos = now_nanos_ + std::max<int64_t>(op.sleep_nanos, 0);
-    } else if (op.timeout_nanos >= 0) {
-      rec.deadline_nanos = now_nanos_ + op.timeout_nanos;
-    }
-    ops_[cookie] = rec;
+    rec.deadline_nanos = OpDeadline(now_nanos_, op);
+    ops_[cookie] = std::move(rec);
   }
   tm_.OnSubmit();
 }
@@ -289,7 +270,7 @@ void FakeIoBackend::AdvanceTo(int64_t now_nanos) {
   });
   for (const Expired& d : due) {
     tm_.OnComplete();
-    Deliver(d.cookie, IoCompletion::TimedOut());
+    sink_.Deliver(d.cookie, IoCompletion::TimedOut());
   }
 }
 
@@ -301,7 +282,7 @@ bool FakeIoBackend::Complete(uint64_t cookie, const IoCompletion& completion) {
     }
   }
   tm_.OnComplete();
-  Deliver(cookie, completion);
+  sink_.Deliver(cookie, completion);
   return true;
 }
 
@@ -316,7 +297,7 @@ void FakeIoBackend::ForceComplete(uint64_t cookie, const IoCompletion& completio
     // the in-flight gauge below zero.
     tm_.OnComplete();
   }
-  Deliver(cookie, completion);
+  sink_.Deliver(cookie, completion);
 }
 
 std::vector<uint64_t> FakeIoBackend::PendingCookies() const {

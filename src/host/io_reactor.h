@@ -4,14 +4,17 @@
 // When a guest enters a blocking-capable syscall, the WALI layer parks the
 // run (wasm::TrapKind::kSyscallPending, see src/wali/async.h) and the
 // supervisor registers the operation here instead of letting a worker
-// thread block 1:1 with the guest. The backend watches the readiness class
-// (fd readable/writable, or a timer) and delivers exactly one completion
-// per cookie; the supervisor then re-admits the parked job and hands the
-// completion to WaliRuntime::ResumeMain, which finishes the syscall.
+// thread block 1:1 with the guest. The backend waits the op out as one
+// poll(2) call would (any member of its fd set ready, or its timeout
+// elapsed; a sleep is a set with no members) and delivers exactly one
+// completion per cookie; the supervisor then re-admits the parked job and
+// hands the completion to WaliRuntime::ResumeMain, which finishes the
+// syscall.
 //
 // The API is submit/complete in the io_uring style — cookie-keyed ops, a
-// single completion sink, cancellation — so a real io_uring backend can
-// slot in behind the same seam later. Two implementations live here:
+// single completion sink, cancellation — and IoUringBackend
+// (io_uring_backend.h) stands behind the same seam. Two implementations
+// live here:
 //
 //   IoReactor     poll(2)/self-pipe loop on the monotonic clock; the
 //                 production backend.
@@ -30,6 +33,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -121,11 +125,35 @@ class IoBackend {
   virtual size_t pending() const = 0;
 };
 
-// Production backend: one reactor thread multiplexing every parked op over
-// poll(2), woken through a self-pipe on submit/cancel/shutdown, with sleep
-// and timeout deadlines kept in the same table. fd errors (POLLERR/POLLHUP/
-// POLLNVAL) complete as kReady — the re-dispatched syscall surfaces the
-// kernel's own answer (EOF, EPIPE, EBADF, ...).
+// The completion sink every backend delivers through, and the one place
+// the SetCompletionHandler contract lives: Deliver holds the sink's lock
+// across the handler, so Set(nullptr) returns only once a delivery in
+// flight has drained, and the old handler is never entered again. Backends
+// call Deliver outside their own op lock and never take that lock under
+// this one.
+class CompletionSink {
+ public:
+  void Set(IoBackend::CompletionFn fn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fn_ = std::move(fn);
+  }
+  void Deliver(uint64_t cookie, const IoCompletion& completion) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (fn_) {
+      fn_(cookie, completion);
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  IoBackend::CompletionFn fn_;
+};
+
+// Production backend: one reactor thread multiplexing every parked op's
+// members over one poll(2) table, woken through a self-pipe on submit/
+// cancel/shutdown, with every op's deadline kept next to it. fd errors
+// (POLLERR/POLLHUP/POLLNVAL) complete as kReady — the re-dispatched syscall
+// surfaces the kernel's own answer (EOF, EPIPE, EBADF, ...).
 class IoReactor : public IoBackend {
  public:
   IoReactor();
@@ -144,6 +172,12 @@ class IoReactor : public IoBackend {
   // backend's own). Call before the first Submit.
   void SetTelemetry(Telemetry* tel) { tm_.Wire(tel); }
 
+  // The loop's poll(2) timeout, in ms, to wake by `deadline` (absolute on
+  // `now`'s clock; -1 = none, wait forever): rounded up so the loop never
+  // spins on a sub-millisecond remainder, and clamped to INT_MAX, which is
+  // safe because the loop recomputes it whenever it wakes.
+  static int PollTimeoutMillis(int64_t deadline, int64_t now);
+
  private:
   struct Op {
     wali::IoOp op;
@@ -152,13 +186,8 @@ class IoReactor : public IoBackend {
 
   void Loop();
   void Wake();
-  void Deliver(uint64_t cookie, const IoCompletion& completion);
 
-  // Guards complete_ and is held across every handler invocation, so
-  // SetCompletionHandler(nullptr) cannot return mid-delivery. Never taken
-  // while holding mu_ (and vice versa).
-  std::mutex deliver_mu_;
-  CompletionFn complete_;
+  CompletionSink sink_;
   mutable std::mutex mu_;
   std::map<uint64_t, Op> ops_;
   int wake_fds_[2] = {-1, -1};  // [0] read end polled by the loop
@@ -178,8 +207,8 @@ class FakeIoBackend : public IoBackend {
   int64_t NowNanos() const override;
   size_t pending() const override;
 
-  // Moves the manual clock and synchronously delivers every sleep/timeout
-  // completion that became due, in (deadline, cookie) order.
+  // Moves the manual clock and synchronously delivers every timeout that
+  // became due, in (deadline, submission) order.
   void AdvanceTo(int64_t now_nanos);
   void AdvanceBy(int64_t delta_nanos) { AdvanceTo(NowNanos() + delta_nanos); }
 
@@ -211,10 +240,7 @@ class FakeIoBackend : public IoBackend {
     uint64_t seq = 0;  // submission order
   };
 
-  void Deliver(uint64_t cookie, const IoCompletion& completion);
-
-  std::mutex deliver_mu_;  // same contract as IoReactor::deliver_mu_
-  CompletionFn complete_;
+  CompletionSink sink_;
   mutable std::mutex mu_;
   std::map<uint64_t, Op> ops_;
   int64_t now_nanos_ = 0;

@@ -88,18 +88,16 @@ bool IoUringAvailable() {
 #endif
 }
 
-// All mutable backend state. Lock order matches IoReactor: deliver_mu_ and
-// mu_ are never held together; completions are delivered outside mu_,
-// under deliver_mu_.
+// All mutable backend state. Completions are delivered through sink_,
+// outside mu_, as in IoReactor.
 struct IoUringBackend::Impl {
   // One parked op. `tags` are the ring user_data values registered for it
-  // (a kPollSet fans out to one POLL_ADD per member plus an optional
-  // timeout); the first relevant CQE wins and every remaining tag is
-  // cancelled + ignored. `ts` must stay address-stable until the kernel
-  // consumes the SQE pointing at it, so records are heap-allocated
-  // (unique_ptr in ops_) — retiring one moves only the pointer, never the
-  // record — and `retired_` keeps them alive until the loop thread has
-  // submitted every pushed SQE.
+  // (one POLL_ADD per member plus a TIMEOUT when the op has a timeout); the
+  // first CQE wins and every remaining tag is cancelled + ignored. `ts`
+  // must stay address-stable until the kernel consumes the SQE pointing at
+  // it, so records are heap-allocated (unique_ptr in ops_) — retiring one
+  // moves only the pointer, never the record — and `retired_` keeps them
+  // alive until the loop thread has submitted every pushed SQE.
   struct OpRec {
     wali::IoOp op;
     std::vector<std::pair<uint64_t, bool>> tags;  // (tag, is_timer)
@@ -117,8 +115,7 @@ struct IoUringBackend::Impl {
     bool is_timer = false;
   };
 
-  std::mutex deliver_mu_;
-  IoBackend::CompletionFn complete_;
+  CompletionSink sink_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  // fallback mode's wakeup
@@ -182,13 +179,6 @@ struct IoUringBackend::Impl {
     c_sqes_->Add(static_cast<uint64_t>(sqes));
   }
 
-  void Deliver(uint64_t cookie, const IoCompletion& completion) {
-    std::lock_guard<std::mutex> lock(deliver_mu_);
-    if (complete_) {
-      complete_(cookie, completion);
-    }
-  }
-
   void Wake() {
 #if defined(HOST_IO_URING)
     if (event_fd_ >= 0 && !ring_dead_.load(std::memory_order_acquire)) {
@@ -228,7 +218,7 @@ struct IoUringBackend::Impl {
       ops_.erase(it);
       lock.unlock();
       tm_.OnComplete();
-      Deliver(cookie, IoCompletion::Error(-ENOSYS));
+      sink_.Deliver(cookie, IoCompletion::Error(-ENOSYS));
       lock.lock();
     }
   }
@@ -404,89 +394,36 @@ struct IoUringBackend::Impl {
     PushSqe(s, to_submit, due);
   }
 
-  // Registers one op's SQEs (or completes it immediately for ring-less
-  // kinds). mu_ held; immediate completions go to `due` for delivery after
-  // unlock.
+  // Registers one op's SQEs: a POLL_ADD per member (negative fds are
+  // skipped, as poll(2) does) plus a standalone TIMEOUT when the op has a
+  // timeout. The first CQE completes the op and RetireOp cancels the rest.
+  // mu_ held.
   void BuildSqes(uint64_t cookie, OpRec* rec, unsigned* to_submit,
                  std::vector<Due>* due) {
-    using K = wali::IoOp::Kind;
     rec->submitted = true;
     const wali::IoOp& op = rec->op;
-    switch (op.kind) {
-      case K::kScripted:
-        due->push_back({cookie, IoCompletion::Result(op.scripted_result)});
-        ops_.erase(cookie);
-        return;
-      case K::kSleep: {
-        rec->ts = ToKernelTs(std::max<int64_t>(op.sleep_nanos, 0));
-        struct io_uring_sqe s;
-        memset(&s, 0, sizeof(s));
-        s.opcode = IORING_OP_TIMEOUT;
-        s.fd = -1;
-        s.addr = reinterpret_cast<uintptr_t>(&rec->ts);
-        s.len = 1;
-        s.user_data = NewTag(cookie, /*is_timer=*/true, rec);
-        PushSqe(s, to_submit, due);
-        return;
+    for (const wali::IoOp::PollFd& m : op.poll_fds) {
+      if (m.fd < 0) {
+        continue;
       }
-      case K::kReadable:
-      case K::kWritable: {
-        struct io_uring_sqe s;
-        memset(&s, 0, sizeof(s));
-        s.opcode = IORING_OP_POLL_ADD;
-        s.fd = op.fd;
-        s.poll_events = op.kind == K::kReadable ? POLLIN : POLLOUT;
-        s.user_data = NewTag(cookie, /*is_timer=*/false, rec);
-        if (op.timeout_nanos >= 0) {
-          s.flags |= IOSQE_IO_LINK;
-          PushSqe(s, to_submit, due);
-          rec->ts = ToKernelTs(op.timeout_nanos);
-          struct io_uring_sqe lt;
-          memset(&lt, 0, sizeof(lt));
-          lt.opcode = IORING_OP_LINK_TIMEOUT;
-          lt.fd = -1;
-          lt.addr = reinterpret_cast<uintptr_t>(&rec->ts);
-          lt.len = 1;
-          lt.user_data = NewTag(cookie, /*is_timer=*/true, rec);
-          PushSqe(lt, to_submit, due);
-        } else {
-          PushSqe(s, to_submit, due);
-        }
-        return;
-      }
-      case K::kPollSet: {
-        for (const wali::IoOp::PollFd& m : op.poll_fds) {
-          if (m.fd < 0) {
-            continue;  // poll(2): negative fds are ignored
-          }
-          struct io_uring_sqe s;
-          memset(&s, 0, sizeof(s));
-          s.opcode = IORING_OP_POLL_ADD;
-          s.fd = m.fd;
-          s.poll_events = static_cast<unsigned short>(m.events);
-          s.user_data = NewTag(cookie, /*is_timer=*/false, rec);
-          PushSqe(s, to_submit, due);
-        }
-        if (op.timeout_nanos >= 0) {
-          // Standalone (not linked): the first poll member to fire cancels
-          // it via TIMEOUT_REMOVE in the CQE path.
-          rec->ts = ToKernelTs(op.timeout_nanos);
-          struct io_uring_sqe s;
-          memset(&s, 0, sizeof(s));
-          s.opcode = IORING_OP_TIMEOUT;
-          s.fd = -1;
-          s.addr = reinterpret_cast<uintptr_t>(&rec->ts);
-          s.len = 1;
-          s.user_data = NewTag(cookie, /*is_timer=*/true, rec);
-          PushSqe(s, to_submit, due);
-        }
-        return;
-      }
-      case K::kNone:
-      default:
-        due->push_back({cookie, IoCompletion::Error(-EINVAL)});
-        ops_.erase(cookie);
-        return;
+      struct io_uring_sqe s;
+      memset(&s, 0, sizeof(s));
+      s.opcode = IORING_OP_POLL_ADD;
+      s.fd = m.fd;
+      s.poll_events = static_cast<unsigned short>(m.events);
+      s.user_data = NewTag(cookie, /*is_timer=*/false, rec);
+      PushSqe(s, to_submit, due);
+    }
+    if (op.timeout_nanos >= 0) {
+      rec->ts = ToKernelTs(op.timeout_nanos);
+      struct io_uring_sqe s;
+      memset(&s, 0, sizeof(s));
+      s.opcode = IORING_OP_TIMEOUT;  // off = 0: a pure timer
+      s.fd = -1;
+      s.addr = reinterpret_cast<uintptr_t>(&rec->ts);
+      s.len = 1;
+      s.user_data = NewTag(cookie, /*is_timer=*/true, rec);
+      PushSqe(s, to_submit, due);
     }
   }
 
@@ -506,11 +443,12 @@ struct IoUringBackend::Impl {
   }
 
   // Processes one op CQE. Returns true (and fills *out) when the op
-  // completed; false when the CQE is a loser/ignored one. mu_ held.
+  // completed; false for a stale CQE (its op already completed or was
+  // cancelled, which drops every tag first). mu_ held.
   bool OnOpCqe(uint64_t tag, int32_t res, Due* out) {
     auto tit = tag_map_.find(tag);
     if (tit == tag_map_.end()) {
-      return false;  // op already completed/cancelled; stale CQE
+      return false;
     }
     const TagInfo info = tit->second;
     auto oit = ops_.find(info.cookie);
@@ -518,58 +456,20 @@ struct IoUringBackend::Impl {
       tag_map_.erase(tit);  // defensive: should not happen
       return false;
     }
-    if (info.is_timer) {
-      if (res == -ECANCELED) {
-        // The linked/standalone timer was killed because its op completed
-        // (or is being cancelled); not a completion by itself.
-        tag_map_.erase(tit);
-        auto& tags = oit->second->tags;
-        tags.erase(std::remove_if(tags.begin(), tags.end(),
-                                  [tag](const std::pair<uint64_t, bool>& t) {
-                                    return t.first == tag;
-                                  }),
-                   tags.end());
-        if (tags.empty()) {
-          // Nothing left in the kernel can ever complete this op; surface
-          // the cancellation rather than wedging the park forever.
-          out->cookie = info.cookie;
-          out->completion = IoCompletion::Error(-ECANCELED);
-          retired_.push_back(std::move(oit->second));
-          ops_.erase(oit);
-          return true;
-        }
-        return false;
-      }
-      // -ETIME (expiry) or 0: the op's timeout elapsed.
-      out->cookie = info.cookie;
-      out->completion = IoCompletion::TimedOut();
-      RetireOp(oit, tag);
-      return true;
-    }
-    if (res == -ECANCELED) {
-      // Poll leg cancelled by its linked timeout; the timer CQE carries the
-      // completion.
-      tag_map_.erase(tit);
-      auto& tags = oit->second->tags;
-      tags.erase(std::remove_if(tags.begin(), tags.end(),
-                                [tag](const std::pair<uint64_t, bool>& t) {
-                                  return t.first == tag;
-                                }),
-                 tags.end());
-      if (tags.empty()) {
-        out->cookie = info.cookie;
-        out->completion = IoCompletion::Error(-ECANCELED);
-        retired_.push_back(std::move(oit->second));
-        ops_.erase(oit);
-        return true;
-      }
-      return false;
-    }
-    // res >= 0: revents mask — readiness. res < 0 (e.g. -EBADF on a closed
-    // fd, the POLLNVAL analogue): also complete kReady, so the retry
-    // re-issues the syscall and the kernel reports the truth.
     out->cookie = info.cookie;
-    out->completion = IoCompletion::Ready();
+    if (res == -ECANCELED) {
+      // The kernel dropped a live registration: the op can no longer become
+      // ready, and kReady would re-dispatch a syscall that blocks its
+      // worker.
+      out->completion = IoCompletion::Error(-ECANCELED);
+    } else if (info.is_timer) {
+      out->completion = IoCompletion::TimedOut();  // -ETIME: it expired
+    } else {
+      // res >= 0: revents mask — readiness. res < 0 (e.g. -EBADF on a
+      // closed fd, the POLLNVAL analogue): also kReady, so the retry
+      // re-issues the syscall and the kernel reports the truth.
+      out->completion = IoCompletion::Ready();
+    }
     RetireOp(oit, tag);
     return true;
   }
@@ -631,8 +531,9 @@ struct IoUringBackend::Impl {
           BuildSqes(cookie, it->second.get(), &to_submit, &due);
         }
         if (!due.empty() && to_submit > 0) {
-          // Immediate completions pending: flush without blocking so they
-          // are delivered now; the next iteration blocks as usual.
+          // Completions were reaped while a full SQ flushed mid-batch:
+          // submit the rest without blocking so they are delivered now; the
+          // next iteration blocks as usual.
           FlushSubmissions(&to_submit, &due);
         }
         if (ring_dead_.load(std::memory_order_relaxed)) {
@@ -652,7 +553,7 @@ struct IoUringBackend::Impl {
       if (ring_dead_.load(std::memory_order_relaxed)) {
         for (const Due& d : due) {
           tm_.OnComplete();
-          Deliver(d.cookie, d.completion);
+          sink_.Deliver(d.cookie, d.completion);
         }
         due.clear();
         // Serve the rest of this backend's life as if io_uring were absent:
@@ -691,7 +592,7 @@ struct IoUringBackend::Impl {
       }
       for (const Due& d : due) {
         tm_.OnComplete();
-        Deliver(d.cookie, d.completion);
+        sink_.Deliver(d.cookie, d.completion);
       }
       due.clear();
     }
@@ -729,15 +630,14 @@ IoUringBackend::~IoUringBackend() {
 }
 
 void IoUringBackend::SetCompletionHandler(CompletionFn fn) {
-  std::lock_guard<std::mutex> lock(impl_->deliver_mu_);
-  impl_->complete_ = std::move(fn);
+  impl_->sink_.Set(std::move(fn));
 }
 
 void IoUringBackend::Submit(uint64_t cookie, const wali::IoOp& op) {
+  auto rec = std::make_unique<Impl::OpRec>();
+  rec->op = op;  // allocates: outside mu_, which the loop thread contends
   {
     std::lock_guard<std::mutex> lock(impl_->mu_);
-    auto rec = std::make_unique<Impl::OpRec>();
-    rec->op = op;
     impl_->ops_[cookie] = std::move(rec);
     impl_->submit_queue_.push_back(cookie);
   }

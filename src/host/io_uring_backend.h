@@ -1,14 +1,15 @@
 // IoUringBackend: the io_uring production backend behind the IoBackend seam.
 //
 // Where IoReactor rebuilds a full poll(2) table on every wakeup, this
-// backend registers each parked op with the kernel once — POLL_ADD for fd
-// readiness (with IORING_OP_LINK_TIMEOUT linked for per-op timeouts),
-// IORING_OP_TIMEOUT for sleeps and poll-set deadlines — and then blocks in
-// a single io_uring_enter per wakeup that both submits the batch of SQEs
-// coalesced since the last wakeup and waits for the next CQE. Cancellation
-// goes through IORING_OP_ASYNC_CANCEL / IORING_OP_TIMEOUT_REMOVE with the
-// seam's existing semantics: Cancel returns false exactly when the
-// completion was already delivered and the caller must absorb the orphan.
+// backend registers each parked op with the kernel once — one POLL_ADD per
+// member of its fd set, plus one standalone IORING_OP_TIMEOUT when it has a
+// timeout (a sleep is that timer alone); the first CQE wins — and then
+// blocks in a single io_uring_enter per wakeup that both submits the batch
+// of SQEs coalesced since the last wakeup and waits for the next CQE.
+// Cancellation (of a losing registration or of a whole op) goes through
+// IORING_OP_ASYNC_CANCEL / IORING_OP_TIMEOUT_REMOVE with the seam's
+// semantics: Cancel returns false exactly when the completion was already
+// delivered and the caller must absorb the orphan.
 //
 // Build gating: the HOST_IO_URING CMake option (default ON where
 // <linux/io_uring.h> exists) compiles the ring code in. Without it — or on

@@ -582,12 +582,7 @@ void Supervisor::ParkRun(RunState st) {
                       "shed: deadline expired entering a blocking syscall");
       return;
     }
-    if (op.kind == wali::IoOp::Kind::kSleep) {
-      if (remaining < op.sleep_nanos) {
-        op.sleep_nanos = remaining;
-        st.timeout_is_shed = true;
-      }
-    } else if (op.timeout_nanos < 0 || remaining < op.timeout_nanos) {
+    if (op.timeout_nanos < 0 || remaining < op.timeout_nanos) {
       op.timeout_nanos = remaining;
       st.timeout_is_shed = true;
     }

@@ -127,9 +127,6 @@ class ParkWaiter {
   }
 
   host::IoCompletion Wait(const wali::IoOp& op) {
-    if (op.kind == wali::IoOp::Kind::kScripted) {
-      return host::IoCompletion::Ready();  // the op carries its own answer
-    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       ready_ = false;

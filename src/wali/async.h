@@ -2,8 +2,9 @@
 //
 // A blocking-capable syscall handler that can offload does not block its
 // worker thread: it files a PendingIo on the process with WaliCtx::Park —
-// a readiness class (IoOp) the host's completion loop can wait on without
-// knowing anything about WALI or guest memory — and the dispatch wrapper
+// its wait as one poll(2) call would spell it (IoOp: an fd set plus a
+// timeout), which the host's completion loop can wait on without knowing
+// anything about WALI or guest memory — and the dispatch wrapper
 // records which syscall parked and its six guest arguments next to it, then
 // unwinds the interpreter with wasm::TrapKind::kSyscallPending. The park is
 // plain data: nothing in it points into the process or a host thread. The
@@ -21,89 +22,74 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
+#include <initializer_list>
 
 namespace wali {
 
-// One offloadable blocking operation, as a readiness class. The completion
-// loop only ever needs "this fd is readable/writable" or "this much time
-// elapsed" — the syscall itself is re-dispatched at resume once the op is
-// ready, so completion loops never touch guest state.
+// One offloadable blocking operation: the arguments of one poll(2) call.
+// The completion loop waits until any member of `poll_fds` is ready or
+// `timeout_nanos` elapses, and a sleep is a poll with no members. Every
+// backend handles this one shape; the syscall itself is re-dispatched at
+// resume once the op is ready, so completion loops never touch guest state.
 struct IoOp {
-  enum class Kind : uint8_t {
-    kNone = 0,
-    kSleep,     // elapse `sleep_nanos` on the backend's clock
-    kReadable,  // wait until `fd` is readable (or error/hup: the syscall decides)
-    kWritable,  // wait until `fd` is writable
-    // The syscall already completed and `scripted_result` is its answer;
-    // the completion loop resumes with it immediately and nothing is
-    // re-dispatched. Filed only by the park hook
-    // WaliProcess::park_after_syscalls for deterministic park-anywhere
-    // testing (tests/wasm_snapshot_test.cc).
-    kScripted,
-    // Wait until ANY entry of `poll_fds` has readiness matching its events
-    // mask (poll(2) semantics: error/hup/nval always count, negative fds
-    // are skipped). This is the multi-fd AND dual-interest (POLLIN|POLLOUT)
-    // op class: the re-dispatched poll runs with timeout 0 to materialize
-    // revents. Ordered after kScripted so serialized kind values never
-    // shift.
-    kPollSet,
-  };
-
-  // Most members a kPollSet carries: completion loops register one waiter
-  // per member, so a guest-sized set must not turn into unbounded kernel
+  // Most members a set carries: completion loops register one waiter per
+  // member, so a guest-sized set must not turn into unbounded kernel
   // registrations (larger polls take the blocking path).
   static constexpr size_t kMaxPollFds = 64;
 
-  // One member of a kPollSet: the fd and its requested events mask, exactly
-  // as in struct pollfd (revents are materialized at resume, never here).
+  // One member: the fd and its requested events mask, exactly as in struct
+  // pollfd (revents are materialized at resume, never here).
   struct PollFd {
     int fd = -1;
     short events = 0;
   };
 
-  Kind kind = Kind::kNone;
-  int fd = -1;              // kReadable / kWritable
-  int64_t sleep_nanos = 0;  // kSleep: relative duration
-  // kReadable/kWritable/kPollSet: the op's own timeout (poll(2) semantics),
-  // relative; < 0 means wait forever. On expiry the op completes kTimedOut
-  // and the re-dispatched syscall (e.g. poll with timeout 0) yields the
-  // syscall's timeout answer.
-  int64_t timeout_nanos = -1;
-  int64_t scripted_result = 0;  // kScripted: the syscall's known result
-  std::vector<PollFd> poll_fds;  // kPollSet: the interest set
+  // At most kMaxPollFds members, stored inline: an op is copied at every
+  // park (the supervisor's deadline fold, the backend's record), and a
+  // heap-backed set, allocated on one thread and freed on another, cost
+  // the fd-park path measurable CPU per request.
+  class PollFds {
+   public:
+    PollFds() = default;
+    PollFds(std::initializer_list<PollFd> fds) {
+      for (const PollFd& m : fds) push_back(m);
+    }
+    // Callers bound the set by kMaxPollFds first; a member past it is
+    // dropped rather than written out of bounds.
+    void push_back(const PollFd& m) {
+      if (size_ < kMaxPollFds) fds_[size_++] = m;
+    }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const PollFd& operator[](size_t i) const { return fds_[i]; }
+    const PollFd* begin() const { return fds_; }
+    const PollFd* end() const { return fds_ + size_; }
 
+   private:
+    PollFd fds_[kMaxPollFds];
+    size_t size_ = 0;
+  };
+
+  // Ready when ANY member's readiness matches its events mask (poll(2)
+  // semantics: error/hup/nval always count, negative fds are skipped, so an
+  // all-negative or empty set is a pure timer).
+  PollFds poll_fds;
+  // Relative; < 0 means wait forever. On expiry the op completes kTimedOut
+  // and the re-dispatched syscall (a sleep, or poll with timeout 0) yields
+  // the syscall's timeout answer.
+  int64_t timeout_nanos = -1;
+
+  // A pure timer. A negative duration waits 0, never forever.
   static IoOp Sleep(int64_t nanos) {
     IoOp op;
-    op.kind = Kind::kSleep;
-    op.sleep_nanos = nanos;
+    op.timeout_nanos = nanos < 0 ? 0 : nanos;
     return op;
   }
-  static IoOp Readable(int fd, int64_t timeout_nanos = -1) {
+  // The fd gates' wait: one member, no timeout.
+  static IoOp Fd(int fd, short events) { return PollSet({{fd, events}}); }
+  static IoOp PollSet(const PollFds& fds, int64_t timeout_nanos = -1) {
     IoOp op;
-    op.kind = Kind::kReadable;
-    op.fd = fd;
-    op.timeout_nanos = timeout_nanos;
-    return op;
-  }
-  static IoOp Writable(int fd, int64_t timeout_nanos = -1) {
-    IoOp op;
-    op.kind = Kind::kWritable;
-    op.fd = fd;
-    op.timeout_nanos = timeout_nanos;
-    return op;
-  }
-  static IoOp Scripted(int64_t result) {
-    IoOp op;
-    op.kind = Kind::kScripted;
-    op.scripted_result = result;
-    return op;
-  }
-  static IoOp PollSet(std::vector<PollFd> fds, int64_t timeout_nanos = -1) {
-    IoOp op;
-    op.kind = Kind::kPollSet;
-    op.poll_fds = std::move(fds);
+    op.poll_fds = fds;
     op.timeout_nanos = timeout_nanos;
     return op;
   }
@@ -114,7 +100,7 @@ struct IoOp {
 // the parked syscall from.
 struct IoCompletion {
   enum class Status : uint8_t {
-    kReady = 0,  // the readiness class was satisfied
+    kReady = 0,  // a member of the set became ready
     kTimedOut,   // the op's own timeout (or a sleep's duration) elapsed
     kError,      // the backend cannot wait on this op; value = -errno
   };
@@ -162,6 +148,12 @@ struct PendingIo {
   // trailing slots are zero), re-dispatched at resume.
   uint32_t syscall_id = 0;
   uint64_t args[6] = {};
+  // The syscall already completed and `scripted_result` is its answer:
+  // resume uses it and re-dispatches nothing. Set only by the park hook
+  // WaliProcess::park_after_syscalls for deterministic park-anywhere
+  // testing (tests/wasm_snapshot_test.cc), whose op is Sleep(0).
+  bool scripted = false;
+  int64_t scripted_result = 0;
 
   void Reset() { *this = PendingIo(); }
 };

@@ -152,9 +152,9 @@ class WaliProcess {
 
   // Deterministic park hook (snapshot round-trip harness): when nonzero,
   // the syscall dispatch wrapper parks the main run at every Nth dispatch
-  // with the handler's already-computed result as an IoOp::Scripted
-  // completion. Resuming with that result is bit-identical to never having
-  // parked — the handler ran to completion before the park — which lets
+  // with the handler's already-computed result scripted on the PendingIo.
+  // Resuming with that result is bit-identical to never having parked —
+  // the handler ran to completion before the park — which lets
   // tests park ANY workload mid-run at a boundary where the interpreter
   // state is in its canonical spilled form. Main-run only (no lock needed,
   // same discipline as pending_io); cleared on slot recycling.

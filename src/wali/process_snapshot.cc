@@ -11,11 +11,10 @@ namespace {
 // WALI host-blob layout (carried opaquely inside the wasm snapshot; the
 // outer header's version/checksum cover it, so no inner version field):
 //   cont      start_instrs u64, entry_is_main u8
-//   pending   kind u8 (never kNone: a snapshot is always taken at a park),
-//             fd u32, sleep_nanos u64, timeout_nanos u64, scripted_result
-//             u64, syscall id u32, 6 x arg u64, poll-set count u32
-//             (<= IoOp::kMaxPollFds, nonzero only for kPollSet), then per
-//             member fd u32, events u32
+//   pending   scripted u8 (0 or 1), scripted_result u64, syscall id u32,
+//             6 x arg u64, then the wait as poll(2) takes it: timeout_nanos
+//             u64, member count u32 (<= IoOp::kMaxPollFds), then per member
+//             fd u32, events u32
 //   fds       count u32, then count i32 host fds
 //   signals   virtual_mask u64, entry count u32, per entry: signo u8,
 //             handler u32, flags u32, mask u64, registered u8
@@ -34,13 +33,11 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
   w.U8(cont.entry_is_main ? 1 : 0);
 
   const PendingIo& pio = proc.pending_io;
-  w.U8(static_cast<uint8_t>(pio.op.kind));
-  w.U32(static_cast<uint32_t>(pio.op.fd));
-  w.U64(static_cast<uint64_t>(pio.op.sleep_nanos));
-  w.U64(static_cast<uint64_t>(pio.op.timeout_nanos));
-  w.U64(static_cast<uint64_t>(pio.op.scripted_result));
+  w.U8(pio.scripted ? 1 : 0);
+  w.U64(static_cast<uint64_t>(pio.scripted_result));
   w.U32(pio.syscall_id);
   for (uint64_t arg : pio.args) w.U64(arg);
+  w.U64(static_cast<uint64_t>(pio.op.timeout_nanos));
   w.U32(static_cast<uint32_t>(pio.op.poll_fds.size()));
   for (const IoOp::PollFd& m : pio.op.poll_fds) {
     w.U32(static_cast<uint32_t>(m.fd));
@@ -118,50 +115,38 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
 
   PendingIo pending;
   pending.armed = true;
-  uint8_t kind = 0;
-  uint32_t fd = 0;
-  uint64_t sleep_nanos = 0;
-  uint64_t timeout_nanos = 0;
+  uint8_t scripted = 0;
   uint64_t scripted_result = 0;
+  uint64_t timeout_nanos = 0;
   uint32_t poll_count = 0;
-  RETURN_IF_ERROR(r.U8(&kind));
-  RETURN_IF_ERROR(r.U32(&fd));
-  RETURN_IF_ERROR(r.U64(&sleep_nanos));
-  RETURN_IF_ERROR(r.U64(&timeout_nanos));
+  RETURN_IF_ERROR(r.U8(&scripted));
   RETURN_IF_ERROR(r.U64(&scripted_result));
   RETURN_IF_ERROR(r.U32(&pending.syscall_id));
   for (uint64_t& arg : pending.args) RETURN_IF_ERROR(r.U64(&arg));
+  RETURN_IF_ERROR(r.U64(&timeout_nanos));
   RETURN_IF_ERROR(r.U32(&poll_count));
-  if (kind == static_cast<uint8_t>(IoOp::Kind::kNone) ||
-      kind > static_cast<uint8_t>(IoOp::Kind::kPollSet)) {
-    return common::InvalidArgument("snapshot: bad pending io kind");
+  if (scripted > 1) {
+    return common::InvalidArgument("snapshot: bad scripted flag");
   }
-  pending.op.kind = static_cast<IoOp::Kind>(kind);
+  pending.scripted = scripted != 0;
   // Resume re-dispatches the parked handler past the policy and budget
   // checks that already ran at park time, so only a handler that can park
-  // may be named; a scripted park is answered from the op and never re-run.
-  if (pending.op.kind != IoOp::Kind::kScripted &&
-      !proc.runtime->CanPark(pending.syscall_id)) {
+  // may be named; a scripted park is answered from its result, never re-run.
+  if (!pending.scripted && !proc.runtime->CanPark(pending.syscall_id)) {
     return common::InvalidArgument("snapshot: pending syscall cannot park");
   }
   if (poll_count > IoOp::kMaxPollFds) {
     return common::InvalidArgument("snapshot: poll set too large");
   }
-  if (poll_count != 0 && pending.op.kind != IoOp::Kind::kPollSet) {
-    return common::InvalidArgument("snapshot: poll set on a non-poll op");
-  }
-  pending.op.fd = static_cast<int>(fd);
-  pending.op.sleep_nanos = static_cast<int64_t>(sleep_nanos);
+  pending.scripted_result = static_cast<int64_t>(scripted_result);
   pending.op.timeout_nanos = static_cast<int64_t>(timeout_nanos);
-  pending.op.scripted_result = static_cast<int64_t>(scripted_result);
-  pending.op.poll_fds.resize(poll_count);
-  for (IoOp::PollFd& m : pending.op.poll_fds) {
+  for (uint32_t i = 0; i < poll_count; ++i) {
     uint32_t member_fd = 0;
     uint32_t events = 0;
     RETURN_IF_ERROR(r.U32(&member_fd));
     RETURN_IF_ERROR(r.U32(&events));
-    m.fd = static_cast<int>(member_fd);
-    m.events = static_cast<short>(events);
+    pending.op.poll_fds.push_back(
+        {static_cast<int>(member_fd), static_cast<short>(events)});
   }
 
   uint32_t fd_count = 0;
@@ -323,9 +308,12 @@ common::Status RestoreProcess(const uint8_t* data, size_t size, WaliProcess& pro
     return common::FailedPrecondition("snapshot: process has no instance");
   }
   cont.Discard();
+  // The execution mode is the restoring runtime's, exactly as for a run it
+  // starts: a snapshot does not carry it.
   common::StatusOr<std::vector<uint8_t>> blob = wasm::RestoreSuspension(
       data, size, proc.main_instance.get(),
-      wasm::ModuleStructuralHash(*proc.module), &proc.exec_buffers, &cont.susp);
+      wasm::ModuleStructuralHash(*proc.module), proc.runtime->exec_options(),
+      &proc.exec_buffers, &cont.susp);
   if (!blob.ok()) {
     return blob.status();
   }

@@ -33,8 +33,9 @@ common::StatusOr<std::vector<uint8_t>> SnapshotProcess(
 // dispositions, trace counters, and budgets captured at snapshot time,
 // re-arms proc.pending_io with the park, and arms `cont` so
 // WaliRuntime::ResumeMain continues the run bit-identically once the
-// caller has waited out proc.pending_io.op. On error `cont` is left
-// disarmed.
+// caller has waited out proc.pending_io.op. The resumed run executes under
+// proc.runtime's dispatch loop and JIT tier, as a run it started would.
+// On error `cont` is left disarmed.
 common::Status RestoreProcess(const uint8_t* data, size_t size,
                               WaliProcess& proc,
                               WaliRuntime::MainContinuation& cont);

@@ -509,11 +509,13 @@ wasm::TrapKind WaliRuntime::Dispatch(wasm::ExecContext& ctx, uint32_t id,
     }
     // Deterministic park hook (snapshot round-trip harness): the handler
     // already completed and its fd effect is applied, so park with its
-    // result as a scripted completion; resuming with scripted_result is
-    // bit-identical to never having parked.
+    // result scripted on a wait any backend ends at once; resuming with
+    // scripted_result is bit-identical to never having parked.
     proc->syscalls_since_park = 0;
     pio.armed = true;
-    pio.op = IoOp::Scripted(ret);
+    pio.op = IoOp::Sleep(0);
+    pio.scripted = true;
+    pio.scripted_result = ret;
   }
   // Park at the WALI boundary: the handler filed a PendingIo instead of
   // blocking. Recording which syscall parked, with its arguments, is what
@@ -791,8 +793,8 @@ wasm::RunResult WaliRuntime::ResumeMain(WaliProcess& process,
   if (completion.has_value ||
       completion.status == IoCompletion::Status::kError) {
     ret = completion.value;
-  } else if (pio.op.kind == IoOp::Kind::kScripted) {
-    ret = pio.op.scripted_result;
+  } else if (pio.scripted) {
+    ret = pio.scripted_result;
   } else if (pio.armed && cont.armed()) {
     WaliCtx c{*cont.susp.ctx, process, *process.memory, *this,
               /*resumed=*/true};

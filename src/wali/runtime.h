@@ -168,7 +168,7 @@ class WaliRuntime {
   // Continues a parked main run once its op completed, finishing the
   // parked syscall first (process.pending_io): a completion that carries
   // the answer (a scripted result, or a backend kError's -errno) is the
-  // result as is, a kScripted park answers its scripted_result, and
+  // result as is, a scripted park answers its scripted_result, and
   // otherwise the parked handler is re-dispatched with WaliCtx::resumed
   // set — timed, fd-effected and logged like any dispatch, but not counted
   // or budget-checked a second time.

@@ -71,7 +71,7 @@ int64_t SysRead(WaliCtx& c, const int64_t* a) {
   if (buf == nullptr && a[2] != 0) return -EFAULT;
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.WouldBlock(fd, POLLIN)) {
-    c.Park(IoOp::Readable(fd));
+    c.Park(IoOp::Fd(fd, POLLIN));
     return 0;
   }
   return c.Raw(SYS_read, a[0], reinterpret_cast<long>(buf), a[2]);
@@ -82,7 +82,7 @@ int64_t SysWrite(WaliCtx& c, const int64_t* a) {
   if (buf == nullptr && a[2] != 0) return -EFAULT;
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.WouldBlock(fd, POLLOUT)) {
-    c.Park(IoOp::Writable(fd));
+    c.Park(IoOp::Fd(fd, POLLOUT));
     return 0;
   }
   return c.Raw(SYS_write, a[0], reinterpret_cast<long>(buf), a[2]);
@@ -94,7 +94,7 @@ int64_t SysReadv(WaliCtx& c, const int64_t* a) {
   if (rc != 0) return rc;
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.WouldBlock(fd, POLLIN)) {
-    c.Park(IoOp::Readable(fd));
+    c.Park(IoOp::Fd(fd, POLLIN));
     return 0;
   }
   return c.Raw(SYS_readv, a[0], reinterpret_cast<long>(iov), a[2]);
@@ -106,7 +106,7 @@ int64_t SysWritev(WaliCtx& c, const int64_t* a) {
   if (rc != 0) return rc;
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.WouldBlock(fd, POLLOUT)) {
-    c.Park(IoOp::Writable(fd));
+    c.Park(IoOp::Fd(fd, POLLOUT));
     return 0;
   }
   return c.Raw(SYS_writev, a[0], reinterpret_cast<long>(iov), a[2]);

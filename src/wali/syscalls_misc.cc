@@ -69,7 +69,7 @@ int64_t SysFutex(WaliCtx& c, const int64_t* a) {
                uaddr2, a[5]);
 }
 
-// Parks a poll/ppoll on its full interest set: one kPollSet member per
+// Parks a poll/ppoll on its full interest set: one IoOp member per
 // guest pollfd entry, events passed through verbatim (the union of
 // requested interests — a POLLIN|POLLOUT waiter wakes on either class, and
 // error/hup/nval always count). Negative fds ride along as placeholders
@@ -79,14 +79,13 @@ int64_t SysFutex(WaliCtx& c, const int64_t* a) {
 // report 0 ready fds.
 void ParkPollSet(WaliCtx& c, const void* fds, uint64_t nfds,
                  int64_t timeout_nanos) {
-  std::vector<IoOp::PollFd> set;
-  set.reserve(nfds);
+  IoOp::PollFds set;
   for (uint64_t i = 0; i < nfds; ++i) {
     struct pollfd pfd;
     std::memcpy(&pfd, static_cast<const char*>(fds) + i * 8, sizeof(pfd));
     set.push_back(IoOp::PollFd{pfd.fd, pfd.events});
   }
-  c.Park(IoOp::PollSet(std::move(set), timeout_nanos));
+  c.Park(IoOp::PollSet(set, timeout_nanos));
 }
 
 // poll(2) itself: SYS_poll where the ISA has it, else ppoll.

@@ -72,7 +72,7 @@ int64_t AddrLenCall(WaliCtx& c, long nr, int64_t fd, int64_t addr, int64_t lenp,
 int64_t SysAccept(WaliCtx& c, const int64_t* a) {
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.WouldBlock(fd, POLLIN)) {
-    c.Park(IoOp::Readable(fd));
+    c.Park(IoOp::Fd(fd, POLLIN));
     return 0;
   }
   return AddrLenCall(c, SYS_accept, a[0], a[1], a[2]);
@@ -81,7 +81,7 @@ int64_t SysAccept(WaliCtx& c, const int64_t* a) {
 int64_t SysAccept4(WaliCtx& c, const int64_t* a) {
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.WouldBlock(fd, POLLIN)) {
-    c.Park(IoOp::Readable(fd));
+    c.Park(IoOp::Fd(fd, POLLIN));
     return 0;
   }
   return AddrLenCall(c, SYS_accept4, a[0], a[1], a[2], a[3], /*has_flags=*/true);
@@ -117,7 +117,7 @@ int64_t SysConnect(WaliCtx& c, const int64_t* a) {
       int64_t r = c.Raw(SYS_connect, fd, reinterpret_cast<long>(addr), a[2]);
       (void)c.Raw(SYS_fcntl, fd, F_SETFL, flags);
       if (r == -EINPROGRESS) {
-        c.Park(IoOp::Writable(fd));
+        c.Park(IoOp::Fd(fd, POLLOUT));
         return 0;
       }
       if (r != -EAGAIN) {

@@ -233,7 +233,6 @@ common::StatusOr<std::vector<uint8_t>> SnapshotSuspension(
   SnapshotWriter w;
   // Exec section.
   w.U8(static_cast<uint8_t>(ctx.opts.scheme));
-  w.U8(static_cast<uint8_t>(ctx.opts.dispatch));
   w.U32(ctx.opts.max_frames);
   w.U64(ctx.opts.max_value_stack);
   w.U64(ctx.opts.fuel);
@@ -323,7 +322,7 @@ common::StatusOr<std::vector<uint8_t>> SnapshotSuspension(
 
 common::StatusOr<std::vector<uint8_t>> RestoreSuspension(
     const uint8_t* data, size_t size, Instance* inst, uint64_t module_hash,
-    ExecBuffers* buffers, Suspension* out) {
+    const ExecOptions& mode, ExecBuffers* buffers, Suspension* out) {
   if (inst == nullptr || out == nullptr) {
     return common::InvalidArgument("snapshot: null instance or suspension slot");
   }
@@ -348,7 +347,6 @@ common::StatusOr<std::vector<uint8_t>> RestoreSuspension(
 
   // Exec section.
   uint8_t scheme = 0;
-  uint8_t dispatch = 0;
   uint32_t max_frames = 0;
   uint64_t max_value_stack = 0;
   uint64_t fuel = 0;
@@ -357,7 +355,6 @@ common::StatusOr<std::vector<uint8_t>> RestoreSuspension(
   uint32_t pending_results = 0;
   uint32_t entry_type_index = 0;
   RETURN_IF_ERROR(r.U8(&scheme));
-  RETURN_IF_ERROR(r.U8(&dispatch));
   RETURN_IF_ERROR(r.U32(&max_frames));
   RETURN_IF_ERROR(r.U64(&max_value_stack));
   RETURN_IF_ERROR(r.U64(&fuel));
@@ -367,9 +364,6 @@ common::StatusOr<std::vector<uint8_t>> RestoreSuspension(
   RETURN_IF_ERROR(r.U32(&entry_type_index));
   if (scheme > static_cast<uint8_t>(SafepointScheme::kEveryInstr)) {
     return Corrupt("bad safepoint scheme");
-  }
-  if (dispatch > static_cast<uint8_t>(DispatchMode::kThreaded)) {
-    return Corrupt("bad dispatch mode");
   }
   if (pending_results > kMaxHostResults) return Corrupt("pending results too large");
   if (entry_type_index >= m.types.size()) return Corrupt("entry type out of range");
@@ -506,10 +500,12 @@ common::StatusOr<std::vector<uint8_t>> RestoreSuspension(
   ExecContext& ctx = *ctxp;
   ctx.root = inst;
   ctx.opts.scheme = static_cast<SafepointScheme>(scheme);
-  ctx.opts.dispatch = static_cast<DispatchMode>(dispatch);
   ctx.opts.max_frames = max_frames;
   ctx.opts.max_value_stack = max_value_stack;
   ctx.opts.fuel = fuel;
+  ctx.opts.dispatch = mode.dispatch;
+  ctx.opts.jit = mode.jit;
+  ctx.opts.jit_threshold = mode.jit_threshold;
   ctx.opts.buffers = buffers;
   ctx.opts.suspend_to = out;  // the resumed run may park again
   ctx.opts.profile = false;   // attribution windows are not captured

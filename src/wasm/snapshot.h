@@ -11,9 +11,9 @@
 //   header   magic u32 ('WSNP'), version u32, payload checksum u64
 //            (FNV-1a over every byte after the header), module hash u64
 //            (caller-provided; see ModuleStructuralHash)
-//   exec     scheme u8, dispatch u8, max_frames u32, max_value_stack u64,
-//            fuel u64, executed u64, exit_code u32, pending_results u32,
-//            entry type index u32 (into Module::types)
+//   exec     scheme u8, max_frames u32, max_value_stack u64, fuel u64,
+//            executed u64, exit_code u32, pending_results u32, entry type
+//            index u32 (into Module::types)
 //   stack    count u64, then count raw u64 slots
 //   frames   count u32, per frame: local function index u32, pc u32,
 //            locals_base u32, stack_base u32, prepared-stream flag u8
@@ -32,8 +32,8 @@
 //
 // Deliberately NOT captured: host fds' kernel state (only the wali layer's
 // fd table rides in the host blob; the fds stay open while a run is
-// evicted), guest threads, signal handlers mid-flight, and in-flight
-// profile attribution windows.
+// evicted), guest threads, signal handlers mid-flight, in-flight profile
+// attribution windows, and the execution mode (the restoring host's choice).
 #ifndef SRC_WASM_SNAPSHOT_H_
 #define SRC_WASM_SNAPSHOT_H_
 
@@ -46,7 +46,7 @@
 namespace wasm {
 
 inline constexpr uint32_t kSnapshotMagic = 0x504e5357;  // "WSNP" LE
-inline constexpr uint32_t kSnapshotVersion = 2;
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 // Bounds-checked little-endian cursor primitives, shared with the wali
 // layer's host-blob encoding (src/wali/process_snapshot.cc). The writer
@@ -104,13 +104,17 @@ common::StatusOr<std::vector<uint8_t>> SnapshotSuspension(
 // hash-matched module (data segments applied, globals at initial values):
 // globals are overwritten, memory is grown to the snapshot size with the
 // delta pages applied, and `out` is armed with an ExecContext that
-// ResumeInvoke accepts. `buffers` (may be null) becomes the context's
-// recycled storage, returned on finish/discard exactly as Invoke wires it.
+// ResumeInvoke accepts. The execution mode is not part of the format: it
+// is the restoring host's choice, as for a run it starts, so `mode`'s
+// dispatch, jit and jit_threshold become the context's (the snapshot
+// supplies the scheme, limits and fuel; no other field of `mode` is read).
+// `buffers` (may be null) becomes the context's recycled storage, returned
+// on finish/discard exactly as Invoke wires it.
 // On success returns the opaque host blob. Never crashes or over-reads on
 // hostile input: every field is bounds-checked before use.
 common::StatusOr<std::vector<uint8_t>> RestoreSuspension(
     const uint8_t* data, size_t size, Instance* inst, uint64_t module_hash,
-    ExecBuffers* buffers, Suspension* out);
+    const ExecOptions& mode, ExecBuffers* buffers, Suspension* out);
 
 }  // namespace wasm
 

@@ -4,13 +4,17 @@
 // clock + scripted readiness), and IoUringBackend (skipped — never failed —
 // on kernels/builds without io_uring).
 //
-// The contract under test:
-//   - sleeps and op timeouts complete kTimedOut, in deadline order;
+// Every op is one poll(2)-shaped wait: an fd set plus a timeout, where a
+// sleep is a set with no members. The contract under test:
+//   - sleeps and op timeouts complete kTimedOut, in deadline order, and a
+//     timeout near INT64_MAX waits (it never wraps into "no timeout" or
+//     "already due");
+//   - a member that wins before its op's timeout completes the op once;
 //   - fd error states (POLLERR/POLLHUP/POLLNVAL and their ring analogues)
 //     complete kReady with no value — the RETRY surfaces the kernel's own
 //     answer (EOF, EPIPE, EBADF, ...), the backend never invents one;
-//   - dual-interest kPollSet members wake on EITHER readiness;
-//   - negative fds in a kPollSet are placeholders (poll(2) semantics);
+//   - dual-interest members wake on EITHER readiness;
+//   - negative fds in a set are placeholders (poll(2) semantics);
 //   - Cancel vs. complete has exactly one winner per cookie: true means the
 //     completion will never arrive, false means it already did (or will
 //     imminently) and the caller absorbs the orphan.
@@ -29,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -160,11 +165,27 @@ TYPED_TEST(BackendConformance, TimeoutsCompleteInDeadlineOrder) {
   EXPECT_EQ(this->cap_.got[1].first, 2u);
 }
 
+TYPED_TEST(BackendConformance, HugeSleepWaitsBesideShortOne) {
+  // Move the clock off zero first, so "now + duration" would overflow.
+  this->backend_->Submit(1, wali::IoOp::Sleep(kMs));
+  TypeParam::Settle(this->backend_.get(), kMs);
+  ASSERT_TRUE(this->cap_.WaitFor(1));
+  this->backend_->Submit(2, wali::IoOp::Sleep(INT64_MAX));
+  this->backend_->Submit(3, wali::IoOp::Sleep(5 * kMs));
+  TypeParam::Settle(this->backend_.get(), 5 * kMs);
+  ASSERT_TRUE(this->cap_.WaitFor(2));
+  EXPECT_EQ(this->cap_.got[1].first, 3u) << "the short sleep completes";
+  EXPECT_EQ(this->cap_.CountFor(2), 0u) << "the huge sleep is still waiting";
+  EXPECT_EQ(this->backend_->pending(), 1u);
+  EXPECT_TRUE(this->backend_->Cancel(2));
+  EXPECT_EQ(this->backend_->pending(), 0u);
+}
+
 TYPED_TEST(BackendConformance, ReadTimeoutCompletesTimedOut) {
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
   // Empty pipe, never written: only the op's own timeout can fire.
-  this->backend_->Submit(7, wali::IoOp::Readable(fds[0], 10 * kMs));
+  this->backend_->Submit(7, wali::IoOp::PollSet({{fds[0], POLLIN}}, 10 * kMs));
   TypeParam::Settle(this->backend_.get(), 10 * kMs);
   ASSERT_TRUE(this->cap_.WaitFor(1));
   EXPECT_EQ(this->cap_.got[0].second.status,
@@ -177,7 +198,7 @@ TYPED_TEST(BackendConformance, HangupCompletesReadyAndRetrySeesKernelTruth) {
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
   close(fds[1]);  // reader watches a pipe whose write end is gone: POLLHUP
-  this->backend_->Submit(3, wali::IoOp::Readable(fds[0]));
+  this->backend_->Submit(3, wali::IoOp::Fd(fds[0], POLLIN));
   TypeParam::ScriptReady(this->backend_.get(), 3);
   ASSERT_TRUE(this->cap_.WaitFor(1));
   EXPECT_EQ(this->cap_.got[0].second.status,
@@ -195,7 +216,7 @@ TYPED_TEST(BackendConformance, ClosedFdCompletesReadyNotStuck) {
   ASSERT_EQ(pipe(fds), 0);
   close(fds[1]);
   close(fds[0]);  // the fd is dead before submit: POLLNVAL / -EBADF class
-  this->backend_->Submit(4, wali::IoOp::Readable(fds[0]));
+  this->backend_->Submit(4, wali::IoOp::Fd(fds[0], POLLIN));
   TypeParam::ScriptReady(this->backend_.get(), 4);
   ASSERT_TRUE(this->cap_.WaitFor(1))
       << "a dead fd must complete promptly, never park forever";
@@ -208,8 +229,8 @@ TYPED_TEST(BackendConformance, DualInterestPollSetWakesOnWritable) {
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   // Nothing to read, but the socket is writable: a POLLIN|POLLOUT member
   // must wake on the union of interests (the PR-9 dual-interest fix).
-  std::vector<wali::IoOp::PollFd> set = {{sv[0], POLLIN | POLLOUT}};
-  this->backend_->Submit(5, wali::IoOp::PollSet(std::move(set), 1000 * kMs));
+  this->backend_->Submit(
+      5, wali::IoOp::PollSet({{sv[0], POLLIN | POLLOUT}}, 1000 * kMs));
   TypeParam::ScriptReady(this->backend_.get(), 5);
   ASSERT_TRUE(this->cap_.WaitFor(1))
       << "writable-only readiness must complete a dual-interest member";
@@ -219,14 +240,35 @@ TYPED_TEST(BackendConformance, DualInterestPollSetWakesOnWritable) {
   close(sv[1]);
 }
 
+TYPED_TEST(BackendConformance, ReadyMemberBeatsItsTimeoutExactlyOnce) {
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  ASSERT_EQ(write(fds[1], "x", 1), 1);  // ready before the op is submitted
+  this->backend_->Submit(11, wali::IoOp::PollSet({{fds[0], POLLIN}}, 10 * kMs));
+  TypeParam::ScriptReady(this->backend_.get(), 11);
+  ASSERT_TRUE(this->cap_.WaitFor(1));
+  EXPECT_EQ(this->cap_.got[0].second.status,
+            host::IoCompletion::Status::kReady);
+  // Wait well past the timeout: the member's win retired the timer, so
+  // nothing completes the op a second time.
+  TypeParam::Settle(this->backend_.get(), 30 * kMs);
+  if (!TypeParam::manual()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  EXPECT_EQ(this->cap_.CountFor(11), 1u);
+  EXPECT_EQ(this->backend_->pending(), 0u);
+  close(fds[0]);
+  close(fds[1]);
+}
+
 TYPED_TEST(BackendConformance, PollSetSkipsNegativeFdsAndTimesOut) {
   int fds[2];
   ASSERT_EQ(pipe(fds), 0);
   // poll(2) semantics: negative fds are placeholders. With the only real
   // member an empty pipe, the set is timer-driven.
-  std::vector<wali::IoOp::PollFd> set = {
-      {-1, POLLIN}, {fds[0], POLLIN}, {-1, POLLOUT}};
-  this->backend_->Submit(6, wali::IoOp::PollSet(std::move(set), 10 * kMs));
+  this->backend_->Submit(
+      6, wali::IoOp::PollSet({{-1, POLLIN}, {fds[0], POLLIN}, {-1, POLLOUT}},
+                             10 * kMs));
   TypeParam::Settle(this->backend_.get(), 10 * kMs);
   ASSERT_TRUE(this->cap_.WaitFor(1));
   EXPECT_EQ(this->cap_.got[0].second.status,

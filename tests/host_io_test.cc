@@ -98,7 +98,7 @@ const char* kArgFdFunc = R"(
 // Round trip through two test-owned pipes: write one byte (77) to the fd in
 // argv[1], read one byte from the fd in argv[2], exit with it (255 when the
 // read did not return 1). With argv[1] full and argv[2] empty, the write
-// parks (Writable) and so does the read (Readable); with room in argv[1]
+// parks on POLLOUT and the read on POLLIN; with room in argv[1]
 // and a byte buffered in argv[2], neither parks.
 std::string PipeRelayGuest() {
   return std::string(R"(
@@ -137,7 +137,7 @@ const char* kNonBlockGuest = R"(
 )";
 
 // ppoll on an empty pipe with a 50ms timespec: musl's poll(3) shape. Must
-// park (kPollSet) instead of pinning a worker in the kernel; after the
+// park on its set instead of pinning a worker in the kernel; after the
 // timeout completion the re-dispatched ppoll runs with timeout 0 and
 // reports 0 ready fds.
 const char* kPpollSleeperGuest = R"(
@@ -305,7 +305,7 @@ std::string VectoredRelayGuest() {
 
 // TCP loopback connect: bind+listen on 127.0.0.1:0, learn the port via
 // getsockname, then connect a second socket to it. Nonblocking TCP connect
-// always answers -EINPROGRESS, so the connect parks (Writable) and the
+// always answers -EINPROGRESS, so the connect parks on POLLOUT and the
 // re-dispatched connect reads the outcome from SO_ERROR.
 const char* kConnectGuest = R"(
   (memory 2)
@@ -522,13 +522,30 @@ host::GuestJob WithFds(host::GuestJob job, std::initializer_list<int> fds) {
   return job;
 }
 
-// One guest run under a resumable RunMain with no supervisor: every park is
-// counted (by op kind) and answered with a readiness completion, so the
+// The fd gates' wait: the one member {fd, events}, with no timeout.
+void ExpectFdWait(const wali::IoOp& op, int fd, short events) {
+  ASSERT_EQ(op.poll_fds.size(), 1u);
+  EXPECT_EQ(op.poll_fds[0].fd, fd);
+  EXPECT_EQ(op.poll_fds[0].events, events);
+  EXPECT_EQ(op.timeout_nanos, -1);
+}
+
+// A wait shape for failure messages: members, then the timeout.
+std::string WaitShape(const wali::IoOp& op) {
+  std::string s = "{";
+  for (const wali::IoOp::PollFd& m : op.poll_fds) {
+    s += " fd " + std::to_string(m.fd) + " events " + std::to_string(m.events);
+  }
+  return s + " } timeout " + std::to_string(op.timeout_nanos);
+}
+
+// One guest run under a resumable RunMain with no supervisor: every park's
+// wait shape is recorded and answered with a readiness completion, so the
 // re-dispatched syscall does the real I/O — only hand such a run fds that
 // are ready by the time it resumes.
 struct CountedRun {
   wasm::RunResult result;
-  std::vector<wali::IoOp::Kind> parks;
+  std::vector<wali::IoOp> parks;
 };
 
 CountedRun RunCountingParks(const std::string& guest,
@@ -548,7 +565,7 @@ CountedRun RunCountingParks(const std::string& guest,
   out.result = runtime.RunMain(**proc, runtime.exec_options(), &cont);
   while (out.result.trap == wasm::TrapKind::kSyscallPending &&
          out.parks.size() < 8) {
-    out.parks.push_back((*proc)->pending_io.op.kind);
+    out.parks.push_back((*proc)->pending_io.op);
     out.result = runtime.ResumeMain(**proc, cont, host::IoCompletion::Ready());
   }
   cont.Discard();
@@ -670,7 +687,7 @@ TEST(HostIo, SuspendedRunBitIdenticalToBlockingRun) {
 }
 
 TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
-  // Write parks (Writable) on a full pipe, read parks (Readable) on an
+  // Write parks on POLLOUT on a full pipe, read parks on POLLIN on an
   // empty one; the test drives the completion ORDER — making each fd ready
   // first — and the re-dispatched syscalls perform the real, now-ready I/O.
   for (bool evict : {false, true}) {
@@ -690,7 +707,7 @@ TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
     ASSERT_EQ(cookies.size(), 1u);
     wali::IoOp op;
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-    EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+    ExpectFdWait(op, out_w, POLLOUT);
     EvictIf(evict, *w.sup, cookies[0]);
     Drain(out_r);
     ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space: write
@@ -698,7 +715,7 @@ TEST(HostIo, PipeRoundTripThroughScriptedCompletions) {
     ASSERT_TRUE(WaitForPending(*w.fake, 1));
     cookies = w.fake->PendingCookies();
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-    EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+    ExpectFdWait(op, in_r, POLLIN);
     EvictIf(evict, *w.sup, cookies[0]);
     Relay(out_r, in_w, 1);  // the guest's byte comes back to it
     ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // byte is there: read
@@ -760,8 +777,8 @@ TEST(HostIo, PpollSleeperParksInsteadOfPinningWorker) {
     ASSERT_EQ(cookies.size(), 1u);
     wali::IoOp op;
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-    EXPECT_EQ(op.kind, wali::IoOp::Kind::kPollSet);
     ASSERT_EQ(op.poll_fds.size(), 1u);
+    EXPECT_GE(op.poll_fds[0].fd, 0);
     EXPECT_EQ(op.poll_fds[0].events, POLLIN);
     EXPECT_EQ(op.timeout_nanos, 50 * kMs);
     EvictIf(evict, *w.sup, cookies[0]);
@@ -797,8 +814,8 @@ TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
     ASSERT_EQ(cookies.size(), 1u);
     wali::IoOp op;
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-    ASSERT_EQ(op.kind, wali::IoOp::Kind::kPollSet);
     ASSERT_EQ(op.poll_fds.size(), 1u);
+    EXPECT_EQ(op.poll_fds[0].fd, sock);
     EXPECT_EQ(op.poll_fds[0].events, POLLIN | POLLOUT)
         << "the parked op must keep the union of interests";
     EvictIf(evict, *w.sup, cookies[0]);
@@ -815,7 +832,8 @@ TEST(HostIo, DualInterestPollParksOnUnionOfInterests) {
 TEST(HostIo, FutexWaitParksAsTimer) {
   // A threadless FUTEX_WAIT with a timeout has no possible waker, so it is
   // a pure timer: value mismatch answers -EAGAIN inline (no park), a match
-  // parks as kSleep and the re-dispatched wait reports -ETIMEDOUT.
+  // parks on no members with the futex timeout, and the re-dispatched wait
+  // reports -ETIMEDOUT.
   for (bool evict : {false, true}) {
     SCOPED_TRACE(EvictLabel(evict));
     IoWorld w = MakeIoWorld(1);
@@ -827,8 +845,8 @@ TEST(HostIo, FutexWaitParksAsTimer) {
     std::vector<uint64_t> cookies = w.fake->PendingCookies();
     wali::IoOp op;
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-    EXPECT_EQ(op.kind, wali::IoOp::Kind::kSleep);
-    EXPECT_EQ(op.sleep_nanos, 50 * kMs);
+    EXPECT_TRUE(op.poll_fds.empty()) << WaitShape(op);
+    EXPECT_EQ(op.timeout_nanos, 50 * kMs);
     EvictIf(evict, *w.sup, cookies[0]);
 
     w.fake->AdvanceBy(50 * kMs);
@@ -840,7 +858,7 @@ TEST(HostIo, FutexWaitParksAsTimer) {
 }
 
 TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
-  // readv/writev ride the same readiness classes as read/write; the
+  // readv/writev park on the same waits as read/write; the
   // re-dispatched call translates the guest iovec array against live
   // memory at resume time.
   for (bool evict : {false, true}) {
@@ -859,7 +877,7 @@ TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
     std::vector<uint64_t> cookies = w.fake->PendingCookies();
     wali::IoOp op;
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-    EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+    ExpectFdWait(op, out_w, POLLOUT);
     EvictIf(evict, *w.sup, cookies[0]);
     Drain(out_r);
     ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // pipe has space
@@ -867,7 +885,7 @@ TEST(HostIo, VectoredPipeIoParksAndRetranslates) {
     ASSERT_TRUE(WaitForPending(*w.fake, 1));
     cookies = w.fake->PendingCookies();
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-    EXPECT_EQ(op.kind, wali::IoOp::Kind::kReadable);
+    ExpectFdWait(op, in_r, POLLIN);
     EvictIf(evict, *w.sup, cookies[0]);
     Relay(out_r, in_w, 2);
     ASSERT_TRUE(w.fake->CompleteReady(cookies[0]));  // both bytes are there
@@ -895,7 +913,10 @@ TEST(HostIo, ConnectParksUntilEstablished) {
     std::vector<uint64_t> cookies = w.fake->PendingCookies();
     wali::IoOp op;
     ASSERT_TRUE(w.fake->LookupOp(cookies[0], &op));
-    EXPECT_EQ(op.kind, wali::IoOp::Kind::kWritable);
+    ASSERT_EQ(op.poll_fds.size(), 1u);
+    EXPECT_GE(op.poll_fds[0].fd, 0);  // the guest's own socket
+    EXPECT_EQ(op.poll_fds[0].events, POLLOUT);
+    EXPECT_EQ(op.timeout_nanos, -1);
     EvictIf(evict, *w.sup, cookies[0]);
     // Loopback handshakes complete in the kernel without our help; SO_ERROR
     // is 0 by the time connect is re-dispatched.
@@ -1094,8 +1115,7 @@ TEST(HostIo, ReadyFdGatesAnswerWithoutParking) {
     CountedRun run = RunCountingParks(c.guest, c.fds);
     EXPECT_TRUE(run.result.ok()) << run.result.trap_message;
     EXPECT_EQ(run.result.exit_code, c.exit_code);
-    EXPECT_EQ(run.parks.size(), 0u)
-        << "first park: kind " << static_cast<int>(run.parks[0]);
+    EXPECT_EQ(run.parks.size(), 0u) << "first park: " << WaitShape(run.parks[0]);
   }
 }
 
@@ -1117,8 +1137,7 @@ TEST(HostIo, AcceptParksOnlyWithoutPendingConnection) {
   for (const char* gate : {"accept", "accept4"}) {
     SCOPED_TRACE(gate);
     ASSERT_EQ(r.trap, wasm::TrapKind::kSyscallPending) << r.trap_message;
-    EXPECT_EQ((*proc)->pending_io.op.kind, wali::IoOp::Kind::kReadable);
-    EXPECT_EQ((*proc)->pending_io.op.fd, listener);
+    ExpectFdWait((*proc)->pending_io.op, listener, POLLIN);
     fds.Connect(listener);
     r = runtime.ResumeMain(**proc, cont, host::IoCompletion::Ready());
   }
@@ -1142,7 +1161,7 @@ TEST(HostIo, WrongDirectionIoAnswersEbadfWithoutParking) {
   wali::WaliRuntime::MainContinuation cont;
   wasm::RunResult r = runtime.RunMain(**proc, runtime.exec_options(), &cont);
   ASSERT_NE(r.trap, wasm::TrapKind::kSyscallPending)
-      << "parked on op kind " << static_cast<int>((*proc)->pending_io.op.kind);
+      << "parked on " << WaitShape((*proc)->pending_io.op);
   EXPECT_TRUE(r.ok()) << r.trap_message;
   EXPECT_EQ(r.exit_code, 9) << "1: write to the read end, 2: read from the "
                                "write end did not answer -EBADF";
@@ -1225,7 +1244,9 @@ TEST(HostIo, SetflInvalidatesOffloadabilityCache) {
   // First read: classified offloadable (and cached) -> parks.
   ASSERT_EQ(r.trap, wasm::TrapKind::kSyscallPending) << r.trap_message;
   ASSERT_TRUE(cont.armed());
-  EXPECT_EQ((*proc)->pending_io.op.kind, wali::IoOp::Kind::kReadable);
+  ASSERT_EQ((*proc)->pending_io.op.poll_fds.size(), 1u);
+  EXPECT_EQ((*proc)->pending_io.op.poll_fds[0].events, POLLIN);
+  EXPECT_EQ((*proc)->pending_io.op.timeout_nanos, -1);
 
   // Resume with "read returned 0". The guest then flips O_NONBLOCK and
   // reads again: that read must NOT park — a second kSyscallPending here

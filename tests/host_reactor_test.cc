@@ -1,14 +1,19 @@
 // The production IoReactor (poll/self-pipe completion loop) against real
 // fds and real (short) time: sleep expiry, pipe readiness, writability,
 // cancellation, fd closed while an op is in flight, and an end-to-end
-// supervisor run where real sleeps park off-worker.
+// supervisor run where real sleeps park off-worker. Also the deadline
+// arithmetic io_reactor.cc shares between the reactor and FakeIoBackend:
+// guest timeouts near INT64_MAX saturate, and the loop's poll wait clamps.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -62,7 +67,7 @@ TEST(IoReactor, PipeBecomesReadable) {
   reactor.SetCompletionHandler(c.fn());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  reactor.Submit(7, wali::IoOp::Readable(fds[0]));
+  reactor.Submit(7, wali::IoOp::Fd(fds[0], POLLIN));
   // Nothing yet: the op must not complete on an empty pipe.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(reactor.pending(), 1u);
@@ -80,7 +85,7 @@ TEST(IoReactor, WritableCompletesImmediatelyOnEmptyPipe) {
   reactor.SetCompletionHandler(c.fn());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  reactor.Submit(9, wali::IoOp::Writable(fds[1]));
+  reactor.Submit(9, wali::IoOp::Fd(fds[1], POLLOUT));
   ASSERT_TRUE(c.WaitFor(1));
   EXPECT_EQ(c.got[0].second.status, host::IoCompletion::Status::kReady);
   ::close(fds[0]);
@@ -93,7 +98,7 @@ TEST(IoReactor, ReadTimeoutFires) {
   reactor.SetCompletionHandler(c.fn());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  reactor.Submit(3, wali::IoOp::Readable(fds[0], /*timeout_nanos=*/5 * kMs));
+  reactor.Submit(3, wali::IoOp::PollSet({{fds[0], POLLIN}}, 5 * kMs));
   ASSERT_TRUE(c.WaitFor(1));
   EXPECT_EQ(c.got[0].second.status, host::IoCompletion::Status::kTimedOut);
   ::close(fds[0]);
@@ -122,7 +127,7 @@ TEST(IoReactor, ClosedFdCompletesInsteadOfHanging) {
   reactor.SetCompletionHandler(c.fn());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  reactor.Submit(5, wali::IoOp::Readable(fds[0]));
+  reactor.Submit(5, wali::IoOp::Fd(fds[0], POLLIN));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ::close(fds[1]);
   ASSERT_TRUE(c.WaitFor(1));
@@ -130,6 +135,39 @@ TEST(IoReactor, ClosedFdCompletesInsteadOfHanging) {
   char b;
   EXPECT_EQ(::read(fds[0], &b, 1), 0) << "the re-issued read sees EOF";
   ::close(fds[0]);
+}
+
+TEST(IoReactor, PollTimeoutRoundsUpAndClamps) {
+  const int64_t now = 1000 * kMs;
+  EXPECT_EQ(host::IoReactor::PollTimeoutMillis(-1, now), -1) << "no deadline";
+  EXPECT_EQ(host::IoReactor::PollTimeoutMillis(now - 1, now), 0) << "overdue";
+  EXPECT_EQ(host::IoReactor::PollTimeoutMillis(now, now), 0);
+  EXPECT_EQ(host::IoReactor::PollTimeoutMillis(now + 1, now), 1);
+  EXPECT_EQ(host::IoReactor::PollTimeoutMillis(now + kMs, now), 1);
+  EXPECT_EQ(host::IoReactor::PollTimeoutMillis(now + kMs + 1, now), 2);
+  // 30 days is more ms than an int holds: the wait clamps to INT_MAX (the
+  // loop recomputes it at every wakeup) instead of wrapping negative, which
+  // poll(2) would take as "wait forever".
+  const int64_t kDay = 86400LL * 1000 * kMs;
+  EXPECT_EQ(host::IoReactor::PollTimeoutMillis(now + 30 * kDay, now), INT_MAX);
+  EXPECT_EQ(host::IoReactor::PollTimeoutMillis(INT64_MAX, now), INT_MAX);
+}
+
+TEST(FakeIoBackend, HugeSleepSaturatesAtTheEndOfTime) {
+  // A guest timespec too large for int64 nanos saturates to INT64_MAX
+  // (SleepDurationNanos); on a clock past zero, now + INT64_MAX must
+  // saturate too, not wrap into "no deadline" and wait forever.
+  host::FakeIoBackend fake;
+  Collector c;
+  fake.SetCompletionHandler(c.fn());
+  fake.AdvanceTo(5 * kMs);
+  fake.Submit(1, wali::IoOp::Sleep(INT64_MAX));
+  fake.AdvanceTo(INT64_MAX - 1);
+  EXPECT_TRUE(c.got.empty());
+  fake.AdvanceTo(INT64_MAX);
+  ASSERT_EQ(c.got.size(), 1u);
+  EXPECT_EQ(c.got[0].second.status, host::IoCompletion::Status::kTimedOut);
+  EXPECT_EQ(fake.pending(), 0u);
 }
 
 TEST(IoReactor, ManyConcurrentSleeps) {

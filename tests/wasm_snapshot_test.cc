@@ -239,11 +239,17 @@ RoundTripOutcome RunWithSnapshotEveryPark(const std::string& wat, bool fuse,
 
     auto susp2 = std::make_unique<wasm::Suspension>();
     auto blob = wasm::RestoreSuspension(bytes->data(), bytes->size(),
-                                        fresh.instance.get(), hash,
+                                        fresh.instance.get(), hash, base,
                                         /*buffers=*/nullptr, susp2.get());
     EXPECT_TRUE(blob.ok()) << blob.status().ToString();
     if (!blob.ok()) return out;
     EXPECT_TRUE(blob->empty()) << "kernel snapshots carry no host blob";
+    // Every leg resumes in the mode it runs under, never the defaults.
+    const ExecOptions& restored = susp2->ctx->opts;
+    EXPECT_EQ(restored.dispatch, base.dispatch);
+    EXPECT_EQ(restored.jit, base.jit);
+    EXPECT_EQ(restored.jit_threshold, base.jit_threshold);
+    EXPECT_EQ(wasm::ResolveDispatch(restored), wasm::ResolveDispatch(base));
 
     live.push_back(std::move(fresh));
     susp = std::move(susp2);
@@ -462,12 +468,14 @@ TEST(WasmSnapshot, CrossDispatchRestore) {
         susp.Discard();
         Fx fresh = MakeKernelFx(kLoopKernelWat, true, /*parking=*/true);
         ASSERT_TRUE(fresh.ok);
-        auto blob = wasm::RestoreSuspension(bytes->data(), bytes->size(),
-                                            fresh.instance.get(), hash, nullptr,
-                                            &susp);
-        ASSERT_TRUE(blob.ok()) << label << " " << blob.status().ToString();
         // Flip the dispatch loop for the rest of the run.
-        susp.ctx->opts.dispatch = to;
+        ExecOptions mode = opts;
+        mode.dispatch = to;
+        auto blob = wasm::RestoreSuspension(bytes->data(), bytes->size(),
+                                            fresh.instance.get(), hash, mode,
+                                            nullptr, &susp);
+        ASSERT_TRUE(blob.ok()) << label << " " << blob.status().ToString();
+        EXPECT_EQ(susp.ctx->opts.dispatch, to) << label;
         live.push_back(std::move(fresh));
         const uint64_t bits = StepAnswer(arg);
         r = wasm::ResumeInvoke(susp, &bits, 1);
@@ -505,7 +513,7 @@ TEST(WasmSnapshot, CrossFusionRestoreFails) {
   wasm::Suspension susp2;
   auto blob = wasm::RestoreSuspension(bytes->data(), bytes->size(),
                                       unfused.instance.get(), unfused_hash,
-                                      nullptr, &susp2);
+                                      opts, nullptr, &susp2);
   EXPECT_FALSE(blob.ok());
   EXPECT_FALSE(susp2.armed());
 
@@ -515,7 +523,7 @@ TEST(WasmSnapshot, CrossFusionRestoreFails) {
   ASSERT_TRUE(fused2.ok);
   auto blob2 = wasm::RestoreSuspension(bytes->data(), bytes->size(),
                                        fused2.instance.get(), fused_hash + 1,
-                                       nullptr, &susp3);
+                                       opts, nullptr, &susp3);
   EXPECT_FALSE(blob2.ok());
   EXPECT_FALSE(susp3.armed());
 }
@@ -570,7 +578,7 @@ TEST(WasmSnapshotHostile, EveryTruncationErrors) {
     wasm::Suspension susp;
     auto blob = wasm::RestoreSuspension(rig.bytes.data(), len,
                                         rig.target.instance.get(), rig.hash,
-                                        nullptr, &susp);
+                                        ExecOptions{}, nullptr, &susp);
     EXPECT_FALSE(blob.ok()) << "truncation to " << len << " bytes decoded";
     EXPECT_FALSE(susp.armed()) << "len=" << len;
   }
@@ -578,7 +586,7 @@ TEST(WasmSnapshotHostile, EveryTruncationErrors) {
   wasm::Suspension susp;
   auto blob = wasm::RestoreSuspension(rig.bytes.data(), rig.bytes.size(),
                                       rig.target.instance.get(), rig.hash,
-                                      nullptr, &susp);
+                                      ExecOptions{}, nullptr, &susp);
   EXPECT_TRUE(blob.ok()) << blob.status().ToString();
   susp.Discard();
 }
@@ -597,7 +605,7 @@ TEST(WasmSnapshotHostile, EverySingleBitFlipErrors) {
       wasm::Suspension susp;
       auto blob = wasm::RestoreSuspension(mutated.data(), mutated.size(),
                                           rig.target.instance.get(), rig.hash,
-                                          nullptr, &susp);
+                                          ExecOptions{}, nullptr, &susp);
       EXPECT_FALSE(blob.ok()) << "flip byte " << i << " bit " << bit;
       EXPECT_FALSE(susp.armed());
     }
@@ -618,7 +626,7 @@ TEST(WasmSnapshotHostile, TruncationAndFlipSampledOnMemorySnapshot) {
     wasm::Suspension susp;
     auto blob = wasm::RestoreSuspension(rig.bytes.data(), len,
                                         rig.target.instance.get(), rig.hash,
-                                        nullptr, &susp);
+                                        ExecOptions{}, nullptr, &susp);
     EXPECT_FALSE(blob.ok()) << "truncation to " << len;
     EXPECT_FALSE(susp.armed());
   }
@@ -629,7 +637,7 @@ TEST(WasmSnapshotHostile, TruncationAndFlipSampledOnMemorySnapshot) {
     wasm::Suspension susp;
     auto blob = wasm::RestoreSuspension(mutated.data(), n,
                                         rig.target.instance.get(), rig.hash,
-                                        nullptr, &susp);
+                                        ExecOptions{}, nullptr, &susp);
     EXPECT_FALSE(blob.ok()) << "flip byte " << i << " bit " << bit;
     EXPECT_FALSE(susp.armed());
     mutated[i] = rig.bytes[i];
@@ -644,7 +652,7 @@ TEST(WasmSnapshotHostile, HeaderFieldRejections) {
     wasm::Suspension susp;
     auto blob = wasm::RestoreSuspension(bytes.data(), bytes.size(),
                                         rig.target.instance.get(), hash,
-                                        nullptr, &susp);
+                                        ExecOptions{}, nullptr, &susp);
     EXPECT_FALSE(blob.ok()) << what;
     EXPECT_FALSE(susp.armed()) << what;
   };
@@ -695,8 +703,8 @@ TEST(WasmSnapshotHostile, WaliHostBlobTruncationsAndBitFlips) {
   // SnapshotSuspension) to reach that decoder directly. Every truncation
   // must error; every single-bit flip must error or decode, never crash or
   // over-read (ASan in CI); an error leaves the continuation disarmed; and
-  // whatever decodes is a park resume may re-run: a handler that can park,
-  // at most IoOp::kMaxPollFds poll members, and those only on a kPollSet.
+  // whatever decodes is a park resume may re-run: a handler that can park
+  // (or a scripted answer), and at most IoOp::kMaxPollFds poll members.
   auto parsed = wasm::ParseAndValidateWat(std::string("(module ") +
                                           wali_test::kPrelude +
                                           kPpollParkGuest + ")");
@@ -709,7 +717,8 @@ TEST(WasmSnapshotHostile, WaliHostBlobTruncationsAndBitFlips) {
   wali::WaliRuntime::MainContinuation cont;
   RunResult r = rt.RunMain(**proc, rt.exec_options(), &cont);
   ASSERT_EQ(r.trap, TrapKind::kSyscallPending) << r.trap_message;
-  ASSERT_EQ((*proc)->pending_io.op.kind, wali::IoOp::Kind::kPollSet);
+  ASSERT_FALSE((*proc)->pending_io.scripted);
+  ASSERT_EQ((*proc)->pending_io.op.poll_fds.size(), 1u);
   auto snap = wali::SnapshotProcess(**proc, cont);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
@@ -721,7 +730,7 @@ TEST(WasmSnapshotHostile, WaliHostBlobTruncationsAndBitFlips) {
     wasm::Suspension susp;
     auto got = wasm::RestoreSuspension(snap->data(), snap->size(),
                                        (*scratch)->main_instance.get(), hash,
-                                       nullptr, &susp);
+                                       rt.exec_options(), nullptr, &susp);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     susp.Discard();
     blob = std::move(*got);
@@ -743,13 +752,9 @@ TEST(WasmSnapshotHostile, WaliHostBlobTruncationsAndBitFlips) {
     if (st.ok()) {
       const wali::PendingIo& pio = p.pending_io;
       EXPECT_TRUE(pio.armed) << what;
-      EXPECT_TRUE(pio.op.kind == wali::IoOp::Kind::kScripted ||
-                  rt.CanPark(pio.syscall_id))
+      EXPECT_TRUE(pio.scripted || rt.CanPark(pio.syscall_id))
           << what << ": id " << pio.syscall_id;
       EXPECT_LE(pio.op.poll_fds.size(), wali::IoOp::kMaxPollFds) << what;
-      EXPECT_TRUE(pio.op.poll_fds.empty() ||
-                  pio.op.kind == wali::IoOp::Kind::kPollSet)
-          << what;
       restored.Discard();
     } else {
       EXPECT_FALSE(restored.armed()) << what;
@@ -775,25 +780,102 @@ TEST(WasmSnapshotHostile, WaliHostBlobTruncationsAndBitFlips) {
     mutated[i] = blob[i];
   }
   // Plenty of fields are free-form (arguments, timings, counters), so many
-  // flips decode; the structural ones (kind, id, counts) must not all.
+  // flips decode; the structural ones (scripted flag, id, counts) must not
+  // all.
   EXPECT_GT(decoded, 0u);
   EXPECT_LT(decoded, blob.size() * 8);
   cont.Discard();
 }
 
+// ------------------------------------------------------ restored exec mode --
+
+// Parks in a 1 ms nanosleep, then runs a loop hot enough to tier up under
+// the default JIT threshold, and exits with a checksum of it.
+const char* kSleepThenLoopGuest = R"(
+  (memory 1)
+  (func (export "main") (result i32)
+    (local $i i32) (local $acc i32)
+    (i64.store (i32.const 64) (i64.const 0))
+    (i64.store (i32.const 72) (i64.const 1000000))
+    (drop (call $nanosleep (i64.const 64) (i64.const 0)))
+    (block $done
+      (loop $l
+        (br_if $done (i32.ge_u (local.get $i) (i32.const 20000)))
+        (local.set $acc (i32.add (local.get $acc) (local.get $i)))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l)))
+    (i32.and (local.get $acc) (i32.const 127)))
+)";
+
+TEST(WasmSnapshotWali, RestoredRunKeepsTheRestoringRuntimesMode) {
+  // The execution mode is the restoring runtime's choice, as for any run it
+  // starts: a jit-off runtime's restored run must stay interpreted through
+  // the hot loop after its park, never tier up under the defaults, and a
+  // runtime with another dispatch loop resumes the same snapshot in its own.
+  if (!wasm::JitAvailable()) GTEST_SKIP() << "JIT tier not in this build";
+  auto parsed = wasm::ParseAndValidateWat(std::string("(module ") +
+                                          wali_test::kPrelude +
+                                          kSleepThenLoopGuest + ")");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const int32_t want_exit = (19999 * 20000 / 2) & 127;
+  wasm::Linker linker;
+  wali::WaliRuntime::Options ropts;
+  ropts.jit = wasm::JitTier::kOff;
+  wali::WaliRuntime rt(&linker, ropts);
+
+  auto proc = rt.CreateProcess(*parsed, {"mode"}, {});
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+  wali::WaliRuntime::MainContinuation cont;
+  RunResult r = rt.RunMain(**proc, rt.exec_options(), &cont);
+  ASSERT_EQ(r.trap, TrapKind::kSyscallPending) << r.trap_message;
+  auto snap = wali::SnapshotProcess(**proc, cont);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  cont.Discard();
+
+  auto fresh = rt.CreateProcess(*parsed, {"mode"}, {});
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  wali::WaliRuntime::MainContinuation restored;
+  common::Status st =
+      wali::RestoreProcess(snap->data(), snap->size(), **fresh, restored);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(restored.susp.ctx->opts.jit, wasm::JitTier::kOff);
+  EXPECT_EQ(restored.susp.ctx->opts.jit_threshold, ropts.jit_threshold);
+  r = rt.ResumeMain(**fresh, restored, wali::IoCompletion::Ready());
+  ASSERT_TRUE(r.ok()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, want_exit);
+  ASSERT_NE((*parsed)->jit, nullptr);
+  EXPECT_EQ((*parsed)->jit->compiles.load(), 0u);
+  EXPECT_EQ((*parsed)->jit->tierups.load(), 0u);
+
+  // The same snapshot under a runtime that runs the switch loop.
+  wasm::Linker switch_linker;
+  wali::WaliRuntime::Options sopts = ropts;
+  sopts.dispatch = DispatchMode::kSwitch;
+  wali::WaliRuntime switch_rt(&switch_linker, sopts);
+  auto other = switch_rt.CreateProcess(*parsed, {"mode"}, {});
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  wali::WaliRuntime::MainContinuation switched;
+  st = wali::RestoreProcess(snap->data(), snap->size(), **other, switched);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(switched.susp.ctx->opts.dispatch, DispatchMode::kSwitch);
+  r = switch_rt.ResumeMain(**other, switched, wali::IoCompletion::Ready());
+  ASSERT_TRUE(r.ok()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, want_exit);
+}
+
 // ------------------------------------------------------- format stability --
 
-// Golden pin for snapshot format v2. The bytes of a fixed, fully
+// Golden pin for snapshot format v3. The bytes of a fixed, fully
 // deterministic park (kGoldenKernelWat under kEveryInstr + kSwitch with a
 // fixed fake module hash) are summarized by (length, FNV-1a). If either
 // changes, the on-disk format changed: bump wasm::kSnapshotVersion and
 // regenerate these constants from the failure message. DO NOT update the
 // constants without the version bump — old snapshots would decode wrong.
-constexpr size_t kGoldenSnapshotSize = 65695;
-constexpr uint64_t kGoldenSnapshotFnv = 0x26c9961054264396ULL;
+constexpr size_t kGoldenSnapshotSize = 65694;
+constexpr uint64_t kGoldenSnapshotFnv = 0x5bb55f63f77509d3ULL;
 // First bytes of the golden snapshot (header + start of the exec section),
 // for quick diagnosis of what moved.
-constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x02, 0x00,
+constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x03, 0x00,
                                      0x00, 0x00};
 
 uint64_t Fnv64(const std::vector<uint8_t>& bytes) {
@@ -853,9 +935,12 @@ TEST(WasmSnapshotGolden, GoldenBytesRestoreAndResume) {
   Fx fresh = MakeKernelFx(kGoldenKernelWat, true, /*parking=*/true);
   ASSERT_TRUE(fresh.ok);
   wasm::Suspension susp;
+  ExecOptions mode;
+  mode.dispatch = DispatchMode::kSwitch;
   auto blob = wasm::RestoreSuspension(bytes.data(), bytes.size(),
                                       fresh.instance.get(),
-                                      kGoldenFakeModuleHash, nullptr, &susp);
+                                      kGoldenFakeModuleHash, mode, nullptr,
+                                      &susp);
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
   const uint64_t bits = StepAnswer(9);
   RunResult r = wasm::ResumeInvoke(susp, &bits, 1);
@@ -943,9 +1028,19 @@ TEST(WasmSnapshotWorkloads, ParkEveryNthSyscallRoundTrip) {
           common::Status restored =
               wali::RestoreProcess(snap->data(), snap->size(), **fresh, cont);
           ASSERT_TRUE(restored.ok()) << label << " " << restored.ToString();
-          EXPECT_EQ(static_cast<int>((*fresh)->pending_io.op.kind),
-                    static_cast<int>(cur.pending_io.op.kind))
+          const wali::PendingIo& want_pio = cur.pending_io;
+          const wali::PendingIo& got_pio = (*fresh)->pending_io;
+          EXPECT_EQ(got_pio.scripted, want_pio.scripted) << label;
+          EXPECT_EQ(got_pio.scripted_result, want_pio.scripted_result) << label;
+          EXPECT_EQ(got_pio.syscall_id, want_pio.syscall_id) << label;
+          EXPECT_EQ(got_pio.op.timeout_nanos, want_pio.op.timeout_nanos) << label;
+          ASSERT_EQ(got_pio.op.poll_fds.size(), want_pio.op.poll_fds.size())
               << label;
+          for (size_t i = 0; i < want_pio.op.poll_fds.size(); ++i) {
+            EXPECT_EQ(got_pio.op.poll_fds[i].fd, want_pio.op.poll_fds[i].fd);
+            EXPECT_EQ(got_pio.op.poll_fds[i].events,
+                      want_pio.op.poll_fds[i].events);
+          }
           (*fresh)->park_after_syscalls = kParkEvery;
           live.push_back(std::move(*fresh));
           ++round_trips;
