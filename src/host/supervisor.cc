@@ -275,9 +275,9 @@ common::Status Supervisor::EvictParked(uint64_t cookie) {
   // Everything happens under mu_: the completion handler also takes mu_ to
   // move an entry to ready_, so a completion that races this evict either
   // takes the run before we start (NotFound here) or finds it already
-  // serialized (ResumeOne restores it). Snapshot cost under the lock is the
-  // guest's resident pages — acceptable for a pressure-relief path that
-  // runs when workers are starved for memory, not for time.
+  // serialized (ResumeOne restores it). The snapshot's cost under the lock
+  // is copying and checksumming the guest's dirty pages; pages it never
+  // touched are skipped unread (docs/ARCHITECTURE.md, Snapshot/restore).
   std::lock_guard<std::mutex> lock(mu_);
   auto it = parked_.find(cookie);
   if (it == parked_.end()) {
@@ -294,16 +294,23 @@ common::Status Supervisor::EvictParked(uint64_t cookie) {
     return snap.status();
   }
   st.evicted_snapshot = std::move(*snap);
-  // RunOne moved the job's argv/env into the lease; stash them for the
+  // RunOne moved the job's argv/env into the lease; take them back for the
   // restore-time Acquire before the process goes back to the pool.
-  st.saved_argv = proc.argv;
-  st.saved_env = proc.env;
+  st.saved_argv = std::move(proc.argv);
+  st.saved_env = std::move(proc.env);
   // The snapshot names the guest's fds by number, so they must stay open:
   // the run takes them over before the slot's release would close them.
   st.evicted_fds = proc.ReleaseGuestFds();
   st.cont.Discard();
   proc.pending_io.Reset();
-  st.lease.Release();  // the slab (the actual memory pressure) goes here
+  // The snapshot holds the guest's pages now. Drop the slab's copy before
+  // the slot goes back: the pool keeps idle slots as they were left until
+  // an Acquire resets them, so the memory would otherwise be held twice.
+  // On failure the slot keeps its pages until that reset.
+  if (proc.memory != nullptr) {
+    (void)proc.memory->ResetToPages(proc.memory->size_pages());
+  }
+  st.lease.Release();
   st.evicted = true;
   c_evicts_->Inc();
   g_evicted_now_->Add(1);

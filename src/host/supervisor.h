@@ -223,17 +223,20 @@ class Supervisor {
   //
   // A parked guest holds a pool lease: its linear-memory slab, instance,
   // and suspended interpreter stack stay resident for the whole blocking
-  // syscall. EvictParked serializes that state (wali::SnapshotProcess) and
-  // releases the lease; the entry stays in `parked_` under its cookie, so
-  // the backend completion path is oblivious — when the op completes, the
-  // worker that picks the run up restores it into a freshly leased slot
-  // before resuming. Billing is untouched: the park already settled
-  // consumed-so-far and released the reservation, so an evict/restore
-  // cycle adds zero ledger events.
+  // syscall. EvictParked serializes that state (wali::SnapshotProcess),
+  // drops the slab's pages and releases the lease; the entry stays in
+  // `parked_` under its cookie, so the backend completion path is
+  // oblivious — when the op completes, the worker that picks the run up
+  // restores it into a freshly leased slot before resuming. Billing is
+  // untouched: the park already settled consumed-so-far and released the
+  // reservation, so an evict/restore cycle adds zero ledger events. The
+  // snapshot runs under mu_ and costs what copying and checksumming the
+  // guest's dirty pages costs.
   //
   // Every park is pure data, so any parked run is evictable unless the
   // process itself is not (guest threads, inside a signal handler, pending
-  // virtual signals), in which case it simply stays resident. While the run
+  // virtual signals, a file mapped into its memory), in which case it
+  // simply stays resident. While the run
   // is evicted its guest fds stay open, owned by the run: the restore
   // re-adopts them, and a run abandoned while evicted (shed, budget,
   // shutdown) closes them.
@@ -244,7 +247,8 @@ class Supervisor {
   // Evicts one parked run by cookie. NotFound if the cookie is not parked
   // (already completed, restored, or never existed); otherwise the
   // snapshot error when the process is not serializable. On success the
-  // run's lease is released and the snapshot bytes kept in memory.
+  // slab's pages are dropped, the run's lease is released and the snapshot
+  // bytes kept in memory.
   common::Status EvictParked(uint64_t cookie);
   // Evicts every eligible parked run; returns how many were evicted.
   size_t EvictAllParked();

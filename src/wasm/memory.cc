@@ -87,6 +87,7 @@ common::Status Memory::ResetToPages(uint64_t pages) {
     if (new_bytes > 0 && madvise(base_, new_bytes, MADV_DONTNEED) == 0) {
       high_water_pages_.store(pages, std::memory_order_release);
       grow_budget_pages_.store(0, std::memory_order_release);
+      file_mapped_.store(false, std::memory_order_release);
       return common::OkStatus();
     }
     // fall through to the remap path on madvise failure
@@ -106,6 +107,7 @@ common::Status Memory::ResetToPages(uint64_t pages) {
   size_bytes_.store(new_bytes, std::memory_order_release);
   high_water_pages_.store(pages, std::memory_order_release);
   grow_budget_pages_.store(0, std::memory_order_release);
+  file_mapped_.store(false, std::memory_order_release);
   return common::OkStatus();
 }
 
@@ -135,6 +137,9 @@ int Memory::MapFileFixed(uint64_t offset, uint64_t len, int prot, int flags,
     return ENOMEM;
   }
   prot &= (PROT_READ | PROT_WRITE);  // never executable inside the sandbox
+  // Set before the map: a failed MAP_FIXED may already have replaced the
+  // range's anonymous pages.
+  file_mapped_.store(true, std::memory_order_release);
   void* got = mmap(base_ + offset, len, prot, flags | MAP_FIXED, fd, file_offset);
   if (got == MAP_FAILED) {
     return errno;

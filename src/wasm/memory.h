@@ -89,6 +89,11 @@ class Memory {
   // it. Returns errno (0 on success).
   int MapFileFixed(uint64_t offset, uint64_t len, int prot, int flags, int fd,
                    int64_t file_offset);
+  // True once MapFileFixed has run since creation or the last ResetToPages.
+  // Such memory may hold pages that are neither anonymous nor readable (a
+  // PROT_NONE map, a map past the file's end), so a snapshot refuses it
+  // rather than read through them.
+  bool file_mapped() const { return file_mapped_.load(std::memory_order_acquire); }
   // "Unmaps" by replacing with fresh anonymous zero pages, keeping the range
   // accessible so later sandboxed loads see zeros instead of faulting.
   int UnmapFixed(uint64_t offset, uint64_t len);
@@ -111,6 +116,7 @@ class Memory {
   std::atomic<uint64_t> size_bytes_{0};
   std::atomic<uint64_t> high_water_pages_{0};
   std::atomic<uint64_t> grow_budget_pages_{0};
+  std::atomic<bool> file_mapped_{false};
   uint64_t max_pages_ = 0;
   uint64_t reserved_bytes_ = 0;
   bool shared_ = false;

@@ -2,15 +2,24 @@
 // suspensions"): a versioned binary format that captures everything a
 // wasm::Suspension holds — frames, the operand stack (already in plain
 // spilled form at kSyscallPending, the STACK_SYNC invariant), globals, and
-// linear memory as a zero-page-skipping delta against the module's data
-// segments — so an idle parked guest can be evicted (or written to a file)
-// and rebuilt later into an ExecContext that ResumeInvoke accepts.
+// linear memory as a delta against the fresh-instance image (zeros overlaid
+// with the module's data segments) — so an idle parked guest can be evicted
+// (or written to a file) and rebuilt later into an ExecContext that
+// ResumeInvoke accepts.
+//
+// Cost: a snapshot costs what copying and checksumming the guest's dirty
+// pages costs. The scan rebuilds the baseline only for pages a data segment
+// writes, compares every other page against zeros, and skips such a page
+// unread when /proc/self/pagemap shows the process never touched it. The
+// restore pre-faults its copy target. Memory that a file was mapped into
+// (Memory::file_mapped) is refused: its pages need not be anonymous, or
+// even readable.
 //
 // Format (all integers little-endian):
 //
 //   header   magic u32 ('WSNP'), version u32, payload checksum u64
-//            (FNV-1a over every byte after the header), module hash u64
-//            (caller-provided; see ModuleStructuralHash)
+//            (XXH64, seed 0, over every byte after the header), module
+//            hash u64 (caller-provided; see ModuleStructuralHash)
 //   exec     scheme u8, max_frames u32, max_value_stack u64, fuel u64,
 //            executed u64, exit_code u32, pending_results u32, entry type
 //            index u32 (into Module::types)
@@ -46,13 +55,14 @@
 namespace wasm {
 
 inline constexpr uint32_t kSnapshotMagic = 0x504e5357;  // "WSNP" LE
-inline constexpr uint32_t kSnapshotVersion = 3;
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 // Bounds-checked little-endian cursor primitives, shared with the wali
 // layer's host-blob encoding (src/wali/process_snapshot.cc). The writer
 // never fails; every reader method returns an error instead of over-reading.
 class SnapshotWriter {
  public:
+  void Reserve(size_t n) { buf_.reserve(n); }
   void U8(uint8_t v) { buf_.push_back(v); }
   void U32(uint32_t v);
   void U64(uint64_t v);

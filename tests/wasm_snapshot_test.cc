@@ -18,6 +18,10 @@
 // WaliProcess::park_after_syscalls scripted-park hook.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -863,19 +867,165 @@ TEST(WasmSnapshotWali, RestoredRunKeepsTheRestoringRuntimesMode) {
   EXPECT_EQ(r.exit_code, want_exit);
 }
 
+// ---------------------------------------------------------- memory scan --
+
+// Per wasm page of [base, base + pages * 64 KiB): whether any of its OS
+// pages is present or swapped, from /proc/self/pagemap. Empty when the file
+// cannot be read here.
+std::vector<bool> TouchedPages(const uint8_t* base, uint64_t pages) {
+  const uint64_t os_page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  if (os_page == 0 || os_page > wasm::kWasmPageSize) return {};
+  std::vector<uint64_t> entries(pages * wasm::kWasmPageSize / os_page);
+  const int fd = open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return {};
+  const ssize_t want = static_cast<ssize_t>(entries.size() * sizeof(uint64_t));
+  const ssize_t got =
+      pread(fd, entries.data(), static_cast<size_t>(want),
+            static_cast<off_t>(reinterpret_cast<uintptr_t>(base) / os_page * 8));
+  close(fd);
+  if (got != want) return {};
+  std::vector<bool> touched(pages, false);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if ((entries[i] >> 62) != 0) touched[i * os_page / wasm::kWasmPageSize] = true;
+  }
+  return touched;
+}
+
+// 16 pages: a data segment on page 3, page 5 filled with 0x33, the
+// timespec on page 0, every other page untouched. Parks in a 1 ms
+// nanosleep, then exits with a byte of page 5.
+const char* kSparseParkGuest = R"(
+  (memory 16)
+  (data (i32.const 196608) "segment")
+  (func (export "main") (result i32)
+    (memory.fill (i32.const 327680) (i32.const 0x33) (i32.const 65536))
+    (i64.store (i32.const 64) (i64.const 0))
+    (i64.store (i32.const 72) (i64.const 1000000))
+    (drop (call $nanosleep (i64.const 64) (i64.const 0)))
+    (i32.load8_u (i32.const 327680)))
+)";
+
+TEST(WasmSnapshotScan, UntouchedPageSkipKeepsTheBytes) {
+  // The scan skips a page that no data segment writes without reading it,
+  // when the pagemap shows the process never touched it. The bytes must not
+  // depend on the skip: reading every committed page maps the zero page
+  // under each untouched one, which turns the skip off for a second
+  // snapshot of the same park.
+  auto parsed = wasm::ParseAndValidateWat(std::string("(module ") +
+                                          wali_test::kPrelude + kSparseParkGuest + ")");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  wasm::Linker linker;
+  wali::WaliRuntime rt(&linker);
+  auto proc = rt.CreateProcess(*parsed, {"sparse"}, {});
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+  wali::WaliRuntime::MainContinuation cont;
+  RunResult r = rt.RunMain(**proc, rt.exec_options(), &cont);
+  ASSERT_EQ(r.trap, TrapKind::kSyscallPending) << r.trap_message;
+  const wasm::Memory& mem = *(*proc)->memory;
+  const uint64_t pages = mem.size_pages();
+
+  const std::vector<bool> before = TouchedPages(mem.base(), pages);
+  auto skipped = wali::SnapshotProcess(**proc, cont);
+  ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
+  const std::vector<bool> after = TouchedPages(mem.base(), pages);
+  if (!before.empty() && !after.empty()) {
+    size_t untouched = 0;
+    for (uint64_t p = 0; p < pages; ++p) {
+      if (before[p]) continue;
+      ++untouched;
+      EXPECT_FALSE(after[p]) << "the scan read untouched page " << p;
+    }
+    EXPECT_GT(untouched, 0u) << "no untouched page: the skip was never tried";
+  }
+
+  for (uint64_t off = 0; off < pages * wasm::kWasmPageSize; off += 1024) {
+    (void)*reinterpret_cast<const volatile uint8_t*>(mem.base() + off);
+  }
+  const std::vector<bool> read = TouchedPages(mem.base(), pages);
+  for (uint64_t p = 0; p < read.size(); ++p) {
+    EXPECT_TRUE(read[p]) << "page " << p << " still untouched after a read";
+  }
+  auto compared = wali::SnapshotProcess(**proc, cont);
+  ASSERT_TRUE(compared.ok()) << compared.status().ToString();
+  EXPECT_EQ(*skipped, *compared);
+  cont.Discard();
+
+  auto fresh = rt.CreateProcess(*parsed, {"sparse"}, {});
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  wali::WaliRuntime::MainContinuation restored;
+  common::Status st =
+      wali::RestoreProcess(skipped->data(), skipped->size(), **fresh, restored);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  r = rt.ResumeMain(**fresh, restored, wali::IoCompletion::Result(0));
+  ASSERT_TRUE(r.ok()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 0x33);
+}
+
+// A data segment writes "segment" at the start of page 2. The guest drops
+// that page with madvise(MADV_DONTNEED), parks in a 1 ms nanosleep, then
+// exits with the page's first byte: 0 once dropped ('s' = 115 if not).
+const char* kDroppedSegmentPageGuest = R"(
+  (import "wali" "SYS_madvise" (func $madvise (param i64 i64 i64) (result i64)))
+  (memory 4)
+  (data (i32.const 131072) "segment")
+  (func (export "main") (result i32)
+    (if (i64.ne (call $madvise (i64.const 131072) (i64.const 65536) (i64.const 4))
+                (i64.const 0))
+      (then (return (i32.const 200))))
+    (i64.store (i32.const 64) (i64.const 0))
+    (i64.store (i32.const 72) (i64.const 1000000))
+    (drop (call $nanosleep (i64.const 64) (i64.const 0)))
+    (i32.load8_u (i32.const 131072)))
+)";
+
+TEST(WasmSnapshotScan, DroppedSegmentPageRestoresAsZeros) {
+  // A data page the guest dropped reads as zeros without being present,
+  // yet differs from the fresh image, which holds the segment bytes. The
+  // untouched-page skip must not apply to it: it is snapshotted as zeros,
+  // and the restore overwrites the fresh instance's segment bytes.
+  auto parsed = wasm::ParseAndValidateWat(std::string("(module ") + wali_test::kPrelude +
+                                          kDroppedSegmentPageGuest + ")");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  wasm::Linker linker;
+  wali::WaliRuntime rt(&linker);
+  auto proc = rt.CreateProcess(*parsed, {"dropped"}, {});
+  ASSERT_TRUE(proc.ok()) << proc.status().ToString();
+  wali::WaliRuntime::MainContinuation cont;
+  RunResult r = rt.RunMain(**proc, rt.exec_options(), &cont);
+  ASSERT_EQ(r.trap, TrapKind::kSyscallPending) << r.trap_message;
+  constexpr uint64_t kSegment = 2 * wasm::kWasmPageSize;
+  ASSERT_EQ((*proc)->memory->base()[kSegment], 0) << "madvise did not drop the page";
+  auto snap = wali::SnapshotProcess(**proc, cont);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  cont.Discard();
+
+  auto fresh = rt.CreateProcess(*parsed, {"dropped"}, {});
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_EQ((*fresh)->memory->base()[kSegment], 's');
+  wali::WaliRuntime::MainContinuation restored;
+  common::Status st = wali::RestoreProcess(snap->data(), snap->size(), **fresh, restored);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const uint8_t* page = (*fresh)->memory->base() + kSegment;
+  EXPECT_TRUE(std::all_of(page, page + wasm::kWasmPageSize, [](uint8_t b) { return b == 0; }))
+      << "the restore kept the segment bytes the guest had dropped";
+  r = rt.ResumeMain(**fresh, restored, wali::IoCompletion::Result(0));
+  ASSERT_TRUE(r.ok()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 0);
+}
+
 // ------------------------------------------------------- format stability --
 
-// Golden pin for snapshot format v3. The bytes of a fixed, fully
+// Golden pin for snapshot format v4. The bytes of a fixed, fully
 // deterministic park (kGoldenKernelWat under kEveryInstr + kSwitch with a
 // fixed fake module hash) are summarized by (length, FNV-1a). If either
 // changes, the on-disk format changed: bump wasm::kSnapshotVersion and
 // regenerate these constants from the failure message. DO NOT update the
 // constants without the version bump — old snapshots would decode wrong.
 constexpr size_t kGoldenSnapshotSize = 65694;
-constexpr uint64_t kGoldenSnapshotFnv = 0x5bb55f63f77509d3ULL;
+constexpr uint64_t kGoldenSnapshotFnv = 0x228f1e23caee0dc1ULL;
 // First bytes of the golden snapshot (header + start of the exec section),
 // for quick diagnosis of what moved.
-constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x03, 0x00,
+constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x04, 0x00,
                                      0x00, 0x00};
 
 uint64_t Fnv64(const std::vector<uint8_t>& bytes) {
