@@ -5,6 +5,7 @@
 #include "src/common/time_util.h"
 #include "src/wali/process_snapshot.h"
 #include "src/wali/trace.h"
+#include "src/wasm/snapshot.h"
 
 namespace host {
 
@@ -354,7 +355,7 @@ bool Supervisor::RestoreParked(RunState& st) {
   }
   proc.policy = st.job.policy;
   st.evicted = false;
-  st.evicted_snapshot = {};
+  wasm::ReleaseSnapshot(st.evicted_snapshot);
   st.evicted_fds.clear();  // re-adopted by the restored process
   c_restores_->Inc();
   g_evicted_now_->Sub(1);
@@ -772,6 +773,7 @@ void Supervisor::FinishAbandoned(RunState st, Outcome outcome,
   if (st.evicted) {
     // No live process: the snapshot bytes go with the run, and nobody will
     // re-adopt the fds it took over at eviction.
+    wasm::ReleaseSnapshot(st.evicted_snapshot);
     for (int fd : st.evicted_fds) {
       ::close(fd);
     }

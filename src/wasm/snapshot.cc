@@ -322,6 +322,17 @@ std::vector<bool> SegmentPages(Instance* inst, uint64_t pages) {
   return covered;
 }
 
+// Applies `advice` to the OS pages that lie wholly inside [p, p + n). An
+// error is ignored: both uses only save work or memory.
+void AdviseWholePages(void* p, size_t n, int advice) {
+  const long os_page = sysconf(_SC_PAGESIZE);
+  if (os_page <= 0) return;
+  const uintptr_t mask = static_cast<uintptr_t>(os_page) - 1;
+  const uintptr_t lo = (reinterpret_cast<uintptr_t>(p) + mask) & ~mask;
+  const uintptr_t hi = (reinterpret_cast<uintptr_t>(p) + n) & ~mask;
+  if (hi > lo) madvise(reinterpret_cast<void*>(lo), hi - lo, advice);
+}
+
 bool AllZero(const uint8_t* page) {
   for (size_t i = 0; i < kWasmPageSize; i += 64) {
     uint64_t w[8];
@@ -435,10 +446,15 @@ common::StatusOr<std::vector<uint8_t>> SnapshotSuspension(
   const std::vector<uint64_t> dirty =
       mem == nullptr ? std::vector<uint64_t>{} : DirtyPages(inst, *mem);
   const uint32_t num_globals = m.NumGlobals();
+  const size_t size = kHeaderBytes + kExecBytes + 8 + 8 * ctx.stack.size() + 4 +
+                      kFrameRecBytes * ctx.frames.size() + 4 + 8 * num_globals + 8 + 4 +
+                      kDeltaRecBytes * dirty.size() + 8 + host_blob.size();
   SnapshotWriter w;
-  w.Reserve(kHeaderBytes + kExecBytes + 8 + 8 * ctx.stack.size() + 4 +
-            kFrameRecBytes * ctx.frames.size() + 4 + 8 * num_globals + 8 + 4 +
-            kDeltaRecBytes * dirty.size() + 8 + host_blob.size());
+  w.Reserve(size);
+  // Every byte is about to be written, and the buffer's pages are usually
+  // fresh (ReleaseSnapshot gave them back): pre-fault them with one madvise
+  // instead of a fault per OS page. Kernels before 5.14 reject the advice.
+  AdviseWholePages(w.buf().data(), size, MADV_POPULATE_WRITE);
 
   // Header; the payload checksum is filled in place once the payload is.
   w.U32(kSnapshotMagic);
@@ -507,6 +523,11 @@ common::StatusOr<std::vector<uint8_t>> SnapshotSuspension(
   StoreLe64(out.data() + kChecksumOffset,
             ChecksumPayload(out.data() + kHeaderBytes, out.size() - kHeaderBytes));
   return std::move(out);
+}
+
+void ReleaseSnapshot(std::vector<uint8_t>& bytes) {
+  AdviseWholePages(bytes.data(), bytes.capacity(), MADV_DONTNEED);
+  std::vector<uint8_t>().swap(bytes);
 }
 
 common::StatusOr<std::vector<uint8_t>> RestoreSuspension(

@@ -11,9 +11,10 @@
 // pages costs. The scan rebuilds the baseline only for pages a data segment
 // writes, compares every other page against zeros, and skips such a page
 // unread when /proc/self/pagemap shows the process never touched it. The
-// restore pre-faults its copy target. Memory that a file was mapped into
-// (Memory::file_mapped) is refused: its pages need not be anonymous, or
-// even readable.
+// snapshot buffer and the restore's copy target are pre-faulted, and
+// ReleaseSnapshot gives a discarded snapshot's pages back to the kernel.
+// Memory that a file was mapped into (Memory::file_mapped) is refused: its
+// pages need not be anonymous, or even readable.
 //
 // Format (all integers little-endian):
 //
@@ -108,6 +109,12 @@ uint64_t ModuleStructuralHash(const Module& m);
 common::StatusOr<std::vector<uint8_t>> SnapshotSuspension(
     const Suspension& susp, Instance* inst, uint64_t module_hash,
     const std::vector<uint8_t>& host_blob);
+
+// Frees snapshot bytes, first giving their whole pages back to the kernel
+// (madvise MADV_DONTNEED). malloc keeps a freed block this large for reuse,
+// so a host that evicts in bursts would otherwise stay at the footprint of
+// its most concurrently evicted moment.
+void ReleaseSnapshot(std::vector<uint8_t>& bytes);
 
 // Validates `data` (magic, version, checksum, module hash) and rebuilds the
 // parked invocation into `inst`, which must be a FRESH instance of the
