@@ -235,9 +235,8 @@ class Supervisor {
   //
   // Every park is pure data, so any parked run is evictable unless the
   // process itself is not (guest threads, inside a signal handler, pending
-  // virtual signals, a file mapped into its memory), in which case it
-  // simply stays resident. While the run
-  // is evicted its guest fds stay open, owned by the run: the restore
+  // virtual signals), in which case it simply stays resident. While the
+  // run is evicted its guest fds stay open, owned by the run: the restore
   // re-adopts them, and a run abandoned while evicted (shed, budget,
   // shutdown) closes them.
 

@@ -1,12 +1,13 @@
 // WALI memory-mapping manager (paper §3.2 "Memory Management").
 //
 // Carves page-aligned ranges out of the top of a module's linear memory to
-// back guest mmap/munmap/mremap. All mappings live inside the Wasm sandbox:
-// file mappings use MAP_FIXED inside the reserved linear-memory region
-// (zero-copy), anonymous mappings are just committed wasm pages. A simple
-// ordered free-list tracks the pool; the paper's minimal implementation uses
-// a single bump pointer — we keep a free list so unmapped ranges can be
-// reused (listed as the paper's "more elaborate allocator" extension).
+// back guest mmap/munmap/mremap. All mappings live inside the Wasm sandbox
+// and are just committed wasm pages: an anonymous map reads as zeros, and a
+// private file map holds a copy of the file (src/wali/syscalls_mem.cc). A
+// simple ordered free-list tracks the pool; the paper's minimal
+// implementation uses a single bump pointer — we keep a free list so
+// unmapped ranges can be reused (listed as the paper's "more elaborate
+// allocator" extension).
 #ifndef SRC_WALI_MMAP_MGR_H_
 #define SRC_WALI_MMAP_MGR_H_
 

@@ -297,12 +297,6 @@ common::StatusOr<std::vector<uint8_t>> SnapshotProcess(
   if (!proc.pending_io.armed) {
     return common::FailedPrecondition("snapshot: no parked syscall");
   }
-  // wasm::SnapshotSuspension refuses such memory too; refusing it here
-  // spares the host blob and the module hash an eviction sweep would
-  // otherwise pay for every parked run that holds a file map.
-  if (proc.memory != nullptr && proc.memory->file_mapped()) {
-    return common::FailedPrecondition("snapshot: linear memory holds a file mapping");
-  }
   std::vector<uint8_t> blob = EncodeHostBlob(proc, cont);
   return wasm::SnapshotSuspension(cont.susp, proc.main_instance.get(),
                                   wasm::ModuleStructuralHash(*proc.module), blob);

@@ -1,6 +1,12 @@
 // Memory-management syscalls (paper §3.2): mmap/munmap/mremap fully inside
-// the Wasm sandbox via the MmapManager pool, file maps MAP_FIXED into linear
-// memory (zero-copy), brk emulated over the pool.
+// the Wasm sandbox via the MmapManager pool, brk emulated over the pool.
+//
+// Every committed byte of linear memory is anonymous, private and
+// read-write: the interpreter, the JIT and every handler that reads guest
+// memory rely on it. mmap and madvise are the only calls that could break
+// it, so they hold it (§3.6): a private file map is a copy of the file, a
+// shared one is refused, and madvise passes through only advice that keeps
+// pages plain.
 #include <errno.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
@@ -13,18 +19,36 @@ namespace {
 
 constexpr uint64_t kPageMask = kMmapPageSize - 1;
 
+// Copies the file's bytes from `offset` into the freshly zeroed range;
+// bytes past the file's end stay zero. A file that cannot be read at an
+// offset (a pipe, socket or directory) answers -ENODEV, as Linux's mmap
+// does for it.
+int64_t CopyFile(WaliCtx& c, int fd, uint64_t addr, uint64_t len, int64_t offset) {
+  for (uint64_t done = 0; done < len;) {
+    int64_t n = c.Raw(SYS_pread64, fd, reinterpret_cast<long>(c.mem.At(addr + done)),
+                      static_cast<long>(len - done), static_cast<long>(offset + done));
+    if (n == -ESPIPE || n == -EISDIR) return -ENODEV;
+    if (n <= 0) return n;  // an error, or the file's end
+    done += static_cast<uint64_t>(n);
+  }
+  return 0;
+}
+
 int64_t SysMmap(WaliCtx& c, const int64_t* a) {
   uint64_t addr = static_cast<uint64_t>(a[0]);
   uint64_t len = static_cast<uint64_t>(a[1]);
-  int prot = static_cast<int>(a[2]);
   int flags = static_cast<int>(a[3]);
   int fd = static_cast<int>(a[4]);
   int64_t offset = a[5];
   if (len == 0 || (addr & kPageMask) != 0 || (offset & kPageMask) != 0) {
     return -EINVAL;
   }
-  if ((prot & PROT_EXEC) != 0) {
+  if ((a[2] & PROT_EXEC) != 0) {
     return -EPERM;  // code injection impossible by construction (§3.6)
+  }
+  const bool file = (flags & MAP_ANONYMOUS) == 0 && fd >= 0;
+  if (file && (flags & MAP_SHARED) != 0) {
+    return -ENODEV;  // MAP_SHARED and MAP_SHARED_VALIDATE: a copy cannot share
   }
   bool fixed = (flags & MAP_FIXED) != 0;
   bool virgin = false;
@@ -32,23 +56,16 @@ int64_t SysMmap(WaliCtx& c, const int64_t* a) {
   if (got == 0) {
     return -ENOMEM;
   }
-  if ((flags & MAP_ANONYMOUS) != 0 || fd < 0) {
-    // Reused pool ranges may hold stale bytes; freshly committed ranges are
-    // already zero and skip the re-mapping.
-    if (!virgin) {
-      int rc = c.mem.UnmapFixed(got, (len + kPageMask) & ~kPageMask);
-      if (rc != 0) {
-        c.proc.mmap.Release(got, len);
-        return -rc;
-      }
-    }
-    return static_cast<int64_t>(got);
+  const uint64_t span = (len + kPageMask) & ~kPageMask;
+  // Reused pool ranges may hold stale bytes; freshly committed ranges are
+  // already zero and skip the re-mapping.
+  int64_t rc = virgin ? 0 : -c.mem.UnmapFixed(got, span);
+  if (rc == 0 && file) {
+    rc = CopyFile(c, fd, got, span, offset);
   }
-  int host_flags = (flags & (MAP_SHARED | MAP_PRIVATE)) | MAP_FIXED;
-  int rc = c.mem.MapFileFixed(got, len, prot, host_flags, fd, offset);
   if (rc != 0) {
     c.proc.mmap.Release(got, len);
-    return -rc;
+    return rc;
   }
   return static_cast<int64_t>(got);
 }
@@ -88,33 +105,42 @@ int64_t SysMremap(WaliCtx& c, const int64_t* a) {
 int64_t SysMprotect(WaliCtx& c, const int64_t* a) {
   uint64_t addr = static_cast<uint64_t>(a[0]);
   uint64_t len = static_cast<uint64_t>(a[1]);
-  int prot = static_cast<int>(a[2]);
   if ((addr & kPageMask) != 0) {
     return -EINVAL;
   }
-  if ((prot & PROT_EXEC) != 0) {
+  if ((a[2] & PROT_EXEC) != 0) {
     return -EPERM;
   }
   if (!c.mem.InBounds(addr, len)) {
     return -ENOMEM;
   }
-  // The sandbox keeps pages readable+writable so interpreter accesses can
-  // never fault the engine; permission *restrictions* are recorded as a
-  // no-op (documented deviation — a fault-to-trap engine would pass through).
-  if ((prot & (PROT_READ | PROT_WRITE)) == (PROT_READ | PROT_WRITE)) {
-    int rc = c.mem.ProtectFixed(addr, len, prot);
-    return rc == 0 ? 0 : -rc;
-  }
+  // Linear memory stays readable+writable so no guest access can fault the
+  // engine: a restriction is recorded as a no-op (documented deviation; a
+  // fault-to-trap engine would pass it through).
   return 0;
 }
+
+// Advice that leaves pages anonymous, private and read-write. Any other
+// answers -EINVAL, Linux's answer for advice it does not know: guard pages
+// (a load from one kills the host), page poisoning and offlining,
+// MADV_REMOVE, and the fork, KSM and dump advice.
+constexpr uint64_t kPlainAdvice =
+    1ULL << MADV_NORMAL | 1ULL << MADV_RANDOM | 1ULL << MADV_SEQUENTIAL |
+    1ULL << MADV_WILLNEED | 1ULL << MADV_DONTNEED | 1ULL << MADV_FREE |
+    1ULL << MADV_HUGEPAGE | 1ULL << MADV_NOHUGEPAGE | 1ULL << MADV_COLD |
+    1ULL << MADV_PAGEOUT | 1ULL << MADV_POPULATE_READ | 1ULL << MADV_POPULATE_WRITE;
 
 int64_t SysMadvise(WaliCtx& c, const int64_t* a) {
   uint64_t addr = static_cast<uint64_t>(a[0]);
   uint64_t len = static_cast<uint64_t>(a[1]);
+  int advice = static_cast<int>(a[2]);
+  if (static_cast<unsigned>(advice) >= 64 || ((kPlainAdvice >> advice) & 1) == 0) {
+    return -EINVAL;
+  }
   if (!c.mem.InBounds(addr, len)) {
     return -ENOMEM;
   }
-  return c.Raw(SYS_madvise, reinterpret_cast<long>(c.mem.At(addr)), len, a[2]);
+  return c.Raw(SYS_madvise, reinterpret_cast<long>(c.mem.At(addr)), len, advice);
 }
 
 int64_t SysBrk(WaliCtx& c, const int64_t* a) {
@@ -173,11 +199,11 @@ int64_t SysProcessVmWritev(WaliCtx& c, const int64_t* a) { return -EPERM; }
 
 void RegisterMemSyscalls(std::vector<SyscallDef>& defs) {
   defs.insert(defs.end(), {
-      {"mmap", 6, SysMmap, true, 30},
+      {"mmap", 6, SysMmap, true, 41},
       {"munmap", 2, SysMunmap, true, 12},
       {"mremap", 5, SysMremap, true, 14},
-      {"mprotect", 3, SysMprotect, false, 4},
-      {"madvise", 3, SysMadvise, false, 4},
+      {"mprotect", 3, SysMprotect, false, 13},
+      {"madvise", 3, SysMadvise, false, 16},
       {"brk", 1, SysBrk, true, 8},
       {"msync", 3, SysMsync, false, 4},
       {"mlock", 2, SysMlock, false, 3},

@@ -87,7 +87,6 @@ common::Status Memory::ResetToPages(uint64_t pages) {
     if (new_bytes > 0 && madvise(base_, new_bytes, MADV_DONTNEED) == 0) {
       high_water_pages_.store(pages, std::memory_order_release);
       grow_budget_pages_.store(0, std::memory_order_release);
-      file_mapped_.store(false, std::memory_order_release);
       return common::OkStatus();
     }
     // fall through to the remap path on madvise failure
@@ -107,7 +106,6 @@ common::Status Memory::ResetToPages(uint64_t pages) {
   size_bytes_.store(new_bytes, std::memory_order_release);
   high_water_pages_.store(pages, std::memory_order_release);
   grow_budget_pages_.store(0, std::memory_order_release);
-  file_mapped_.store(false, std::memory_order_release);
   return common::OkStatus();
 }
 
@@ -124,29 +122,6 @@ bool Memory::GrowToCover(uint64_t end) {
   return Grow(need_pages - cur_pages) >= 0;
 }
 
-int Memory::MapFileFixed(uint64_t offset, uint64_t len, int prot, int flags,
-                         int fd, int64_t file_offset) {
-  if (len == 0) {
-    return EINVAL;
-  }
-  uint64_t end = offset + len;
-  if (end < offset || end > max_pages_ * kWasmPageSize) {
-    return ENOMEM;
-  }
-  if (!GrowToCover(end)) {
-    return ENOMEM;
-  }
-  prot &= (PROT_READ | PROT_WRITE);  // never executable inside the sandbox
-  // Set before the map: a failed MAP_FIXED may already have replaced the
-  // range's anonymous pages.
-  file_mapped_.store(true, std::memory_order_release);
-  void* got = mmap(base_ + offset, len, prot, flags | MAP_FIXED, fd, file_offset);
-  if (got == MAP_FAILED) {
-    return errno;
-  }
-  return 0;
-}
-
 int Memory::UnmapFixed(uint64_t offset, uint64_t len) {
   uint64_t end = offset + len;
   if (end < offset || end > size_bytes()) {
@@ -155,18 +130,6 @@ int Memory::UnmapFixed(uint64_t offset, uint64_t len) {
   void* got = mmap(base_ + offset, len, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED, -1, 0);
   if (got == MAP_FAILED) {
-    return errno;
-  }
-  return 0;
-}
-
-int Memory::ProtectFixed(uint64_t offset, uint64_t len, int prot) {
-  uint64_t end = offset + len;
-  if (end < offset || end > size_bytes()) {
-    return EINVAL;
-  }
-  prot &= (PROT_READ | PROT_WRITE);
-  if (mprotect(base_ + offset, len, prot) != 0) {
     return errno;
   }
   return 0;

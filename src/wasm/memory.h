@@ -1,7 +1,8 @@
 // Linear memory. The full max size is reserved up-front with PROT_NONE and
 // committed on grow, so the base address never moves. This is what lets
-// WALI (a) share one memory across instance-per-thread clones and (b) map
-// files zero-copy inside the sandbox with MAP_FIXED (paper §3.2).
+// WALI share one memory across instance-per-thread clones and serve mmap
+// from inside the sandbox (paper §3.2). Every committed byte is anonymous,
+// private and read-write; WALI's mmap and madvise keep it so.
 #ifndef SRC_WASM_MEMORY_H_
 #define SRC_WASM_MEMORY_H_
 
@@ -46,12 +47,12 @@ class Memory {
     return high_water_pages_.load(std::memory_order_acquire);
   }
 
-  // Soft cap below max_pages, enforced in Grow (and thus GrowToCover /
-  // MapFileFixed): a grow past it fails like a grow past the declared
-  // maximum, so pages beyond the cap are never committed — a single huge
-  // memory.grow cannot overshoot it the way a poll-at-safepoint check
-  // could. 0 = no cap. Armed per run by the host supervisor from the
-  // tenant's memory budget; cleared on ResetToPages (slab recycle).
+  // Soft cap below max_pages, enforced in Grow (and thus GrowToCover): a
+  // grow past it fails like a grow past the declared maximum, so pages
+  // beyond the cap are never committed — a single huge memory.grow cannot
+  // overshoot it the way a poll-at-safepoint check could. 0 = no cap.
+  // Armed per run by the host supervisor from the tenant's memory budget;
+  // cleared on ResetToPages (slab recycle).
   void SetGrowBudgetPages(uint64_t pages) {
     grow_budget_pages_.store(pages, std::memory_order_release);
   }
@@ -82,23 +83,11 @@ class Memory {
   // Unchecked translation; callers must bounds-check first.
   uint8_t* At(uint64_t offset) const { return base_ + offset; }
 
-  // --- WALI memory-mapping hooks (all offsets are wasm addresses) ---
-
-  // Maps fd at linear-memory offset `offset` with MAP_FIXED. The range must
-  // be page-aligned and inside the reservation; grows the wasm size to cover
-  // it. Returns errno (0 on success).
-  int MapFileFixed(uint64_t offset, uint64_t len, int prot, int flags, int fd,
-                   int64_t file_offset);
-  // True once MapFileFixed has run since creation or the last ResetToPages.
-  // Such memory may hold pages that are neither anonymous nor readable (a
-  // PROT_NONE map, a map past the file's end), so a snapshot refuses it
-  // rather than read through them.
-  bool file_mapped() const { return file_mapped_.load(std::memory_order_acquire); }
-  // "Unmaps" by replacing with fresh anonymous zero pages, keeping the range
+  // WALI munmap/mmap hook (`offset` is a wasm address): "unmaps" by
+  // replacing the range with fresh anonymous zero pages, keeping it
   // accessible so later sandboxed loads see zeros instead of faulting.
+  // Returns errno (0 on success).
   int UnmapFixed(uint64_t offset, uint64_t len);
-  // mprotect passthrough within the sandbox (never allows PROT_EXEC).
-  int ProtectFixed(uint64_t offset, uint64_t len, int prot);
 
   // --- atomics.wait / atomics.notify support (threads proposal) ---
   // Returns 0 = woken, 1 = not-equal, 2 = timed out.
@@ -116,7 +105,6 @@ class Memory {
   std::atomic<uint64_t> size_bytes_{0};
   std::atomic<uint64_t> high_water_pages_{0};
   std::atomic<uint64_t> grow_budget_pages_{0};
-  std::atomic<bool> file_mapped_{false};
   uint64_t max_pages_ = 0;
   uint64_t reserved_bytes_ = 0;
   bool shared_ = false;

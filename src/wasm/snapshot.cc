@@ -393,7 +393,7 @@ class UntouchedPages {
 // and skipped unread when the process never touched it. The skip is exact
 // only for such pages, since a guest can madvise(MADV_DONTNEED) a segment
 // page, which then reads as zeros but differs from the image; and only for
-// anonymous memory, which SnapshotSuspension's file-map refusal ensures.
+// anonymous memory, which every committed page is (wasm/memory.h).
 std::vector<uint64_t> DirtyPages(Instance* inst, const Memory& mem) {
   const uint64_t pages = mem.size_pages();
   const std::vector<bool> covered = SegmentPages(inst, pages);
@@ -436,9 +436,6 @@ common::StatusOr<std::vector<uint8_t>> SnapshotSuspension(
   const uint32_t entry_type_index =
       static_cast<uint32_t>(susp.entry_type - m.types.data());
   std::shared_ptr<Memory> mem = inst->memory(0);
-  if (mem != nullptr && mem->file_mapped()) {
-    return common::FailedPrecondition("snapshot: linear memory holds a file mapping");
-  }
 
   // Linear memory is the committed size plus only the pages that differ
   // from the fresh-instance image. Finding them first sizes the one buffer

@@ -13,8 +13,8 @@
 // unread when /proc/self/pagemap shows the process never touched it. The
 // snapshot buffer and the restore's copy target are pre-faulted, and
 // ReleaseSnapshot gives a discarded snapshot's pages back to the kernel.
-// Memory that a file was mapped into (Memory::file_mapped) is refused: its
-// pages need not be anonymous, or even readable.
+// The scan relies on linear memory being anonymous and readable, which
+// holds by construction: WALI serves a file map as a copy.
 //
 // Format (all integers little-endian):
 //

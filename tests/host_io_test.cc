@@ -1653,49 +1653,58 @@ TEST(HostIo, EvictionDropsTheSlabsPages) {
 }
 
 // Maps the file in argv[1] (prot 0, MAP_PRIVATE) into linear memory, parks
-// in a 50 ms nanosleep, then exits 7; 250 when the mmap fails.
+// in a 50 ms nanosleep, then exits with the map's byte at offset 4096; 250
+// when the mmap fails.
 std::string NoAccessFileMapGuest() {
   return std::string(R"(
   (memory 2)
 )") + kArgFdFunc + R"(
   (func (export "main") (result i32)
-    (if (i64.lt_s (call $mmap (i64.const 0) (i64.const 65536) (i64.const 0)
-                              (i64.const 2) (call $argfd (i64.const 1)) (i64.const 0))
-                  (i64.const 0))
+    (local $p i64)
+    (local.set $p (call $mmap (i64.const 0) (i64.const 65536) (i64.const 0)
+                              (i64.const 2) (call $argfd (i64.const 1)) (i64.const 0)))
+    (if (i64.lt_s (local.get $p) (i64.const 0))
       (then (return (i32.const 250))))
     (i64.store (i32.const 512) (i64.const 0))
     (i64.store (i32.const 520) (i64.const 50000000))
     (drop (call $nanosleep (i64.const 512) (i64.const 0)))
-    (i32.const 7))
+    (i32.load8_u offset=4096 (i32.wrap_i64 (local.get $p))))
 )";
 }
 
-TEST(HostIo, EvictionRefusesFileMappedMemory) {
+TEST(HostIo, EvictionRestoresFileMappedMemory) {
   // Regression: evicting a guest that held a PROT_NONE file map killed the
-  // host with SIGSEGV in the snapshot's page scan. Memory that a file was
-  // mapped into is refused: the run stays resident, the sweep skips it,
-  // and it completes normally.
-  EvictWorld w = MakeEvictWorld(/*workers=*/1);
+  // host with SIGSEGV in the snapshot's page scan. A file map is a copy in
+  // anonymous memory, so the sweep evicts such a guest like any other, and
+  // after the restore it reads the copy, not the file (truncated by then).
   TestFds fds;
   const int file = fds.File(65536);
-  auto module = w.cache->Load(WrapModule(NoAccessFileMapGuest()));
-  ASSERT_TRUE(module.ok()) << module.status().ToString();
-  std::future<host::RunReport> fut =
-      w.sup->Submit(WithFds(MakeJob(*module, "t"), {file}));
-  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  ASSERT_EQ(::pwrite(file, "W", 1, 4096), 1);
+  host::RunReport resident;
+  for (bool evict : {false, true}) {
+    SCOPED_TRACE(EvictLabel(evict));
+    EvictWorld w = MakeEvictWorld(/*workers=*/1);
+    auto module = w.cache->Load(WrapModule(NoAccessFileMapGuest()));
+    ASSERT_TRUE(module.ok()) << module.status().ToString();
+    std::future<host::RunReport> fut =
+        w.sup->Submit(WithFds(MakeJob(*module, "t"), {file}));
+    ASSERT_TRUE(WaitForPending(*w.fake, 1));
+    if (evict) {
+      EXPECT_EQ(w.sup->EvictAllParked(), 1u);
+      EXPECT_EQ(w.sup->io_stats().evicted_now, 1u);
+      ASSERT_EQ(::ftruncate(file, 0), 0);
+    }
 
-  EXPECT_EQ(w.sup->EvictAllParked(), 0u);
-  std::vector<uint64_t> cookies = w.sup->parked_cookies();
-  ASSERT_EQ(cookies.size(), 1u);
-  common::Status ev = w.sup->EvictParked(cookies[0]);
-  EXPECT_EQ(ev.code(), common::StatusCode::kFailedPrecondition) << ev.ToString();
-  EXPECT_EQ(w.sup->io_stats().evicted_now, 0u);
-
-  w.fake->AdvanceBy(50 * kMs);
-  host::RunReport r = fut.get();
-  EXPECT_TRUE(r.completed()) << r.trap_message;
-  EXPECT_EQ(r.exit_code, 7);
-  EXPECT_EQ(w.sup->io_stats().restores_total, 0u);
+    w.fake->AdvanceBy(50 * kMs);
+    host::RunReport r = fut.get();
+    EXPECT_TRUE(r.completed()) << r.trap_message;
+    EXPECT_EQ(r.exit_code, 'W');
+    EXPECT_EQ(w.sup->io_stats().restores_total, evict ? 1u : 0u);
+    if (evict) {
+      EXPECT_EQ(r.executed_instrs, resident.executed_instrs);
+    }
+    resident = r;
+  }
 }
 
 TEST(HostIo, ShutdownWithEvictedRunResolvesFuture) {

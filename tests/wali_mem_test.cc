@@ -1,6 +1,7 @@
 // WALI memory-management syscalls: anonymous and file-backed mmap inside the
-// sandbox, zero-copy file maps, munmap-to-zeros, mremap, brk, and the PROT
-// restrictions of §3.6.
+// sandbox, file maps as private copies, munmap-to-zeros, mremap, brk, the
+// PROT restrictions of §3.6, and the invariant that no guest mmap, mprotect
+// or madvise can make linear memory fault the host.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -40,7 +41,7 @@ TEST(WaliMem, AnonymousMmapReadWrite) {
   ExpectWaliMain(body, 0);
 }
 
-TEST(WaliMem, FileBackedMmapZeroCopy) {
+TEST(WaliMem, FileBackedMmapCopiesTheFile) {
   std::string path = TempPath("mapfile");
   FILE* f = fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
@@ -73,6 +74,166 @@ TEST(WaliMem, FileBackedMmapZeroCopy) {
   ExpectWaliMain(body, 0);
   unlink(path.c_str());
 }
+
+// Every committed byte of linear memory stays anonymous, private and
+// read-write, so no guest mmap, mprotect or madvise can make a later access
+// fault the host. Each row maps (or tries to map) a 5-byte file holding
+// "/dev" and its NUL; the first seven rows killed the host with SIGSEGV or
+// SIGBUS while a file map was a MAP_FIXED map of the file itself.
+struct InvariantCase {
+  const char* name;
+  const char* body;  // the rest of main after $fd is open; returns an i32
+  uint32_t want;
+  uint64_t mapped_after;  // MmapManager::bytes_in_use() after the run
+};
+
+const InvariantCase kInvariantCases[] = {
+    {"StoreIntoProtReadFileMap", R"(
+      (local.set $p (call $map (i64.const 4096) (i64.const 1) (local.get $fd)))
+      (i32.store (local.get $p) (i32.const 0x12345678))
+      (i32.ne (i32.load (local.get $p)) (i32.const 0x12345678)))",
+     0, 4096},
+    {"LoadFromProtNoneFileMap", R"(
+      (local.set $p (call $map (i64.const 4096) (i64.const 0) (local.get $fd)))
+      (i32.ne (i32.load (local.get $p)) (i32.const 0x7665642f)))",  // "/dev"
+     0, 4096},
+    // Linux raises SIGBUS past the file's end; the copy reads zeros there.
+    {"LoadPastTheFileEnd", R"(
+      (local.set $p (call $map (i64.const 65536) (i64.const 1) (local.get $fd)))
+      (i32.or (i32.ne (i32.load (local.get $p)) (i32.const 0x7665642f))
+              (i32.or (i32.load offset=4 (local.get $p))
+                      (i32.load offset=8192 (local.get $p)))))",
+     0, 65536},
+    // The copy holds the file's bytes at mmap time.
+    {"LoadAfterTruncatingTheFile", R"(
+      (local.set $p (call $map (i64.const 4096) (i64.const 1) (local.get $fd)))
+      (if (i64.ne (call $ftruncate (local.get $fd) (i64.const 0)) (i64.const 0))
+        (then (return (i32.const 201))))
+      (i32.ne (i32.load (local.get $p)) (i32.const 0x7665642f)))",
+     0, 4096},
+    // The anonymous map right after $p keeps the grow from happening in
+    // place, so MmapManager::Reallocate copies the map.
+    {"MremapMovesProtNoneFileMap", R"(
+      (local.set $p (call $map (i64.const 4096) (i64.const 0) (local.get $fd)))
+      (drop (call $map (i64.const 4096) (i64.const 3) (i64.const -1)))
+      (local.set $r (call $mremap (i64.extend_i32_u (local.get $p)) (i64.const 4096)
+                          (i64.const 65536) (i64.const 1) (i64.const 0)))
+      (if (i64.lt_s (local.get $r) (i64.const 0)) (then (return (i32.const 202))))
+      (if (i64.eq (local.get $r) (i64.extend_i32_u (local.get $p)))
+        (then (return (i32.const 203))))
+      (i32.ne (i32.load (i32.wrap_i64 (local.get $r))) (i32.const 0x7665642f)))",
+     0, 4096 + 65536},
+    {"OpenPathInProtNoneFileMap", R"(
+      (local.set $p (call $map (i64.const 4096) (i64.const 0) (local.get $fd)))
+      (local.set $r (call $open (i64.extend_i32_u (local.get $p)) (i64.const 0)
+                          (i64.const 0)))
+      (if (i64.lt_s (local.get $r) (i64.const 0))
+        (then (return (i32.wrap_i64 (i64.sub (i64.const 0) (local.get $r))))))
+      (drop (call $close (local.get $r)))
+      (i32.const 0))",
+     0, 4096},
+    // MADV_GUARD_INSTALL (102): a load from a guard page raises SIGSEGV.
+    {"MadviseGuardInstall", R"(
+      (local.set $p (call $map (i64.const 4096) (i64.const 3) (i64.const -1)))
+      (local.set $r (call $madvise (i64.extend_i32_u (local.get $p)) (i64.const 4096)
+                          (i64.const 102)))
+      (drop (i32.load (local.get $p)))
+      (i32.wrap_i64 (i64.sub (i64.const 0) (local.get $r))))",
+     EINVAL, 4096},
+    // MADV_WILLNEED (3) and MADV_DONTNEED (4) pass through, and the dropped
+    // page reads as zeros; MADV_DONTFORK (10) is not on the allowlist.
+    {"MadviseAllowlist", R"(
+      (local.set $p (call $map (i64.const 4096) (i64.const 3) (i64.const -1)))
+      (i32.store (local.get $p) (i32.const 7))
+      (if (i64.ne (call $madvise (i64.extend_i32_u (local.get $p)) (i64.const 4096)
+                        (i64.const 3))
+                  (i64.const 0))
+        (then (return (i32.const 205))))
+      (if (i64.ne (call $madvise (i64.extend_i32_u (local.get $p)) (i64.const 4096)
+                        (i64.const 4))
+                  (i64.const 0))
+        (then (return (i32.const 206))))
+      (if (i32.ne (i32.load (local.get $p)) (i32.const 0))
+        (then (return (i32.const 207))))
+      (i32.wrap_i64 (i64.sub (i64.const 0)
+        (call $madvise (i64.extend_i32_u (local.get $p)) (i64.const 4096)
+              (i64.const 10)))))",
+     EINVAL, 4096},
+    // MAP_SHARED_VALIDATE (3), then MAP_SHARED (1).
+    {"SharedFileMap", R"(
+      (if (i64.ne (call $mmap (i64.const 0) (i64.const 4096) (i64.const 1) (i64.const 3)
+                        (local.get $fd) (i64.const 0))
+                  (i64.const -19))
+        (then (return (i32.const 204))))
+      (i32.wrap_i64 (i64.sub (i64.const 0)
+        (call $mmap (i64.const 0) (i64.const 4096) (i64.const 1) (i64.const 1)
+              (local.get $fd) (i64.const 0)))))",
+     ENODEV, 0},
+    {"PipeFileMap", R"(
+      (drop (call $pipe2 (i64.const 256) (i64.const 0)))
+      (local.set $r (call $mmap (i64.const 0) (i64.const 4096) (i64.const 1) (i64.const 2)
+                          (i64.load32_s (i32.const 256)) (i64.const 0)))
+      (drop (call $close (i64.load32_s (i32.const 256))))
+      (drop (call $close (i64.load32_s (i32.const 260))))
+      (i32.wrap_i64 (i64.sub (i64.const 0) (local.get $r))))",
+     ENODEV, 0},
+    {"DirectoryFileMap", R"(
+      (local.set $r (call $open (i64.const 32) (i64.const 0) (i64.const 0)))  ;; "/dev"
+      (local.set $p (i32.wrap_i64 (i64.sub (i64.const 0)
+        (call $mmap (i64.const 0) (i64.const 4096) (i64.const 1) (i64.const 2)
+              (local.get $r) (i64.const 0)))))
+      (drop (call $close (local.get $r)))
+      (local.get $p))",
+     ENODEV, 0},
+    {"ClosedFdFileMap", R"(
+      (drop (call $close (local.get $fd)))
+      (i32.wrap_i64 (i64.sub (i64.const 0)
+        (call $mmap (i64.const 0) (i64.const 4096) (i64.const 1) (i64.const 2)
+              (local.get $fd) (i64.const 0)))))",
+     EBADF, 0},
+};
+
+class WaliMemInvariant : public testing::TestWithParam<InvariantCase> {};
+
+TEST_P(WaliMemInvariant, GuestCannotFaultTheHost) {
+  const InvariantCase& tc = GetParam();
+  std::string path = TempPath(tc.name);
+  FILE* f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(fwrite("/dev", 1, 5, f), 5u);
+  fclose(f);
+  // $map: mmap(0, len, prot, MAP_PRIVATE, fd, 0), trapping on failure.
+  std::string body = R"(
+    (import "wali" "SYS_ftruncate" (func $ftruncate (param i64 i64) (result i64)))
+    (import "wali" "SYS_madvise" (func $madvise (param i64 i64 i64) (result i64)))
+    (memory 2 256)
+    (data (i32.const 32) "/dev\00")
+    (data (i32.const 64) ")" + path + R"(\00")
+    (func $map (param $len i64) (param $prot i64) (param $fd i64) (result i32)
+      (local $p i64)
+      (local.set $p (call $mmap (i64.const 0) (local.get $len) (local.get $prot)
+                          (i64.const 2) (local.get $fd) (i64.const 0)))
+      (if (i64.lt_s (local.get $p) (i64.const 0)) (then (unreachable)))
+      (i32.wrap_i64 (local.get $p)))
+    (func (export "main") (result i32)
+      (local $fd i64) (local $p i32) (local $r i64)
+      (local.set $fd (call $open (i64.const 64) (i64.const 2) (i64.const 0)))
+      (if (i64.lt_s (local.get $fd) (i64.const 0)) (then (return (i32.const 200))))
+  )" + tc.body + ")";
+  wali_test::WaliWorld world = RunWali(body);
+  ASSERT_EQ(world.result.trap, wasm::TrapKind::kNone)
+      << wasm::TrapKindName(world.result.trap) << " " << world.result.trap_message;
+  ASSERT_EQ(world.result.values.size(), 1u);
+  EXPECT_EQ(world.result.values[0].i32(), tc.want);
+  EXPECT_EQ(world.process->mmap.bytes_in_use(), tc.mapped_after)
+      << "a failed map must release its pool range";
+  unlink(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, WaliMemInvariant, testing::ValuesIn(kInvariantCases),
+                         [](const testing::TestParamInfo<InvariantCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 TEST(WaliMem, MmapRejectsExec) {
   // PROT_EXEC mappings are impossible by construction (§3.6).
