@@ -17,6 +17,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -76,6 +78,15 @@ struct Row {
   int loc;
   bool stateful;
 };
+
+// Exits 1 unless `ok`. The mremap and brk rows check that the bytes they
+// regrow read as zeros, as Linux gives them.
+void Expect(bool ok, const char* what) {
+  if (!ok) {
+    std::fprintf(stderr, "table2: %s\n", what);
+    std::exit(1);
+  }
+}
 
 // Times `wali_op` and `native_op` over `iters` runs and returns the per-call
 // overhead (difference of means; negative clamped to 0 noise floor).
@@ -269,6 +280,50 @@ int main(int argc, char** argv) {
         [&] { h.Wali("munmap", {wali_ptrs[cursor], 4096}); ++cursor; },
         [&] { munmap(native_ptrs[native_cursor], 4096); ++native_cursor; },
         [&] { refill(); native_cursor = 0; }));
+  }
+  {
+    // A 64 KiB map shrunk to 4 KiB and regrown in place.
+    int64_t wali_map = h.Wali("mmap", {0, 65536, 3, 0x22, -1, 0});
+    char* native_map = static_cast<char*>(mmap(nullptr, 65536, PROT_READ | PROT_WRITE,
+                                               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
+    Expect(wali_map > 0 && native_map != MAP_FAILED, "mmap failed");
+    rows.push_back(Measure(h, "mremap", kIters,
+        [&] {
+          h.Mem(wali_map)[8192] = 1;
+          h.Wali("mremap", {wali_map, 65536, 4096, 0, 0});
+          Expect(h.Wali("mremap", {wali_map, 4096, 65536, 0, 0}) == wali_map &&
+                     h.Mem(wali_map)[8192] == 0,
+                 "regrown mremap memory is not zero");
+        },
+        [&] {
+          native_map[8192] = 1;
+          mremap(native_map, 65536, 4096, 0);
+          void* regrown = mremap(native_map, 4096, 65536, MREMAP_MAYMOVE);
+          Expect(regrown != MAP_FAILED, "native mremap failed");
+          native_map = static_cast<char*>(regrown);
+          Expect(native_map[8192] == 0, "regrown native mremap memory is not zero");
+        }));
+    h.Wali("munmap", {wali_map, 65536});
+    munmap(native_map, 65536);
+  }
+  {
+    // Grow the break by 64 KiB, shrink it back, regrow it and restore it.
+    // The break is re-read first and restored last, so malloc's own view of
+    // the native heap stays right. `at` turns a break into a host pointer.
+    auto cycle = [&](auto brk, auto at) {
+      int64_t b = brk(0);
+      Expect(brk(b + 65536) == b + 65536, "brk growth failed");
+      at(b)[8192] = 1;
+      brk(b);
+      Expect(brk(b + 65536) == b + 65536 && at(b)[8192] == 0,
+             "regrown brk memory is not zero");
+      brk(b);
+    };
+    rows.push_back(Measure(h, "brk", kIters,
+        [&] { cycle([&](int64_t b) { return h.Wali("brk", {b}); },
+                    [&](int64_t b) { return h.Mem(b); }); },
+        [&] { cycle([](int64_t b) { return static_cast<int64_t>(syscall(SYS_brk, b)); },
+                    [](int64_t b) { return reinterpret_cast<uint8_t*>(b); }); }));
   }
   {
     void* native_region = mmap(nullptr, 65536, PROT_READ | PROT_WRITE,

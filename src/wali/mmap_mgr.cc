@@ -25,7 +25,6 @@ void MmapManager::InitLocked() {
   }
   base_ = (base_ + wasm::kWasmPageSize - 1) & ~(wasm::kWasmPageSize - 1);
   limit_ = memory_->max_pages() * wasm::kWasmPageSize;
-  virgin_base_ = base_;
 }
 
 uint64_t MmapManager::pool_base() {
@@ -40,7 +39,6 @@ void MmapManager::Reset() {
   base_ = 0;
   limit_ = 0;
   used_.clear();
-  virgin_base_ = 0;
   brk_base_ = 0;
   brk_cur_ = 0;
   brk_limit_ = 0;
@@ -52,7 +50,6 @@ MmapManager::State MmapManager::ExportState() {
   s.initialized = initialized_;
   s.base = base_;
   s.limit = limit_;
-  s.virgin_base = virgin_base_;
   s.brk_base = brk_base_;
   s.brk_cur = brk_cur_;
   s.brk_limit = brk_limit_;
@@ -65,7 +62,6 @@ void MmapManager::ImportState(const State& s) {
   initialized_ = s.initialized;
   base_ = s.base;
   limit_ = s.limit;
-  virgin_base_ = s.virgin_base;
   brk_base_ = s.brk_base;
   brk_cur_ = s.brk_cur;
   brk_limit_ = s.brk_limit;
@@ -82,40 +78,32 @@ uint64_t MmapManager::bytes_in_use() {
   return total;
 }
 
-uint64_t MmapManager::Allocate(uint64_t len, uint64_t hint_addr, bool fixed,
-                               bool* virgin) {
+uint64_t MmapManager::Allocate(uint64_t len, uint64_t hint_addr, bool fixed) {
   std::lock_guard<std::mutex> lock(mu_);
   InitLocked();
-  return AllocateLocked(len, hint_addr, fixed, virgin);
+  return AllocateLocked(len, hint_addr, fixed);
 }
 
-uint64_t MmapManager::AllocateLocked(uint64_t len, uint64_t hint_addr, bool fixed,
-                                     bool* virgin) {
-  if (virgin != nullptr) {
-    *virgin = false;
-  }
+bool MmapManager::HandOutLocked(uint64_t addr, uint64_t len) {
+  return memory_->Zero(addr, len) == 0 && memory_->GrowToCover(addr + len);
+}
+
+uint64_t MmapManager::AllocateLocked(uint64_t len, uint64_t hint_addr, bool fixed) {
   len = PageUp(len);
-  if (len == 0 || base_ >= limit_) {
+  if (len == 0 || len > limit_ || base_ >= limit_) {
     return 0;
   }
   if (fixed && hint_addr != 0) {
-    if (hint_addr % kMmapPageSize != 0 || hint_addr < base_ ||
+    if (hint_addr % kMmapPageSize != 0 || hint_addr < base_ || hint_addr > limit_ ||
         hint_addr + len > limit_) {
       return 0;
     }
-    // Kernel MAP_FIXED semantics replace existing mappings: release overlap.
-    ReleaseLocked(hint_addr, len);
-    used_[hint_addr] = len;
-    if (!memory_->GrowToCover(hint_addr + len)) {
-      used_.erase(hint_addr);
+    // Kernel MAP_FIXED semantics replace existing mappings.
+    ForgetLocked(hint_addr, len);
+    if (!HandOutLocked(hint_addr, len)) {
       return 0;
     }
-    if (virgin != nullptr) {
-      *virgin = hint_addr >= virgin_base_;
-    }
-    if (hint_addr + len > virgin_base_) {
-      virgin_base_ = hint_addr + len;
-    }
+    used_[hint_addr] = len;
     return hint_addr;
   }
   // First-fit scan over gaps between used ranges.
@@ -128,19 +116,10 @@ uint64_t MmapManager::AllocateLocked(uint64_t len, uint64_t hint_addr, bool fixe
       cursor = start + used_len;
     }
   }
-  if (cursor + len > limit_) {
-    return 0;
-  }
-  if (!memory_->GrowToCover(cursor + len)) {
+  if (cursor + len > limit_ || !HandOutLocked(cursor, len)) {
     return 0;
   }
   used_[cursor] = len;
-  if (virgin != nullptr) {
-    *virgin = cursor >= virgin_base_;
-  }
-  if (cursor + len > virgin_base_) {
-    virgin_base_ = cursor + len;
-  }
   return cursor;
 }
 
@@ -151,7 +130,16 @@ bool MmapManager::Release(uint64_t addr, uint64_t len) {
 }
 
 bool MmapManager::ReleaseLocked(uint64_t addr, uint64_t len) {
+  bool any = ForgetLocked(addr, len);
+  (void)memory_->Zero(addr, PageUp(len));
+  return any;
+}
+
+bool MmapManager::ForgetLocked(uint64_t addr, uint64_t len) {
   len = PageUp(len);
+  if (len == 0) {
+    return false;
+  }
   uint64_t end = addr + len;
   bool any = false;
   // Start at the first range that could overlap (the predecessor may spill
@@ -187,22 +175,23 @@ uint64_t MmapManager::Reallocate(uint64_t old_addr, uint64_t old_len,
                                  uint64_t new_len, bool may_move) {
   std::lock_guard<std::mutex> lock(mu_);
   InitLocked();
+  if (old_len > limit_ || new_len > limit_) {
+    return 0;
+  }
   old_len = PageUp(old_len);
   new_len = PageUp(new_len);
   auto it = used_.find(old_addr);
   if (it == used_.end() || it->second < old_len) {
     return 0;
   }
-  if (new_len <= old_len) {  // shrink in place
-    it->second = new_len;
+  if (new_len <= old_len) {
     ReleaseLocked(old_addr + new_len, old_len - new_len);
-    used_[old_addr] = new_len;
     return old_addr;
   }
-  // Try growing in place: next used range must not overlap.
   auto next = std::next(it);
   uint64_t room = (next == used_.end() ? limit_ : next->first) - old_addr;
-  if (room >= new_len && memory_->GrowToCover(old_addr + new_len)) {
+  if (it->second == old_len && room >= new_len &&
+      HandOutLocked(old_addr + old_len, new_len - old_len)) {
     it->second = new_len;
     return old_addr;
   }
@@ -260,7 +249,10 @@ uint64_t MmapManager::Brk(uint64_t new_break) {
   if (new_break < brk_base_ || new_break > brk_limit_) {
     return brk_cur_;  // kernel brk returns the old break on failure
   }
-  if (!memory_->GrowToCover(new_break)) {
+  // Linux gives fresh pages above the old break.
+  uint64_t from = PageUp(brk_cur_);
+  uint64_t to = PageUp(new_break);
+  if (to > from && !HandOutLocked(from, to - from)) {
     return brk_cur_;
   }
   brk_cur_ = new_break;

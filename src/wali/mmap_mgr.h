@@ -8,6 +8,15 @@
 // implementation uses a single bump pointer — we keep a free list so
 // unmapped ranges can be reused (listed as the paper's "more elaborate
 // allocator" extension).
+//
+// This is the one module that holds Linux's zero rule for mmap, mremap and
+// brk. Every page the pool hands out reads as zeros: a new map, the grown
+// part of an mremap, the target of an mremap move, and brk growth. Every
+// page it takes back is dropped: munmap, an mremap shrink and the source of
+// an mremap move (the overlap a MAP_FIXED map replaces is zeroed by that
+// map's hand-out). Both are one wasm::Memory::Zero, which skips the pages
+// at or above the committed size; so a hand-out zeroes before it grows the
+// memory to cover its range.
 #ifndef SRC_WALI_MMAP_MGR_H_
 #define SRC_WALI_MMAP_MGR_H_
 
@@ -28,19 +37,22 @@ class MmapManager {
   // Lazily initialized from the memory's current size at first use.
   void Bind(wasm::Memory* memory) { memory_ = memory; }
 
-  // Allocates `len` bytes (page-rounded). hint_addr != 0 with `fixed` asks
-  // for a specific in-sandbox address. Returns wasm address or 0 on failure.
-  // `virgin` (optional) reports whether the range has never been handed out
-  // before (freshly committed pages are already zero; callers skip zeroing).
-  uint64_t Allocate(uint64_t len, uint64_t hint_addr, bool fixed,
-                    bool* virgin = nullptr);
+  // Allocates `len` bytes (page-rounded) that read as zeros. hint_addr != 0
+  // with `fixed` asks for a specific in-sandbox address, replacing the
+  // mappings it overlaps. Returns wasm address or 0 on failure (no room, or
+  // the range could not be zeroed).
+  uint64_t Allocate(uint64_t len, uint64_t hint_addr, bool fixed);
 
-  // Releases [addr, addr+len). Returns false if the range was not mapped by
-  // this manager (kernel-style: munmap of unmapped ranges still succeeds, so
-  // callers may ignore the result; it exists for tests).
+  // Releases [addr, addr+len) and drops its pages; the drop only frees
+  // memory, so it is best-effort. Returns false if no part of the range was
+  // mapped by this manager (kernel-style: munmap of unmapped ranges still
+  // succeeds, so callers may ignore the result; it exists for tests).
   bool Release(uint64_t addr, uint64_t len);
 
-  // Grows/moves an existing allocation; returns new address or 0.
+  // mremap of [old_addr, old_addr + old_len), which must start a mapping.
+  // Shrinks release the tail. Grows stay in place only when the range is
+  // the whole mapping and the room after it is free; otherwise they move
+  // when `may_move`. Returns the new address or 0.
   uint64_t Reallocate(uint64_t old_addr, uint64_t old_len, uint64_t new_len,
                       bool may_move);
 
@@ -67,7 +79,6 @@ class MmapManager {
     bool initialized = false;
     uint64_t base = 0;
     uint64_t limit = 0;
-    uint64_t virgin_base = 0;
     uint64_t brk_base = 0;
     uint64_t brk_cur = 0;
     uint64_t brk_limit = 0;
@@ -78,8 +89,11 @@ class MmapManager {
 
  private:
   void InitLocked();
-  uint64_t AllocateLocked(uint64_t len, uint64_t hint_addr, bool fixed,
-                          bool* virgin = nullptr);
+  uint64_t AllocateLocked(uint64_t len, uint64_t hint_addr, bool fixed);
+  // Zeroes [addr, addr+len), then commits it; false if either fails.
+  bool HandOutLocked(uint64_t addr, uint64_t len);
+  // Forgets the records in [addr, addr+len), keeping the tails outside it.
+  bool ForgetLocked(uint64_t addr, uint64_t len);
   bool ReleaseLocked(uint64_t addr, uint64_t len);
 
   wasm::Memory* memory_ = nullptr;
@@ -89,8 +103,6 @@ class MmapManager {
   uint64_t limit_ = 0;  // pool end (reservation top)
   // Allocated ranges: start -> length. Gaps are free.
   std::map<uint64_t, uint64_t> used_;
-  // Highest address ever handed out; ranges above it are untouched zeros.
-  uint64_t virgin_base_ = 0;
 
   uint64_t brk_base_ = 0;
   uint64_t brk_cur_ = 0;

@@ -22,7 +22,7 @@ namespace {
 //             then (syscall id u32, count u64) pairs
 //   budgets   run_syscalls u64, syscall_budget u64, mem_budget_pages u64,
 //             grow_budget_pages u64, clear_child_tid u64
-//   mmap      initialized u8, base u64, limit u64, virgin_base u64,
+//   mmap      initialized u8, base u64, limit u64,
 //             brk_base u64, brk_cur u64, brk_limit u64,
 //             used count u32, then (start u64, len u64) pairs
 
@@ -93,7 +93,6 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
   w.U8(ms.initialized ? 1 : 0);
   w.U64(ms.base);
   w.U64(ms.limit);
-  w.U64(ms.virgin_base);
   w.U64(ms.brk_base);
   w.U64(ms.brk_cur);
   w.U64(ms.brk_limit);
@@ -223,7 +222,6 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
   RETURN_IF_ERROR(r.U8(&mmap_initialized));
   RETURN_IF_ERROR(r.U64(&ms.base));
   RETURN_IF_ERROR(r.U64(&ms.limit));
-  RETURN_IF_ERROR(r.U64(&ms.virgin_base));
   RETURN_IF_ERROR(r.U64(&ms.brk_base));
   RETURN_IF_ERROR(r.U64(&ms.brk_cur));
   RETURN_IF_ERROR(r.U64(&ms.brk_limit));

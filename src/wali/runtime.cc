@@ -257,6 +257,9 @@ bool HasDotDotAfterName(const std::string& path) {
 }  // namespace
 
 bool PathAllowed(const std::string& path, std::string* resolved) {
+  if (path.empty()) {
+    return true;  // names no file: the kernel answers -ENOENT
+  }
   std::string norm = NormalizePath(path);
   if (norm.empty() || norm[0] != '/') {
     // Relative path: the kernel resolves it against the cwd, so the filter
@@ -284,7 +287,7 @@ bool PathAllowed(const std::string& path, std::string* resolved) {
 
 bool PathAllowedAt(int64_t dirfd, const std::string& path,
                    std::string* resolved) {
-  if (!path.empty() && path[0] == '/') {
+  if (path.empty() || path[0] == '/') {
     return PathAllowed(path, resolved);
   }
   if (dirfd == AT_FDCWD) {

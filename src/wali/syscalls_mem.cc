@@ -1,12 +1,17 @@
 // Memory-management syscalls (paper §3.2): mmap/munmap/mremap fully inside
 // the Wasm sandbox via the MmapManager pool, brk emulated over the pool.
+// The pool holds Linux's rule that memory it hands out reads as zeros
+// (src/wali/mmap_mgr.h); the handlers here only translate arguments and
+// answers.
 //
 // Every committed byte of linear memory is anonymous, private and
-// read-write: the interpreter, the JIT and every handler that reads guest
-// memory rely on it. mmap and madvise are the only calls that could break
-// it, so they hold it (§3.6): a private file map is a copy of the file, a
-// shared one is refused, and madvise passes through only advice that keeps
-// pages plain.
+// read-write, unlocked, with no guest-set flags on its mapping: the
+// interpreter, the JIT and every handler that reads guest memory rely on
+// the first three, and the pool's one-madvise zeroing on the last two.
+// mmap, madvise, mlock and munlock are the only calls that could break it,
+// so they hold it (§3.6): a private file map is a copy of the file, a
+// shared one is refused, madvise passes through only advice about the
+// pages' contents, and mlock/munlock are no-ops.
 #include <errno.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
@@ -50,22 +55,16 @@ int64_t SysMmap(WaliCtx& c, const int64_t* a) {
   if (file && (flags & MAP_SHARED) != 0) {
     return -ENODEV;  // MAP_SHARED and MAP_SHARED_VALIDATE: a copy cannot share
   }
-  bool fixed = (flags & MAP_FIXED) != 0;
-  bool virgin = false;
-  uint64_t got = c.proc.mmap.Allocate(len, addr, fixed, &virgin);
+  uint64_t got = c.proc.mmap.Allocate(len, addr, (flags & MAP_FIXED) != 0);
   if (got == 0) {
     return -ENOMEM;
   }
-  const uint64_t span = (len + kPageMask) & ~kPageMask;
-  // Reused pool ranges may hold stale bytes; freshly committed ranges are
-  // already zero and skip the re-mapping.
-  int64_t rc = virgin ? 0 : -c.mem.UnmapFixed(got, span);
-  if (rc == 0 && file) {
-    rc = CopyFile(c, fd, got, span, offset);
-  }
-  if (rc != 0) {
-    c.proc.mmap.Release(got, len);
-    return rc;
+  if (file) {
+    int64_t rc = CopyFile(c, fd, got, (len + kPageMask) & ~kPageMask, offset);
+    if (rc != 0) {
+      c.proc.mmap.Release(got, len);
+      return rc;
+    }
   }
   return static_cast<int64_t>(got);
 }
@@ -73,17 +72,13 @@ int64_t SysMmap(WaliCtx& c, const int64_t* a) {
 int64_t SysMunmap(WaliCtx& c, const int64_t* a) {
   uint64_t addr = static_cast<uint64_t>(a[0]);
   uint64_t len = static_cast<uint64_t>(a[1]);
-  if ((addr & kPageMask) != 0 || len == 0) {
+  // Never unmap module data/stack below the pool, nor past the memory.
+  if ((addr & kPageMask) != 0 || len == 0 || addr < c.proc.mmap.pool_base() ||
+      !c.mem.InBounds(addr, len)) {
     return -EINVAL;
   }
-  if (addr < c.proc.mmap.pool_base()) {
-    return -EINVAL;  // never unmap module data/stack below the pool
-  }
   c.proc.mmap.Release(addr, len);
-  // Replace with zero pages so stale sandboxed reads see zeros, not the old
-  // mapping (passthrough munmap would leave a fault-on-touch hole).
-  int rc = c.mem.UnmapFixed(addr, (len + kPageMask) & ~kPageMask);
-  return rc == 0 ? 0 : -rc;
+  return 0;
 }
 
 int64_t SysMremap(WaliCtx& c, const int64_t* a) {
@@ -120,25 +115,35 @@ int64_t SysMprotect(WaliCtx& c, const int64_t* a) {
   return 0;
 }
 
-// Advice that leaves pages anonymous, private and read-write. Any other
-// answers -EINVAL, Linux's answer for advice it does not know: guard pages
-// (a load from one kills the host), page poisoning and offlining,
-// MADV_REMOVE, and the fork, KSM and dump advice.
-constexpr uint64_t kPlainAdvice =
-    1ULL << MADV_NORMAL | 1ULL << MADV_RANDOM | 1ULL << MADV_SEQUENTIAL |
+// Advice about the pages' contents passes through: it leaves them
+// anonymous, private and read-write. Advice about the mapping answers 0
+// without reaching the kernel: its flag would outlive the tenant, since the
+// pool's reset keeps the mapping, so the next tenant in the slot would
+// inherit a MADV_HUGEPAGE. Any other advice answers -EINVAL, Linux's answer
+// for advice it does not know: guard pages (a load from one kills the
+// host), page poisoning and offlining, MADV_REMOVE, and the fork, KSM and
+// dump advice.
+constexpr uint64_t kContentAdvice =
     1ULL << MADV_WILLNEED | 1ULL << MADV_DONTNEED | 1ULL << MADV_FREE |
-    1ULL << MADV_HUGEPAGE | 1ULL << MADV_NOHUGEPAGE | 1ULL << MADV_COLD |
-    1ULL << MADV_PAGEOUT | 1ULL << MADV_POPULATE_READ | 1ULL << MADV_POPULATE_WRITE;
+    1ULL << MADV_COLD | 1ULL << MADV_PAGEOUT | 1ULL << MADV_POPULATE_READ |
+    1ULL << MADV_POPULATE_WRITE;
+constexpr uint64_t kIgnoredAdvice =
+    1ULL << MADV_NORMAL | 1ULL << MADV_RANDOM | 1ULL << MADV_SEQUENTIAL |
+    1ULL << MADV_HUGEPAGE | 1ULL << MADV_NOHUGEPAGE;
 
 int64_t SysMadvise(WaliCtx& c, const int64_t* a) {
   uint64_t addr = static_cast<uint64_t>(a[0]);
   uint64_t len = static_cast<uint64_t>(a[1]);
   int advice = static_cast<int>(a[2]);
-  if (static_cast<unsigned>(advice) >= 64 || ((kPlainAdvice >> advice) & 1) == 0) {
+  uint64_t bit = static_cast<unsigned>(advice) < 64 ? 1ULL << advice : 0;
+  if ((bit & (kContentAdvice | kIgnoredAdvice)) == 0) {
     return -EINVAL;
   }
   if (!c.mem.InBounds(addr, len)) {
     return -ENOMEM;
+  }
+  if ((bit & kIgnoredAdvice) != 0) {
+    return 0;
   }
   return c.Raw(SYS_madvise, reinterpret_cast<long>(c.mem.At(addr)), len, advice);
 }
@@ -157,22 +162,13 @@ int64_t SysMsync(WaliCtx& c, const int64_t* a) {
   return c.Raw(SYS_msync, reinterpret_cast<long>(c.mem.At(addr)), len, a[2]);
 }
 
-int64_t SysMlock(WaliCtx& c, const int64_t* a) {
-  uint64_t addr = static_cast<uint64_t>(a[0]);
-  uint64_t len = static_cast<uint64_t>(a[1]);
-  if (!c.mem.InBounds(addr, len)) {
-    return -ENOMEM;
-  }
-  return c.Raw(SYS_mlock, reinterpret_cast<long>(c.mem.At(addr)), len);
-}
-
-int64_t SysMunlock(WaliCtx& c, const int64_t* a) {
-  uint64_t addr = static_cast<uint64_t>(a[0]);
-  uint64_t len = static_cast<uint64_t>(a[1]);
-  if (!c.mem.InBounds(addr, len)) {
-    return -ENOMEM;
-  }
-  return c.Raw(SYS_munlock, reinterpret_cast<long>(c.mem.At(addr)), len);
+// mlock and munlock are no-ops, like an mprotect restriction: the pool's
+// zeroing madvise fails on locked pages, and a guest's lock would spend the
+// host's RLIMIT_MEMLOCK, which every tenant shares.
+int64_t SysMlockMunlock(WaliCtx& c, const int64_t* a) {
+  return c.mem.InBounds(static_cast<uint64_t>(a[0]), static_cast<uint64_t>(a[1]))
+             ? 0
+             : -ENOMEM;
 }
 
 int64_t SysMincore(WaliCtx& c, const int64_t* a) {
@@ -199,15 +195,15 @@ int64_t SysProcessVmWritev(WaliCtx& c, const int64_t* a) { return -EPERM; }
 
 void RegisterMemSyscalls(std::vector<SyscallDef>& defs) {
   defs.insert(defs.end(), {
-      {"mmap", 6, SysMmap, true, 41},
-      {"munmap", 2, SysMunmap, true, 12},
-      {"mremap", 5, SysMremap, true, 14},
+      {"mmap", 6, SysMmap, true, 39},
+      {"munmap", 2, SysMunmap, true, 10},
+      {"mremap", 5, SysMremap, true, 15},
       {"mprotect", 3, SysMprotect, false, 13},
-      {"madvise", 3, SysMadvise, false, 16},
+      {"madvise", 3, SysMadvise, false, 23},
       {"brk", 1, SysBrk, true, 8},
       {"msync", 3, SysMsync, false, 4},
-      {"mlock", 2, SysMlock, false, 3},
-      {"munlock", 2, SysMunlock, false, 3},
+      {"mlock", 2, SysMlockMunlock, false, 5},
+      {"munlock", 2, SysMlockMunlock, false, 5},
       {"mincore", 3, SysMincore, false, 8},
       {"process_vm_readv", 6, SysProcessVmReadv, false, 1},
       {"process_vm_writev", 6, SysProcessVmWritev, false, 1},

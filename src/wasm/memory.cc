@@ -80,28 +80,16 @@ common::Status Memory::ResetToPages(uint64_t pages) {
   }
   uint64_t new_bytes = pages * kWasmPageSize;
   uint64_t cur_bytes = size_bytes_.load(std::memory_order_relaxed);
-  if (cur_bytes == new_bytes) {
-    // Common pooled-reuse case: same module, memory never grew. DONTNEED
-    // restores zero pages without touching protections or VMAs, which is
-    // markedly cheaper than the remap below.
-    if (new_bytes > 0 && madvise(base_, new_bytes, MADV_DONTNEED) == 0) {
-      high_water_pages_.store(pages, std::memory_order_release);
-      grow_budget_pages_.store(0, std::memory_order_release);
-      return common::OkStatus();
-    }
-    // fall through to the remap path on madvise failure
+  if (Zero(0, cur_bytes) != 0) {
+    return common::Internal("madvise during memory reset failed");
   }
-  uint64_t drop_bytes = cur_bytes > new_bytes ? cur_bytes : new_bytes;
-  if (drop_bytes > 0) {
-    void* got = mmap(base_, drop_bytes, PROT_NONE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED, -1, 0);
-    if (got == MAP_FAILED) {
-      return common::Internal("anonymous remap during memory reset failed");
+  if (new_bytes != cur_bytes) {
+    uint64_t lo = new_bytes < cur_bytes ? new_bytes : cur_bytes;
+    uint64_t hi = new_bytes < cur_bytes ? cur_bytes : new_bytes;
+    int prot = new_bytes > cur_bytes ? PROT_READ | PROT_WRITE : PROT_NONE;
+    if (mprotect(base_ + lo, hi - lo, prot) != 0) {
+      return common::ResourceExhausted("mprotect of reset pages failed");
     }
-  }
-  if (new_bytes > 0 &&
-      mprotect(base_, new_bytes, PROT_READ | PROT_WRITE) != 0) {
-    return common::ResourceExhausted("mprotect of reset pages failed");
   }
   size_bytes_.store(new_bytes, std::memory_order_release);
   high_water_pages_.store(pages, std::memory_order_release);
@@ -122,17 +110,15 @@ bool Memory::GrowToCover(uint64_t end) {
   return Grow(need_pages - cur_pages) >= 0;
 }
 
-int Memory::UnmapFixed(uint64_t offset, uint64_t len) {
-  uint64_t end = offset + len;
-  if (end < offset || end > size_bytes()) {
-    return EINVAL;
+int Memory::Zero(uint64_t offset, uint64_t len) {
+  uint64_t size = size_bytes();
+  if (offset >= size || len == 0) {
+    return 0;
   }
-  void* got = mmap(base_ + offset, len, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED, -1, 0);
-  if (got == MAP_FAILED) {
-    return errno;
+  if (len > size - offset) {
+    len = size - offset;
   }
-  return 0;
+  return madvise(base_ + offset, len, MADV_DONTNEED) == 0 ? 0 : errno;
 }
 
 template <typename T>

@@ -1,8 +1,10 @@
 // Linear memory. The full max size is reserved up-front with PROT_NONE and
 // committed on grow, so the base address never moves. This is what lets
 // WALI share one memory across instance-per-thread clones and serve mmap
-// from inside the sandbox (paper §3.2). Every committed byte is anonymous,
-// private and read-write; WALI's mmap and madvise keep it so.
+// from inside the sandbox (paper §3.2). The reservation is one anonymous,
+// private mapping that is never remapped: every committed byte is
+// read-write, and WALI keeps guests from locking its pages or flagging it,
+// so Zero's one MADV_DONTNEED always makes a range read as zeros.
 #ifndef SRC_WASM_MEMORY_H_
 #define SRC_WASM_MEMORY_H_
 
@@ -71,9 +73,16 @@ class Memory {
   // reads as zero again and the wasm size shrinks (or grows) to `pages`.
   // The base address is preserved, which is what lets the host layer recycle
   // a reserved slab across guest instantiations instead of re-reserving.
-  // Implemented as an anonymous MAP_FIXED remap of the committed range, so
-  // cost is page-table teardown, not a memset of the whole slab.
+  // Zeroes the committed range, then mprotects the size difference, so cost
+  // is page-table teardown, not a memset of the whole slab.
   common::Status ResetToPages(uint64_t pages);
+
+  // Makes [offset, offset + len) read as zeros with one madvise(MADV_DONTNEED),
+  // which also gives its pages back to the kernel. The part at or above
+  // size_bytes() is skipped: those pages have not been writable since Create
+  // or the last ResetToPages, so they already read as zeros. Returns errno
+  // (0 on success).
+  int Zero(uint64_t offset, uint64_t len);
 
   bool InBounds(uint64_t offset, uint64_t len) const {
     uint64_t size = size_bytes();
@@ -82,12 +91,6 @@ class Memory {
 
   // Unchecked translation; callers must bounds-check first.
   uint8_t* At(uint64_t offset) const { return base_ + offset; }
-
-  // WALI munmap/mmap hook (`offset` is a wasm address): "unmaps" by
-  // replacing the range with fresh anonymous zero pages, keeping it
-  // accessible so later sandboxed loads see zeros instead of faulting.
-  // Returns errno (0 on success).
-  int UnmapFixed(uint64_t offset, uint64_t len);
 
   // --- atomics.wait / atomics.notify support (threads proposal) ---
   // Returns 0 = woken, 1 = not-equal, 2 = timed out.

@@ -75,7 +75,7 @@ uint64_t MergeLane(uint64_t h, uint64_t lane) {
   return h * kPrime1 + kPrime4;
 }
 
-// Payload checksum (format v4): the XXH64 construction with seed 0. Four
+// Payload checksum (since format v4): the XXH64 construction with seed 0. Four
 // independent multiply-rotate lanes consume 32-byte stripes of 8-byte
 // little-endian words, the tail is folded in by word, half-word and byte,
 // and an avalanche finishes. It runs at memory speed, where byte-at-a-time

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -301,6 +302,91 @@ TEST(InstancePool, ClosedFdsAreUntracked) {
   wasm::RunResult r = w.runtime->RunMain(**lease);
   ASSERT_TRUE(r.ok_or_exit0());
   EXPECT_EQ((*lease)->tracked_fd_count(), 0);
+}
+
+// /proc/self/status's VmLck, in kB.
+long LockedKb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmLck:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+// The VmFlags of each /proc/self/smaps VMA that overlaps [lo, hi), as
+// " flag flag ... " so a flag matches as " xx ".
+std::vector<std::string> VmFlagsIn(uintptr_t lo, uintptr_t hi) {
+  std::ifstream in("/proc/self/smaps");
+  std::vector<std::string> flags;
+  std::string line;
+  bool inside = false;
+  while (std::getline(in, line)) {
+    unsigned long long start = 0;
+    unsigned long long end = 0;
+    if (std::sscanf(line.c_str(), "%llx-%llx ", &start, &end) == 2) {
+      inside = start < hi && end > lo;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      flags.push_back(line.substr(8) + " ");
+    }
+  }
+  return flags;
+}
+
+// A guest cannot set attributes on its slab. A lock would outlive the run
+// and spend the host's RLIMIT_MEMLOCK, and mapping advice would survive the
+// pool's reset into the slot's next tenant. The second guest does not lock,
+// so its slab's reset is the same-size MADV_DONTNEED that once kept `hg`.
+TEST(InstancePool, SlabAttributesStayTheHosts) {
+  const std::string kAdvise = R"(
+      ;; madvise(0, 128 KiB) with MADV_HUGEPAGE (14), then MADV_RANDOM (1)
+      (i64.or (local.get $r)
+        (i64.or (call $madvise (i64.const 0) (i64.const 131072) (i64.const 14))
+                (call $madvise (i64.const 0) (i64.const 131072) (i64.const 1)))))
+  )";
+  const std::string kHead = R"(
+    (import "wali" "SYS_mlock" (func $mlock (param i64 i64) (result i64)))
+    (import "wali" "SYS_madvise" (func $madvise (param i64 i64 i64) (result i64)))
+    (memory 2 64)
+    (func (export "main") (result i32)
+      (local $r i64)
+  )";
+  const std::string kGuests[] = {
+      kHead + "(local.set $r (call $mlock (i64.const 0) (i64.const 65536)))" +
+          "(i32.wrap_i64 " + kAdvise + ")",
+      kHead + "(i32.wrap_i64 " + kAdvise + ")",
+  };
+  for (const std::string& guest : kGuests) {
+    SCOPED_TRACE(guest);
+    HostWorld w = MakeWorld();
+    auto module = w.cache->Load(WrapModule(guest));
+    ASSERT_TRUE(module.ok()) << module.status().ToString();
+    long locked_before = LockedKb();
+    uintptr_t lo = 0;
+    uintptr_t hi = 0;
+    {
+      auto lease = w.pool->Acquire(*module, {"tenant-a"}, {});
+      ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+      wasm::RunResult r = w.runtime->RunMain(**lease);
+      ASSERT_TRUE(r.ok()) << r.trap_message;
+      ASSERT_EQ(r.values.size(), 1u);
+      EXPECT_EQ(r.values[0].i32(), 0u) << "mlock and madvise answer 0";
+      EXPECT_EQ(LockedKb(), locked_before) << "the guest's mlock reached the kernel";
+      lo = reinterpret_cast<uintptr_t>((*lease)->memory->base());
+      hi = lo + (*lease)->memory->max_pages() * wasm::kWasmPageSize;
+    }
+    auto lease = w.pool->Acquire(*module, {"tenant-b"}, {});
+    ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+    ASSERT_TRUE(lease->recycled());
+    std::vector<std::string> flags = VmFlagsIn(lo, hi);
+    ASSERT_FALSE(flags.empty()) << "no VMA found for the slab";
+    for (const std::string& f : flags) {
+      for (const char* guest_set : {" lo ", " hg ", " nh ", " rr ", " sr "}) {
+        EXPECT_EQ(f.find(guest_set), std::string::npos)
+            << "slab VMA carries" << guest_set << "after the reset: " << f;
+      }
+    }
+  }
 }
 
 TEST(SigTableReset, SigIgnRestoredToDefault) {

@@ -94,6 +94,35 @@ TEST(WaliFs, ErrnoConventionOnMissingFile) {
   ExpectWaliMain(body, ENOENT);
 }
 
+// An empty path names no file, so the kernel answers -ENOENT; the filter
+// must not anchor it to the working directory and open that instead.
+struct EmptyPathCase {
+  const char* name;
+  const char* call;  // an i64 expression over the empty string at 64
+};
+
+const EmptyPathCase kEmptyPathCases[] = {
+    {"Open", "(call $open (i64.const 64) (i64.const 0) (i64.const 0))"},
+    {"OpenatCwd",
+     "(call $openat (i64.const -100) (i64.const 64) (i64.const 0) (i64.const 0))"},
+};
+
+class WaliFsEmptyPath : public testing::TestWithParam<EmptyPathCase> {};
+
+TEST_P(WaliFsEmptyPath, AnswersEnoent) {
+  std::string body = R"(
+    (memory 1)
+    (func (export "main") (result i32)
+      (i32.wrap_i64 (i64.sub (i64.const 0) )" +
+                     std::string(GetParam().call) + ")))";
+  ExpectWaliMain(body, ENOENT);
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, WaliFsEmptyPath, testing::ValuesIn(kEmptyPathCases),
+                         [](const testing::TestParamInfo<EmptyPathCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
 TEST(WaliFs, EfaultOnBadPointer) {
   // write(1, huge_addr, 8) -> -EFAULT because the buffer is out of bounds.
   std::string body = R"(

@@ -1,7 +1,8 @@
 // WALI memory-management syscalls: anonymous and file-backed mmap inside the
 // sandbox, file maps as private copies, munmap-to-zeros, mremap, brk, the
-// PROT restrictions of §3.6, and the invariant that no guest mmap, mprotect
-// or madvise can make linear memory fault the host.
+// PROT restrictions of §3.6, the invariant that no guest mmap, mprotect or
+// madvise can make linear memory fault the host, and Linux's rule that
+// memory mmap, mremap and brk hand out reads as zeros.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -159,6 +160,20 @@ const InvariantCase kInvariantCases[] = {
         (call $madvise (i64.extend_i32_u (local.get $p)) (i64.const 4096)
               (i64.const 10)))))",
      EINVAL, 4096},
+    // MAP_PRIVATE|MAP_FIXED (0x12) at 2^64 - 4096: the hint's end wrapped
+    // past 2^64 through the pool's range check, and the file copy then
+    // wrote below linear memory.
+    {"FixedMapAtTheTopOfTheAddressSpace", R"(
+      (i32.wrap_i64 (i64.sub (i64.const 0)
+        (call $mmap (i64.const -4096) (i64.const 4096) (i64.const 1) (i64.const 0x12)
+              (local.get $fd) (i64.const 0)))))",
+     ENOMEM, 0},
+    // A length near 2^64 wrapped the same check and was handed out.
+    {"MapNearlyTwoToTheSixtyFourBytes", R"(
+      (i32.wrap_i64 (i64.sub (i64.const 0)
+        (call $mmap (i64.const 0) (i64.const -8192) (i64.const 3) (i64.const 0x22)
+              (i64.const -1) (i64.const 0)))))",
+     ENOMEM, 0},
     // MAP_SHARED_VALIDATE (3), then MAP_SHARED (1).
     {"SharedFileMap", R"(
       (if (i64.ne (call $mmap (i64.const 0) (i64.const 4096) (i64.const 1) (i64.const 3)
@@ -232,6 +247,104 @@ TEST_P(WaliMemInvariant, GuestCannotFaultTheHost) {
 
 INSTANTIATE_TEST_SUITE_P(Rows, WaliMemInvariant, testing::ValuesIn(kInvariantCases),
                          [](const testing::TestParamInfo<InvariantCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+// Linux's rule for mmap, mremap and brk: memory handed out reads as zeros.
+// Each row fills memory with 0x5a (90) or a marker and must answer 0; each
+// once answered 90, or 100 where a live map was handed out again.
+struct FreshBytesCase {
+  const char* name;
+  const char* body;  // the rest of main; returns an i32
+};
+
+const FreshBytesCase kFreshBytesCases[] = {
+    // A shrink releases its tail, so the regrown tail is fresh.
+    {"MremapShrinkThenRegrow", R"(
+      (local.set $p (call $anon (i64.const 65536)))
+      (memory.fill (local.get $p) (i32.const 0x5a) (i32.const 65536))
+      (if (i64.ne (call $mremap (i64.extend_i32_u (local.get $p)) (i64.const 65536)
+                        (i64.const 4096) (i64.const 0) (i64.const 0))
+                  (i64.extend_i32_u (local.get $p)))
+        (then (return (i32.const 201))))
+      (if (i64.ne (call $mremap (i64.extend_i32_u (local.get $p)) (i64.const 4096)
+                        (i64.const 65536) (i64.const 0) (i64.const 0))
+                  (i64.extend_i32_u (local.get $p)))
+        (then (return (i32.const 202))))
+      (i32.load8_u offset=8192 (local.get $p)))"},
+    {"BrkRegrow", R"(
+      (local.set $b (call $brk (i64.const 0)))
+      (if (i64.ne (call $brk (i64.add (local.get $b) (i64.const 65536)))
+                  (i64.add (local.get $b) (i64.const 65536)))
+        (then (return (i32.const 201))))
+      (memory.fill (i32.wrap_i64 (local.get $b)) (i32.const 0x5a) (i32.const 65536))
+      (if (i64.ne (call $brk (local.get $b)) (local.get $b))
+        (then (return (i32.const 202))))
+      (drop (call $brk (i64.add (local.get $b) (i64.const 65536))))
+      (i32.load8_u offset=8192 (i32.wrap_i64 (local.get $b))))"},
+    // memory.grow takes pages above the pool's first map; the next map is
+    // handed the same pages.
+    {"MapOverGrownMemory", R"(
+      (local.set $p (call $anon (i64.const 65536)))
+      (if (i32.lt_s (memory.grow (i32.const 4)) (i32.const 0))
+        (then (return (i32.const 201))))
+      (memory.fill (i32.add (local.get $p) (i32.const 65536)) (i32.const 0x5a)
+                   (i32.const 65536))
+      (local.set $q (call $anon (i64.const 65536)))
+      (if (i32.ne (local.get $q) (i32.add (local.get $p) (i32.const 65536)))
+        (then (return (i32.const 202))))
+      (i32.load8_u offset=100 (local.get $q)))"},
+    // The 64 KiB map after $p makes the grow move; brk's region then takes
+    // the range the move left.
+    {"BrkOverMremapSource", R"(
+      (local.set $p (call $anon (i64.const 1048576)))
+      (drop (call $anon (i64.const 65536)))
+      (memory.fill (local.get $p) (i32.const 0x5a) (i32.const 1048576))
+      (local.set $r (call $mremap (i64.extend_i32_u (local.get $p)) (i64.const 1048576)
+                          (i64.const 2097152) (i64.const 1) (i64.const 0)))
+      (if (i32.or (i64.lt_s (local.get $r) (i64.const 0))
+                  (i64.eq (local.get $r) (i64.extend_i32_u (local.get $p))))
+        (then (return (i32.const 201))))
+      (local.set $b (call $brk (i64.const 0)))
+      (if (i64.ne (local.get $b) (i64.extend_i32_u (local.get $p)))
+        (then (return (i32.const 202))))
+      (drop (call $brk (i64.add (local.get $b) (i64.const 4096))))
+      (i32.load8_u offset=100 (local.get $p)))"},
+    // Growing part of a mapping cannot stay in place (Linux: -ENOMEM without
+    // MREMAP_MAYMOVE), so the rest of the mapping stays live.
+    {"MremapGrowsPartOfAMapping", R"(
+      (local.set $p (call $anon (i64.const 262144)))
+      (i32.store8 offset=204800 (local.get $p) (i32.const 77))
+      (local.set $r (call $mremap (i64.extend_i32_u (local.get $p)) (i64.const 65536)
+                          (i64.const 131072) (i64.const 0) (i64.const 0)))
+      (local.set $q (call $anon (i64.const 131072)))
+      (if (i32.ne (i32.load8_u offset=204800 (local.get $p)) (i32.const 77))
+        (then (return (i32.const 100))))
+      (if (i64.ne (local.get $r) (i64.const -12)) (then (return (i32.const 203))))
+      (i32.lt_u (local.get $q) (i32.add (local.get $p) (i32.const 262144))))"},
+};
+
+class WaliMemFreshBytes : public testing::TestWithParam<FreshBytesCase> {};
+
+TEST_P(WaliMemFreshBytes, HandedOutMemoryReadsZero) {
+  // $anon: mmap(0, len, RW, MAP_PRIVATE|MAP_ANONYMOUS, -1, 0), trapping on
+  // failure.
+  std::string body = R"(
+    (memory 2 64)
+    (func $anon (param $len i64) (result i32)
+      (local $p i64)
+      (local.set $p (call $mmap (i64.const 0) (local.get $len) (i64.const 3)
+                          (i64.const 0x22) (i64.const -1) (i64.const 0)))
+      (if (i64.lt_s (local.get $p) (i64.const 0)) (then (unreachable)))
+      (i32.wrap_i64 (local.get $p)))
+    (func (export "main") (result i32)
+      (local $p i32) (local $q i32) (local $b i64) (local $r i64)
+  )" + std::string(GetParam().body) + ")";
+  ExpectWaliMain(body, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, WaliMemFreshBytes, testing::ValuesIn(kFreshBytesCases),
+                         [](const testing::TestParamInfo<FreshBytesCase>& info) {
                            return std::string(info.param.name);
                          });
 

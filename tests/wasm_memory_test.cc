@@ -147,16 +147,21 @@ TEST(MemoryObject, InBoundsEdgeCases) {
   EXPECT_FALSE((*mem)->InBounds(UINT64_MAX, 1));
 }
 
-TEST(MemoryObject, UnmapFixedZeroes) {
+TEST(MemoryObject, ZeroDropsPages) {
   Limits l;
   l.min = 2;
   auto memOr = Memory::Create(l);
   ASSERT_TRUE(memOr.ok());
   auto mem = *memOr;
-  std::memset(mem->At(65536), 0x5A, 4096);
-  EXPECT_EQ(mem->UnmapFixed(65536, 4096), 0);
+  std::memset(mem->At(65536), 0x5A, 8192);
+  EXPECT_EQ(mem->Zero(65536, 4096), 0);
   EXPECT_EQ(mem->At(65536)[0], 0);
   EXPECT_EQ(mem->At(65536)[4095], 0);
+  EXPECT_EQ(mem->At(65536)[4096], 0x5A) << "Zero must stop at the range's end";
+  // The part past the committed size is skipped, not an error.
+  EXPECT_EQ(mem->Zero(65536, 1 << 20), 0);
+  EXPECT_EQ(mem->At(65536)[4096], 0);
+  EXPECT_EQ(mem->Zero(UINT64_MAX, 4096), 0);
 }
 
 TEST(MemoryObject, WaitNotEqualReturnsImmediately) {
