@@ -9,13 +9,19 @@
 // The acceptance bar for the hosting subsystem is pooled >= 5x faster than
 // cold for a warm cache; the bench prints the measured ratio and fails its
 // exit code when the bar is missed so CI can watch regressions.
+//
+// Pool reset rows (advisory, no bar): Acquire of a slot whose last tenant
+// dirtied N OS pages, then the next tenant's first write to each of them,
+// on 1 thread and on 3 threads that all acquire at once.
 #include <unistd.h>
 
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -79,6 +85,76 @@ int64_t PercentileNanos(const std::vector<int64_t>& samples, double p) {
   }
   size_t idx = static_cast<size_t>(p / 100.0 * (samples.size() - 1));
   return samples[idx];
+}
+
+// Holds each of `n` threads in Wait until all of them have arrived, so they
+// leave together; reusable. Waiters spin, so every thread is on a CPU when
+// they leave.
+class SpinBarrier {
+ public:
+  explicit SpinBarrier(int n) : n_(n) {}
+  void Wait() {
+    const int gen = gen_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      gen_.fetch_add(1, std::memory_order_acq_rel);
+      return;
+    }
+    while (gen_.load(std::memory_order_acquire) == gen) {
+    }
+  }
+
+ private:
+  const int n_;
+  std::atomic<int> arrived_{0};
+  std::atomic<int> gen_{0};
+};
+
+struct ResetSample {
+  int64_t acquire = 0;
+  int64_t touch = 0;
+};
+
+// `threads` threads each recycle a slot of `module` kIters times, all
+// acquiring at once. Each iteration times Acquire, then the first write to
+// each of OS pages [0, dirty_pages), which dirties them again for the slot's
+// next reset. Every slot starts dirty (a warm-up round).
+std::vector<ResetSample> RunResetRow(wali::WaliRuntime& runtime,
+                                     const std::shared_ptr<const wasm::Module>& module,
+                                     int dirty_pages, int threads) {
+  constexpr int kIters = 200;
+  const long os_page = sysconf(_SC_PAGESIZE);
+  host::InstancePool pool(&runtime);
+  SpinBarrier barrier(threads);
+  std::vector<std::vector<ResetSample>> per_thread(threads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int k = -1; k < kIters; ++k) {
+        barrier.Wait();
+        int64_t t0 = common::MonotonicNanos();
+        auto lease = pool.Acquire(module, {"guest"}, {});
+        int64_t t1 = common::MonotonicNanos();
+        if (!lease.ok()) {
+          std::fprintf(stderr, "reset row acquire failed: %s\n",
+                       lease.status().ToString().c_str());
+          std::exit(1);
+        }
+        uint8_t* base = (*lease)->memory->base();
+        for (int p = 0; p < dirty_pages; ++p) {
+          *static_cast<volatile uint8_t*>(base + p * os_page) = 1;
+        }
+        int64_t t2 = common::MonotonicNanos();
+        if (k >= 0) per_thread[t].push_back({t1 - t0, t2 - t1});
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  std::vector<ResetSample> all;
+  for (const std::vector<ResetSample>& v : per_thread) {
+    all.insert(all.end(), v.begin(), v.end());
+  }
+  return all;
 }
 
 }  // namespace
@@ -181,6 +257,40 @@ int main() {
               static_cast<unsigned long long>(ps.hits),
               static_cast<unsigned long long>(ps.misses),
               static_cast<unsigned long long>(ps.high_water));
+
+  // --- pool reset: Acquire plus the next tenant's first touch ---
+  // The guest's 4 MiB slab is kept and scanned whole by the reset. Its last
+  // tenant dirtied N OS pages from page 0 (which holds the data segment):
+  // N = 2 and 16 stay resident and are memset, N = 129 is dropped and
+  // refaulted. On 3 threads, a reset that drops pages with madvise finds the
+  // other threads running, so it also pays their TLB shootdowns.
+  {
+    auto module = cache.Load(bytes);
+    if (!module.ok()) return 1;
+    for (int dirty_pages : {2, 16, 129}) {
+      for (int threads : {1, 3}) {
+        std::vector<ResetSample> samples =
+            RunResetRow(runtime, *module, dirty_pages, threads);
+        std::vector<int64_t> acquire, touch, total;
+        for (const ResetSample& r : samples) {
+          acquire.push_back(r.acquire);
+          touch.push_back(r.touch);
+          total.push_back(r.acquire + r.touch);
+        }
+        std::sort(acquire.begin(), acquire.end());
+        std::sort(touch.begin(), touch.end());
+        std::sort(total.begin(), total.end());
+        std::printf(
+            "pool reset: %3d dirty OS pages  %d thread%s  acquire p50 %7.1f us"
+            "  touch p50 %7.1f us  acquire+touch p50 %7.1f us  p90 %7.1f us"
+            "  (%zu samples)\n",
+            dirty_pages, threads, threads == 1 ? " " : "s",
+            PercentileNanos(acquire, 50) / 1e3, PercentileNanos(touch, 50) / 1e3,
+            PercentileNanos(total, 50) / 1e3, PercentileNanos(total, 90) / 1e3,
+            total.size());
+      }
+    }
+  }
 
   // --- aggregate throughput through the supervisor ---
   for (int workers : {1, 2, 4, 8}) {

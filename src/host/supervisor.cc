@@ -307,9 +307,10 @@ common::Status Supervisor::EvictParked(uint64_t cookie) {
   // The snapshot holds the guest's pages now. Drop the slab's copy before
   // the slot goes back: the pool keeps idle slots as they were left until
   // an Acquire resets them, so the memory would otherwise be held twice.
-  // On failure the slot keeps its pages until that reset.
+  // Zero, not ResetToPages, which keeps a small footprint resident. On
+  // failure the slot keeps its pages until that reset.
   if (proc.memory != nullptr) {
-    (void)proc.memory->ResetToPages(proc.memory->size_pages());
+    (void)proc.memory->Zero(0, proc.memory->size_bytes());
   }
   st.lease.Release();
   st.evicted = true;

@@ -73,8 +73,13 @@ class Memory {
   // reads as zero again and the wasm size shrinks (or grows) to `pages`.
   // The base address is preserved, which is what lets the host layer recycle
   // a reserved slab across guest instantiations instead of re-reserving.
-  // Zeroes the committed range, then mprotects the size difference, so cost
-  // is page-table teardown, not a memset of the whole slab.
+  // Committed pages at or above `pages` are dropped (Zero), then the size
+  // difference is mprotected. Below `pages`, one mincore scan finds what the
+  // last tenant left resident: up to 16 OS pages are memset and stay
+  // resident, so the next tenant does not refault them and no madvise finds
+  // a present page (no TLB-shootdown interrupts); a larger footprint, or a
+  // range past 4096 OS pages, is dropped whole. The only place that keeps
+  // pages: eviction, which exists to give pages back, calls Zero.
   common::Status ResetToPages(uint64_t pages);
 
   // Makes [offset, offset + len) read as zeros with one madvise(MADV_DONTNEED),

@@ -11,6 +11,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -1644,6 +1645,61 @@ TEST(HostIo, EvictionDropsTheSlabsPages) {
   const int64_t grown = ResidentBytes() - before;
   EXPECT_LT(grown, kDirty / 2) << "the process grew by " << (grown >> 20)
                                << " MiB across the eviction";
+
+  w.fake->AdvanceBy(50 * kMs);
+  host::RunReport r = fut.get();
+  EXPECT_TRUE(r.completed()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 0x5a);
+  EXPECT_EQ(w.sup->io_stats().restores_total, 1u);
+}
+
+// Dirties 2 OS pages (the timespec on page 0 and a word on page 3), hands
+// its linear memory to the test through test.note_memory, parks in a 50 ms
+// nanosleep, then exits with the word.
+const char* kTwoPageSleeperGuest = R"(
+  (import "test" "note_memory" (func $note_memory))
+  (memory 2)
+  (func (export "main") (result i32)
+    (i32.store (i32.const 12288) (i32.const 0x5a))
+    (i64.store (i32.const 512) (i64.const 0))
+    (i64.store (i32.const 520) (i64.const 50000000))
+    (call $note_memory)
+    (drop (call $nanosleep (i64.const 512) (i64.const 0)))
+    (i32.load (i32.const 12288)))
+)";
+
+TEST(HostIo, EvictionLeavesNoPageOfTheSlabResident) {
+  // The pool's reset keeps a footprint this small resident for the slot's
+  // next tenant. Eviction exists to give pages back, so it must drop every
+  // page of the slab, however few the guest dirtied.
+  EvictWorld w = MakeEvictWorld(/*workers=*/1);
+  std::promise<std::shared_ptr<wasm::Memory>> noted;
+  std::future<std::shared_ptr<wasm::Memory>> slab_future = noted.get_future();
+  w.linker->DefineHostFunc(
+      "test", "note_memory", wasm::FuncType{},
+      [&noted](wasm::ExecContext& ctx, const uint64_t*, uint64_t*) -> wasm::TrapKind {
+        noted.set_value(ctx.root->memory());
+        return wasm::TrapKind::kNone;
+      });
+  auto module = w.cache->Load(WrapModule(kTwoPageSleeperGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  std::future<host::RunReport> fut = w.sup->Submit(MakeJob(*module, "t"));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  std::shared_ptr<wasm::Memory> slab = slab_future.get();
+  auto resident_pages = [&slab] {
+    const long os_page = sysconf(_SC_PAGESIZE);
+    std::vector<unsigned char> vec(slab->size_bytes() / os_page);
+    EXPECT_EQ(mincore(slab->base(), slab->size_bytes(), vec.data()), 0);
+    int n = 0;
+    for (unsigned char v : vec) n += v & 1;
+    return n;
+  };
+  ASSERT_EQ(resident_pages(), 2) << "the parked guest dirtied 2 OS pages";
+  std::vector<uint64_t> cookies = w.sup->parked_cookies();
+  ASSERT_EQ(cookies.size(), 1u);
+  common::Status ev = w.sup->EvictParked(cookies[0]);
+  ASSERT_TRUE(ev.ok()) << ev.ToString();
+  EXPECT_EQ(resident_pages(), 0) << "eviction kept the slab's pages resident";
 
   w.fake->AdvanceBy(50 * kMs);
   host::RunReport r = fut.get();

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/mman.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/host/host.h"
@@ -105,9 +109,11 @@ TEST(ModuleCache, LruEviction) {
 
 // Guest that dirties every kind of per-process state the pool must scrub:
 // registers a SIGUSR1 handler, mmaps anonymous memory, grows the heap via
-// brk, scribbles a marker into linear memory, then exits via exit_group(7)
-// (which sets exit_all on the process).
-const char* kDirtyGuest = R"(
+// brk, scribbles a marker into linear memory (OS pages 0 and 1), fills
+// `fill_os_pages` more OS pages from offset 8192 with 0x5a, then exits via
+// exit_group(7) (which sets exit_all on the process).
+std::string DirtyGuest(int fill_os_pages) {
+  return R"(
   (memory 2)
   (table 4 funcref)
   (func $handler (param i32))
@@ -123,13 +129,28 @@ const char* kDirtyGuest = R"(
                       (i64.const 0x22) (i64.const -1) (i64.const 0)))
     ;; dirty a marker word well away from any data segment
     (i32.store (i32.const 4096) (i32.const 0xdeadbeef))
+    (memory.fill (i32.const 8192) (i32.const 0x5a) (i32.const )" +
+         std::to_string(fill_os_pages * 4096) + R"())
     (drop (call $exit_group (i64.const 7)))
     (i32.const 0))
 )";
+}
 
-TEST(InstancePool, RecycledSlotStartsClean) {
+const std::string kDirtyGuest = DirtyGuest(0);
+
+// The first offset of [0, len) at `p` that holds a nonzero byte, or len.
+uint64_t FirstNonzero(const uint8_t* p, uint64_t len) {
+  for (uint64_t i = 0; i < len; ++i) {
+    if (p[i] != 0) return i;
+  }
+  return len;
+}
+
+// A slot recycled after `guest` ran in it starts with every piece of
+// per-process state reset.
+void ExpectRecycledSlotStartsClean(const std::string& guest) {
   HostWorld w = MakeWorld();
-  auto module = w.cache->Load(WrapModule(kDirtyGuest));
+  auto module = w.cache->Load(WrapModule(guest));
   ASSERT_TRUE(module.ok()) << module.status().ToString();
 
   // First run: cold slot, guest dirties everything.
@@ -162,17 +183,103 @@ TEST(InstancePool, RecycledSlotStartsClean) {
     EXPECT_EQ(p.trace.total_calls(), 0u);
     EXPECT_EQ(p.policy, nullptr);
     EXPECT_EQ(p.argv[0], "tenant-b");
-    // Linear memory: marker word re-zeroed, size back at the declared min.
+    // Linear memory: size back at the declared min, and every byte (marker
+    // and fill; the guest has no data segment) re-zeroed.
     ASSERT_NE(p.memory, nullptr);
     EXPECT_EQ(p.memory->size_pages(), 2u);
-    uint32_t marker;
-    std::memcpy(&marker, p.memory->At(4096), sizeof(marker));
-    EXPECT_EQ(marker, 0u) << "previous tenant's write leaked through the reset";
+    EXPECT_EQ(FirstNonzero(p.memory->base(), p.memory->size_bytes()),
+              p.memory->size_bytes())
+        << "previous tenant's write leaked through the reset";
   }
 
   host::InstancePool::Stats s = w.pool->stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 1u);
+}
+
+// Once per reset path: a last tenant with 2 dirty OS pages is memset in
+// place, one with 22 is dropped.
+TEST(InstancePool, RecycledSlotStartsClean) {
+  for (int fill_os_pages : {0, 20}) {
+    SCOPED_TRACE("last tenant filled " + std::to_string(fill_os_pages) + " more OS pages");
+    ExpectRecycledSlotStartsClean(DirtyGuest(fill_os_pages));
+  }
+}
+
+// Fills every other OS page from page 1 with 0x5a: 20 pages when argv has
+// two entries, else 2. Before it fills a page it checks that the page reads
+// zero, as must page 0 outside the data segment; it exits 1 at the first
+// stale word. It reads no other page: a read maps the shared zero page, which
+// the next reset counts as resident, so a guest that read all its memory
+// would send every reset down the drop path. Its slot's next reset thus
+// finds 3 or 21 resident pages, and memsets or drops them.
+const char* kRecycleCheckGuest = R"(
+  (memory 3)
+  (data (i32.const 16) "recycle!")
+  (func $stale (param $p i32) (result i32)
+    (local $end i32)
+    (local.set $end (i32.add (local.get $p) (i32.const 4096)))
+    (block $done
+      (loop $scan
+        (br_if $done (i32.ge_u (local.get $p) (local.get $end)))
+        (if (i32.and (i32.ne (local.get $p) (i32.const 16))
+                     (i64.ne (i64.load (local.get $p)) (i64.const 0)))
+          (then (return (i32.const 1))))
+        (local.set $p (i32.add (local.get $p) (i32.const 8)))
+        (br $scan)))
+    (i32.const 0))
+  (func (export "main") (result i32)
+    (local $p i32) (local $n i32)
+    (if (call $stale (i32.const 0)) (then (return (i32.const 1))))
+    (local.set $n (select (i32.const 20) (i32.const 2)
+                          (i64.eq (call $get_argc) (i64.const 2))))
+    (local.set $p (i32.const 4096))
+    (block $done
+      (loop $dirty
+        (br_if $done (i32.eqz (local.get $n)))
+        (if (call $stale (local.get $p)) (then (return (i32.const 1))))
+        (memory.fill (local.get $p) (i32.const 0x5a) (i32.const 4096))
+        (local.set $p (i32.add (local.get $p) (i32.const 8192)))
+        (local.set $n (i32.sub (local.get $n) (i32.const 1)))
+        (br $dirty)))
+    (i32.const 0))
+)";
+
+// Resets run on several workers at once: slots move between threads and
+// between small and large footprints, and no tenant may see a byte of the
+// one before it.
+TEST(InstancePool, ConcurrentRecycleStartsClean) {
+  HostWorld w = MakeWorld();
+  auto module = w.cache->Load(WrapModule(kRecycleCheckGuest));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  constexpr int kThreads = 3;
+  constexpr int kCycles = 200;
+  std::atomic<int> failed{0};
+  std::atomic<int> stale{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kCycles; ++i) {
+        std::vector<std::string> argv = {"recycle"};
+        if (i % 2 == 1) argv.push_back("wide");
+        auto lease = w.pool->Acquire(*module, std::move(argv), {});
+        if (!lease.ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        wasm::RunResult r = w.runtime->RunMain(**lease);
+        if (!r.ok() || r.values.size() != 1) {
+          failed.fetch_add(1);
+        } else if (r.values[0].i32() != 0) {
+          stale.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(stale.load(), 0) << "a tenant read its slot's previous tenant's bytes";
+  EXPECT_GT(w.pool->stats().hits, 0u);
 }
 
 TEST(InstancePool, RecycledSlotKeepsMemoryBase) {
@@ -427,5 +534,116 @@ TEST(MemoryReset, ZeroesAndTruncates) {
       << "re-grown reset pages must read as zero";
   EXPECT_FALSE((*mem)->ResetToPages(17).ok()) << "cannot reset beyond reservation";
 }
+
+// The rows are written for 4 KiB OS pages: 16 per wasm page.
+constexpr uint64_t kOsPage = 4096;
+
+// The OS pages of `mem`'s whole reservation that mincore reports resident.
+std::vector<uint64_t> ResidentOsPages(const wasm::Memory& mem) {
+  const uint64_t bytes = mem.max_pages() * wasm::kWasmPageSize;
+  std::vector<unsigned char> vec(bytes / kOsPage);
+  std::vector<uint64_t> resident;
+  if (mincore(mem.base(), bytes, vec.data()) != 0) {
+    ADD_FAILURE() << "mincore: " << std::strerror(errno);
+    return resident;
+  }
+  for (uint64_t i = 0; i < vec.size(); ++i) {
+    if (vec[i] & 1) resident.push_back(i);
+  }
+  return resident;
+}
+
+std::vector<uint64_t> OsPages(uint64_t first, uint64_t count) {
+  std::vector<uint64_t> pages;
+  for (uint64_t i = 0; i < count; ++i) pages.push_back(first + i);
+  return pages;
+}
+
+// One case of ResetToPages' rule. The last tenant runs in a memory of
+// `before` wasm pages (a 16-page reservation, below any huge page): it fills
+// each OS page in `written` with 0x5a and reads each in `read`, and with
+// `forked` a child shares those pages copy-on-write across the reset.
+// ResetToPages(`after`) must leave exactly `resident` resident: the last
+// tenant's footprint below `after` when it is at most 16 OS pages, none
+// otherwise. Every byte of the reservation must then read zero.
+struct ResetCase {
+  const char* name;
+  uint64_t before;
+  uint64_t after;
+  std::vector<uint64_t> written;
+  std::vector<uint64_t> read;
+  bool forked;
+  std::vector<uint64_t> resident;
+};
+
+const ResetCase kResetCases[] = {
+    {"TwoDirtyPagesStayResident", 4, 4, {0, 17}, {}, false, {0, 17}},
+    {"SixteenDirtyPagesStayResident", 4, 4, OsPages(0, 16), {}, false, OsPages(0, 16)},
+    {"SeventeenDirtyPagesAreDropped", 4, 4, OsPages(0, 17), {}, false, {}},
+    {"ResidentPagesBetweenHoles", 4, 4, {3, 4, 9, 40, 63}, {}, false, {3, 4, 9, 40, 63}},
+    // Pages 40 and 100 lie above the new 2-page size.
+    {"ShrinkDropsPagesAboveTheNewSize", 8, 2, {1, 40, 100}, {}, false, {1}},
+    // A read maps the shared zero page, which mincore calls resident; the
+    // memset gives the slot a private page.
+    {"ReadOnlyTouchedPage", 4, 4, {1}, {3}, false, {1, 3}},
+    // The memset breaks the sharing; the child keeps the old bytes.
+    {"CopyOnWriteSharedAfterFork", 4, 4, {2, 5}, {}, true, {2, 5}},
+};
+
+void PrintTo(const ResetCase& tc, std::ostream* os) { *os << tc.name; }
+
+class MemoryResetRule : public testing::TestWithParam<ResetCase> {};
+
+TEST_P(MemoryResetRule, KeepsASmallFootprintAndZeroesEveryByte) {
+  const ResetCase& tc = GetParam();
+  if (sysconf(_SC_PAGESIZE) != static_cast<long>(kOsPage)) {
+    GTEST_SKIP() << "the rows are written for 4 KiB OS pages";
+  }
+  wasm::Limits limits;
+  limits.min = tc.before;
+  limits.max = 16;
+  limits.has_max = true;
+  auto mem = wasm::Memory::Create(limits);
+  ASSERT_TRUE(mem.ok());
+  wasm::Memory& m = **mem;
+  for (uint64_t page : tc.written) std::memset(m.At(page * kOsPage), 0x5a, kOsPage);
+  for (uint64_t page : tc.read) {
+    EXPECT_EQ(*static_cast<volatile uint8_t*>(m.At(page * kOsPage)), 0);
+  }
+  int gate[2] = {-1, -1};
+  pid_t child = -1;
+  if (tc.forked) {
+    ASSERT_EQ(pipe(gate), 0);
+    child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      // Holds the shared pages until the parent closes its end of the gate.
+      char c;
+      close(gate[1]);
+      while (read(gate[0], &c, 1) < 0 && errno == EINTR) {
+      }
+      _exit(0);
+    }
+    close(gate[0]);
+  }
+  common::Status reset = m.ResetToPages(tc.after);
+  std::vector<uint64_t> resident = ResidentOsPages(m);
+  if (tc.forked) {
+    close(gate[1]);
+    int status = 0;
+    EXPECT_EQ(waitpid(child, &status, 0), child);
+  }
+  ASSERT_TRUE(reset.ok()) << reset.ToString();
+  EXPECT_EQ(m.size_pages(), tc.after);
+  EXPECT_EQ(resident, tc.resident);
+  ASSERT_EQ(m.Grow(m.max_pages() - tc.after), static_cast<int64_t>(tc.after));
+  const uint64_t bytes = m.max_pages() * wasm::kWasmPageSize;
+  EXPECT_EQ(FirstNonzero(m.base(), bytes), bytes) << "the last tenant's byte survived the reset";
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, MemoryResetRule, testing::ValuesIn(kResetCases),
+                         [](const testing::TestParamInfo<ResetCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
