@@ -3,7 +3,7 @@
 // registers Wasm handlers for SIGUSR1/SIGUSR2/SIGTERM, then services a work
 // loop; the host (standing in for an operator) sends real kernel signals.
 //
-// Build & run:  ./build/examples/signal_daemon
+// Build & run:  ./build/example_signal_daemon
 #include <signal.h>
 #include <unistd.h>
 
@@ -67,6 +67,9 @@ int main() {
     std::fprintf(stderr, "error: %s\n", process.status().ToString().c_str());
     return 1;
   }
+  // The daemon is this host process: bind its signal table to the native
+  // signals, so the operator's kill(2) reaches its handlers.
+  (*process)->sigtable.BindNative();
 
   // The "operator": a host thread that pokes the daemon with real signals.
   std::thread operator_thread([] {

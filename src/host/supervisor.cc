@@ -1,5 +1,6 @@
 #include "src/host/supervisor.h"
 
+#include <signal.h>
 #include <unistd.h>
 
 #include "src/common/time_util.h"
@@ -17,6 +18,10 @@ Supervisor::Supervisor(wali::WaliRuntime* runtime, const Options& options)
       io_(options.io_backend),
       tel_(options.telemetry),
       paused_(options.start_paused) {
+  // A host that serves tenants owns the process-wide dispositions. A
+  // tenant's write to a broken pipe answers -EPIPE and raises SIGPIPE in
+  // the tenant's own table; the kernel's SIGPIPE would end the host.
+  ::signal(SIGPIPE, SIG_IGN);
   metrics::Registry& reg = SeriesRegistry(tel_, own_metrics_);
   c_submitted_ = reg.GetCounter("supervisor_jobs_submitted_total");
   for (size_t i = 0; i < kNumOutcomes; ++i) {

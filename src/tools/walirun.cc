@@ -666,6 +666,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "walirun: %s\n", proc.status().ToString().c_str());
     return 1;
   }
+  // A single run is the host process (paper §3.1): its signal table mirrors
+  // the host's native dispositions, so kernel signals reach the guest, and
+  // its signal syscalls pass through. Bound before a restore, which
+  // re-registers the snapshot's dispositions.
+  (*proc)->sigtable.BindNative();
 
   wasm::RunResult r;
   if (restore_in.empty() && snapshot_out.empty()) {

@@ -5,6 +5,7 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <future>
 
 #include "src/common/logging.h"
@@ -149,6 +150,12 @@ int WaliProcess::thread_count() {
   return static_cast<int>(threads_.size());
 }
 
+bool WaliProcess::IsGuestThread(pid_t tid) {
+  std::lock_guard<std::mutex> lock(threads_mu_);
+  return std::any_of(threads_.begin(), threads_.end(),
+                     [tid](const auto& t) { return t->tid == tid; });
+}
+
 void WaliProcess::JoinThreads() {
   while (true) {
     std::unique_ptr<GuestThread> t;
@@ -225,6 +232,7 @@ int64_t WaliProcess::SpawnThread(uint32_t func_index, uint64_t arg, uint64_t fla
   });
 
   pid_t tid = tid_future.get();
+  thread->tid = tid;
   if ((flags & kCloneParentSettid) != 0 && ptid_addr != 0 &&
       memory->InBounds(ptid_addr, 4)) {
     *reinterpret_cast<uint32_t*>(memory->At(ptid_addr)) = static_cast<uint32_t>(tid);

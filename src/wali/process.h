@@ -6,6 +6,8 @@
 #ifndef SRC_WALI_PROCESS_H_
 #define SRC_WALI_PROCESS_H_
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -48,6 +50,8 @@ class WaliProcess {
 
   void JoinThreads();
   int thread_count();
+  // True when `tid` is the native tid of one of this process's guest threads.
+  bool IsGuestThread(pid_t tid);
 
   // Host fds minted for this guest (open/dup/socket/pipe/...), maintained by
   // the syscall dispatch layer. Tenants share one host process, so anything
@@ -173,6 +177,7 @@ class WaliProcess {
  private:
   struct GuestThread {
     std::thread native;
+    pid_t tid = 0;
   };
   std::mutex threads_mu_;
   std::vector<std::unique_ptr<GuestThread>> threads_;

@@ -17,7 +17,7 @@ namespace {
 //             fd u32, events u32
 //   fds       count u32, then count i32 host fds
 //   signals   virtual_mask u64, entry count u32, per entry: signo u8,
-//             handler u32, flags u32, mask u64, registered u8
+//             handler u32, flags u32, mask u64
 //   trace     wali_nanos u64, kernel_nanos u64, nonzero-count u32,
 //             then (syscall id u32, count u64) pairs
 //   budgets   run_syscalls u64, syscall_budget u64, mem_budget_pages u64,
@@ -52,7 +52,7 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
   std::vector<std::pair<int, SigEntry>> sigs;
   for (int signo = 1; signo <= kNumSignals; ++signo) {
     SigEntry e = proc.sigtable.GetAction(signo);
-    if (e.registered || e.handler != kSigDfl || e.flags != 0 || e.mask != 0) {
+    if (e.handler != kSigDfl || e.flags != 0 || e.mask != 0) {
       sigs.emplace_back(signo, e);
     }
   }
@@ -62,7 +62,6 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
     w.U32(e.handler);
     w.U32(e.flags);
     w.U64(e.mask);
-    w.U8(e.registered ? 1 : 0);
   }
 
   // Raw handler time is exclusive+kernel; store both parts so restore can
@@ -174,17 +173,14 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
   std::vector<SigRec> sigs(sig_count);
   for (SigRec& s : sigs) {
     uint8_t signo = 0;
-    uint8_t registered = 0;
     RETURN_IF_ERROR(r.U8(&signo));
     RETURN_IF_ERROR(r.U32(&s.entry.handler));
     RETURN_IF_ERROR(r.U32(&s.entry.flags));
     RETURN_IF_ERROR(r.U64(&s.entry.mask));
-    RETURN_IF_ERROR(r.U8(&registered));
     if (signo < 1 || signo > kNumSignals) {
       return common::InvalidArgument("snapshot: signal number out of range");
     }
     s.signo = signo;
-    s.entry.registered = registered != 0;
   }
 
   uint64_t wali_ns = 0;

@@ -56,7 +56,7 @@ wasm::TrapKind WaliSafepoint(wasm::ExecContext& ctx) {
   wasm::TrapKind out = wasm::TrapKind::kNone;
   uint64_t pending = proc->sigtable.TakePending(proc->sigtable.virtual_mask());
   for (int signo = 1; signo <= kNumSignals && out == wasm::TrapKind::kNone; ++signo) {
-    if ((pending & (1ULL << (signo - 1))) == 0) {
+    if ((pending & SigBit(signo)) == 0) {
       continue;
     }
     SigEntry entry = proc->sigtable.GetAction(signo);
@@ -64,9 +64,12 @@ wasm::TrapKind WaliSafepoint(wasm::ExecContext& ctx) {
       continue;
     }
     if (entry.handler == kSigDfl) {
-      // Default action for anything routed through the virtual table is
-      // termination (the trampoline is only installed for caught signals,
-      // so this is a rarely-hit race with re-registration).
+      // Linux's default action. The kernel applies it natively to a bound
+      // table's SIG_DFL signals, so these were raised by the guest itself
+      // (or raced a re-registration): ignore, or end the run as killed.
+      if ((kDefaultIgnored & SigBit(signo)) != 0) {
+        continue;
+      }
       ctx.RequestExit(128 + signo);
       out = wasm::TrapKind::kExit;
       break;
@@ -176,6 +179,13 @@ int64_t WaliCtx::Raw(long number, long a0, long a1, long a2, long a3, long a4,
   int64_t ret = r >= 0 ? static_cast<int64_t>(r) : -static_cast<int64_t>(errno);
   if (timed) {
     proc.trace.AddKernelNanos(common::MonotonicNanos() - t0);
+  }
+  return ret;
+}
+
+int64_t WaliCtx::SigpipeOnEpipe(int64_t ret) const {
+  if (ret == -EPIPE && !proc.sigtable.bound()) {
+    proc.sigtable.RaiseVirtual(SIGPIPE);
   }
   return ret;
 }

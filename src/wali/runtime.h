@@ -56,6 +56,11 @@ struct WaliCtx {
   int64_t Raw(long number, long a0 = 0, long a1 = 0, long a2 = 0, long a3 = 0,
               long a4 = 0, long a5 = 0) const;
 
+  // Returns a write's answer `ret`; when it is -EPIPE, raises SIGPIPE in an
+  // unbound process's table, as the kernel would signal a process. A bound
+  // process already got the kernel's SIGPIPE.
+  int64_t SigpipeOnEpipe(int64_t ret) const;
+
   // True when this invocation may park at the syscall boundary instead of
   // blocking: the host entered it resumably (ExecOptions::suspend_to), no
   // park request is already armed, and this is not the resume-time

@@ -1,92 +1,58 @@
 #include "src/wali/sigtable.h"
 
 #include <errno.h>
-#include <signal.h>
-#include <string.h>
+
+#include <algorithm>
+#include <iterator>
 
 namespace wali {
 
 namespace {
 
-// Global routing table for the native trampoline (async-signal-safe reads).
-std::atomic<SigTable*> g_route[kNumSignals + 1];
-
-// Serializes every route-update + native sigaction pair across all tables.
-// The trampoline itself only loads g_route (never takes the lock), so this
-// stays async-signal-safe; without it, one tenant's Reset can interleave
-// with another tenant's InstallNativeTrampoline and revert the freshly
-// installed handler to SIG_DFL.
-std::mutex g_native_mu;
-
-// How many live tables currently hold SIG_IGN for each signal (guarded by
-// g_native_mu). Native dispositions are host-process-global, so a recycled
-// tenant's SIG_IGN may only be reverted to SIG_DFL once no other tenant
-// still depends on ignoring that signal (think two tenants both ignoring
-// SIGPIPE: the first slot reset must not re-arm the default kill).
-int g_ign_count[kNumSignals + 1] = {};
+// The table bound to the host's native signals, if any (async-signal-safe
+// reads by the trampoline).
+std::atomic<SigTable*> g_bound{nullptr};
 
 void NativeTrampoline(int signo) {
-  if (signo < 1 || signo > kNumSignals) {
-    return;
-  }
-  SigTable* table = g_route[signo].load(std::memory_order_acquire);
-  if (table != nullptr) {
+  SigTable* table = g_bound.load(std::memory_order_acquire);
+  if (table != nullptr && signo >= 1 && signo <= kNumSignals) {
     table->RaiseVirtual(signo);
   }
 }
 
+// Sets the bound table's native disposition for `signo`: SIG_DFL, SIG_IGN,
+// or the trampoline for a caught signal. SA_RESTART keeps passthrough
+// syscalls from spuriously failing; delivery latency is bounded by the
+// safepoint polling interval anyway.
+int SetNative(int signo, uint32_t handler) {
+  struct sigaction sa = {};  // empty sa_mask
+  sa.sa_handler = handler == kSigDfl   ? SIG_DFL
+                  : handler == kSigIgn ? SIG_IGN
+                                       : &NativeTrampoline;
+  sa.sa_flags = handler > kSigIgn ? SA_RESTART : 0;
+  return sigaction(signo, &sa, nullptr) == 0 ? 0 : -errno;
+}
+
 }  // namespace
 
-SigTable::SigTable() = default;
-
-SigTable::~SigTable() {
-  // Unroute any signals still pointing at this table and drop this table's
-  // SIG_IGN holds (without reverting dispositions: leaving a signal ignored
-  // is the safe direction for any tenant still running).
-  std::lock_guard<std::mutex> native_lock(g_native_mu);
-  for (int s = 1; s <= kNumSignals; ++s) {
-    SigTable* self = this;
-    g_route[s].compare_exchange_strong(self, nullptr, std::memory_order_acq_rel);
-    if (entries_[s].handler == kSigIgn && g_ign_count[s] > 0) {
-      --g_ign_count[s];
-    }
-  }
-}
+SigTable::~SigTable() { UnbindNative(); }
 
 int SigTable::SetAction(int signo, const SigEntry& entry, SigEntry* old) {
   if (signo < 1 || signo > kNumSignals || signo == SIGKILL || signo == SIGSTOP) {
     return -EINVAL;
   }
   std::lock_guard<std::mutex> lock(mu_);
+  if (bound()) {
+    int rc = SetNative(signo, entry.handler);
+    if (rc != 0) {
+      return rc;
+    }
+  }
   if (old != nullptr) {
     *old = entries_[signo];
   }
-  int rc = 0;
-  const uint32_t prev_handler = entries_[signo].handler;
-  {
-    std::lock_guard<std::mutex> native_lock(g_native_mu);
-    if (entry.handler == kSigDfl || entry.handler == kSigIgn) {
-      rc = RestoreNativeDisposition(signo, entry.handler);
-      SigTable* self = this;
-      g_route[signo].compare_exchange_strong(self, nullptr,
-                                             std::memory_order_acq_rel);
-    } else {
-      rc = InstallNativeTrampoline(signo, this);
-    }
-    if (rc == 0) {
-      if (entry.handler == kSigIgn && prev_handler != kSigIgn) {
-        ++g_ign_count[signo];
-      } else if (entry.handler != kSigIgn && prev_handler == kSigIgn &&
-                 g_ign_count[signo] > 0) {
-        --g_ign_count[signo];
-      }
-    }
-  }
-  if (rc == 0) {
-    entries_[signo] = entry;
-    entries_[signo].registered = entry.handler != kSigDfl && entry.handler != kSigIgn;
-  }
-  return rc;
+  entries_[signo] = entry;
+  return 0;
 }
 
 SigEntry SigTable::GetAction(int signo) {
@@ -97,83 +63,42 @@ SigEntry SigTable::GetAction(int signo) {
   return entries_[signo];
 }
 
+int SigTable::BindNative() {
+  std::lock_guard<std::mutex> lock(mu_);
+  SigTable* none = nullptr;
+  return g_bound.compare_exchange_strong(none, this, std::memory_order_acq_rel)
+             ? 0
+             : -EBUSY;
+}
+
+void SigTable::UnbindNative() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!bound()) {
+    return;
+  }
+  // Dispositions first: once unbound, no new signal enters the trampoline.
+  for (int s = 1; s <= kNumSignals; ++s) {
+    if (entries_[s].handler != kSigDfl) {
+      SetNative(s, kSigDfl);
+    }
+  }
+  g_bound.store(nullptr, std::memory_order_release);
+}
+
+bool SigTable::bound() const {
+  return g_bound.load(std::memory_order_acquire) == this;
+}
+
 void SigTable::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (int s = 1; s <= kNumSignals; ++s) {
-    SigEntry& e = entries_[s];
-    // Route check and native sigaction must be one atomic step with respect
-    // to other tables' SetAction, or a concurrent tenant's freshly installed
-    // trampoline could be reverted to SIG_DFL underneath it — turning that
-    // tenant's next signal into whole-host process death.
-    std::lock_guard<std::mutex> native_lock(g_native_mu);
-    if (e.registered) {
-      // Only touch the native disposition while this table still owns the
-      // route: a concurrently running tenant may have re-registered the
-      // signal for its own table.
-      SigTable* self = this;
-      if (g_route[s].compare_exchange_strong(self, nullptr,
-                                             std::memory_order_acq_rel)) {
-        RestoreNativeDisposition(s, kSigDfl);
-      }
-    } else if (e.handler == kSigIgn) {
-      // SIG_IGN was applied natively on this tenant's behalf (SetAction
-      // clears `registered` for it); undo it so the next tenant in the
-      // recycled slot starts from default dispositions — but only once no
-      // other live tenant still ignores the signal, and never while a
-      // tenant has routed it to its own trampoline.
-      if (g_ign_count[s] > 0) {
-        --g_ign_count[s];
-      }
-      if (g_ign_count[s] == 0 &&
-          g_route[s].load(std::memory_order_acquire) == nullptr) {
-        RestoreNativeDisposition(s, kSigDfl);
-      }
-    }
-    e = SigEntry{};
-  }
+  std::fill(std::begin(entries_), std::end(entries_), SigEntry{});
   pending_.store(0, std::memory_order_release);
   sigmask_.store(0, std::memory_order_release);
   delivered_.store(0, std::memory_order_relaxed);
 }
 
 uint64_t SigTable::TakePending(uint64_t masked) {
-  uint64_t current = pending_.load(std::memory_order_acquire);
-  while (true) {
-    uint64_t deliverable = current & ~masked;
-    if (deliverable == 0) {
-      return 0;
-    }
-    uint64_t rest = current & ~deliverable;
-    if (pending_.compare_exchange_weak(current, rest, std::memory_order_acq_rel)) {
-      return deliverable;
-    }
-  }
-}
-
-int InstallNativeTrampoline(int signo, SigTable* table) {
-  g_route[signo].store(table, std::memory_order_release);
-  struct sigaction sa;
-  memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = &NativeTrampoline;
-  sigemptyset(&sa.sa_mask);
-  // SA_RESTART keeps passthrough syscalls from spuriously failing; delivery
-  // latency is bounded by the safepoint polling interval anyway.
-  sa.sa_flags = SA_RESTART;
-  if (sigaction(signo, &sa, nullptr) != 0) {
-    return -errno;
-  }
-  return 0;
-}
-
-int RestoreNativeDisposition(int signo, uint32_t disposition) {
-  struct sigaction sa;
-  memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = disposition == kSigIgn ? SIG_IGN : SIG_DFL;
-  sigemptyset(&sa.sa_mask);
-  if (sigaction(signo, &sa, nullptr) != 0) {
-    return -errno;
-  }
-  return 0;
+  return pending_.fetch_and(masked, std::memory_order_acq_rel) & ~masked;
 }
 
 }  // namespace wali

@@ -85,7 +85,7 @@ int64_t SysWrite(WaliCtx& c, const int64_t* a) {
     c.Park(IoOp::Fd(fd, POLLOUT));
     return 0;
   }
-  return c.Raw(SYS_write, a[0], reinterpret_cast<long>(buf), a[2]);
+  return c.SigpipeOnEpipe(c.Raw(SYS_write, a[0], reinterpret_cast<long>(buf), a[2]));
 }
 
 int64_t SysReadv(WaliCtx& c, const int64_t* a) {
@@ -109,7 +109,7 @@ int64_t SysWritev(WaliCtx& c, const int64_t* a) {
     c.Park(IoOp::Fd(fd, POLLOUT));
     return 0;
   }
-  return c.Raw(SYS_writev, a[0], reinterpret_cast<long>(iov), a[2]);
+  return c.SigpipeOnEpipe(c.Raw(SYS_writev, a[0], reinterpret_cast<long>(iov), a[2]));
 }
 
 int64_t SysPread64(WaliCtx& c, const int64_t* a) {
@@ -121,7 +121,8 @@ int64_t SysPread64(WaliCtx& c, const int64_t* a) {
 int64_t SysPwrite64(WaliCtx& c, const int64_t* a) {
   void* buf = c.Ptr(a[1], a[2]);
   if (buf == nullptr && a[2] != 0) return -EFAULT;
-  return c.Raw(SYS_pwrite64, a[0], reinterpret_cast<long>(buf), a[2], a[3]);
+  return c.SigpipeOnEpipe(
+      c.Raw(SYS_pwrite64, a[0], reinterpret_cast<long>(buf), a[2], a[3]));
 }
 
 int64_t SysOpen(WaliCtx& c, const int64_t* a) {
@@ -462,7 +463,7 @@ int64_t SysSendfile(WaliCtx& c, const int64_t* a) {
     if (p == nullptr) return -EFAULT;
     off_ptr = reinterpret_cast<long>(p);
   }
-  return c.Raw(SYS_sendfile, a[0], a[1], off_ptr, a[3]);
+  return c.SigpipeOnEpipe(c.Raw(SYS_sendfile, a[0], a[1], off_ptr, a[3]));
 }
 
 int64_t SysCopyFileRange(WaliCtx& c, const int64_t* a) {
@@ -485,9 +486,9 @@ int64_t SysCopyFileRange(WaliCtx& c, const int64_t* a) {
 void RegisterFsSyscalls(std::vector<SyscallDef>& defs) {
   defs.insert(defs.end(), {
       {"read", 3, SysRead, false, 4, /*can_park=*/true},
-      {"write", 3, SysWrite, false, 5, /*can_park=*/true},
+      {"write", 3, SysWrite, false, 8, /*can_park=*/true},
       {"readv", 3, SysReadv, false, 10, /*can_park=*/true},
-      {"writev", 3, SysWritev, false, 10, /*can_park=*/true},
+      {"writev", 3, SysWritev, false, 9, /*can_park=*/true},
       {"pread64", 4, SysPread64, false, 4},
       {"pwrite64", 4, SysPwrite64, false, 4},
       {"open", 3, SysOpen, false, 4},
@@ -536,7 +537,7 @@ void RegisterFsSyscalls(std::vector<SyscallDef>& defs) {
       {"umask", 1, SysUmask, false, 3},
       {"utimensat", 4, SysUtimensat, false, 12},
       {"flock", 2, SysFlock, false, 3},
-      {"sendfile", 4, SysSendfile, false, 8},
+      {"sendfile", 4, SysSendfile, false, 7},
       {"copy_file_range", 6, SysCopyFileRange, false, 12},
   });
 }

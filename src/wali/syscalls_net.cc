@@ -147,8 +147,9 @@ int64_t SysSendto(WaliCtx& c, const int64_t* a) {
     if (addr == nullptr) return -EFAULT;
     addr_ptr = reinterpret_cast<long>(addr);
   }
-  return c.Raw(SYS_sendto, a[0], reinterpret_cast<long>(buf), a[2], a[3], addr_ptr,
-               a[5]);
+  int64_t r = c.Raw(SYS_sendto, a[0], reinterpret_cast<long>(buf), a[2], a[3],
+                    addr_ptr, a[5]);
+  return (a[3] & MSG_NOSIGNAL) != 0 ? r : c.SigpipeOnEpipe(r);
 }
 
 int64_t SysRecvfrom(WaliCtx& c, const int64_t* a) {
@@ -238,7 +239,8 @@ int64_t MsgCall(WaliCtx& c, long nr, const int64_t* a, bool writable) {
 }
 
 int64_t SysSendmsg(WaliCtx& c, const int64_t* a) {
-  return MsgCall(c, SYS_sendmsg, a, /*writable=*/false);
+  int64_t r = MsgCall(c, SYS_sendmsg, a, /*writable=*/false);
+  return (a[2] & MSG_NOSIGNAL) != 0 ? r : c.SigpipeOnEpipe(r);
 }
 
 int64_t SysRecvmsg(WaliCtx& c, const int64_t* a) {
@@ -258,12 +260,12 @@ void RegisterNetSyscalls(std::vector<SyscallDef>& defs) {
       {"connect", 3, SysConnect, false, 5, /*can_park=*/true},
       {"getsockname", 3, SysGetsockname, false, 8},
       {"getpeername", 3, SysGetpeername, false, 8},
-      {"sendto", 6, SysSendto, false, 10},
+      {"sendto", 6, SysSendto, false, 11},
       {"recvfrom", 6, SysRecvfrom, false, 8},
       {"setsockopt", 5, SysSetsockopt, false, 5},
       {"getsockopt", 5, SysGetsockopt, false, 8},
       {"shutdown", 2, SysShutdown, false, 3},
-      {"sendmsg", 3, SysSendmsg, false, 30},
+      {"sendmsg", 3, SysSendmsg, false, 39},
       {"recvmsg", 3, SysRecvmsg, false, 30},
   });
 }

@@ -1,9 +1,11 @@
 // Signal syscalls (paper §3.3). rt_sigaction maintains the virtual sigtable;
 // masks are 64-bit words matching the kernel sigset layout on every ISA, so
-// mask-based calls are zero-copy passthrough; sigreturn traps (§3.6).
+// a bound process's mask-based calls are zero-copy passthrough, and an
+// unbound process's act on its table alone; sigreturn traps (§3.6).
 #include <errno.h>
 #include <signal.h>
 #include <sys/syscall.h>
+#include <unistd.h>
 
 #include "src/abi/layout.h"
 #include "src/wali/runtime.h"
@@ -51,9 +53,7 @@ int64_t SysRtSigprocmask(WaliCtx& c, const int64_t* a) {
     if (old_out == nullptr) return -EFAULT;
     *old_out = old_virtual;
   }
-  if (set == nullptr) {
-    return 0;
-  }
+  if (set == nullptr) return 0;
   uint64_t next;
   switch (how) {
     case SIG_BLOCK: next = old_virtual | *set; break;
@@ -61,12 +61,13 @@ int64_t SysRtSigprocmask(WaliCtx& c, const int64_t* a) {
     case SIG_SETMASK: next = *set; break;
     default: return -EINVAL;
   }
+  // SIGKILL and SIGSTOP cannot be blocked.
+  next &= ~(SigBit(SIGKILL) | SigBit(SIGSTOP));
   c.proc.sigtable.set_virtual_mask(next);
-  // Native passthrough keeps kernel-side blocking consistent for directed
-  // signals; the virtual mask gates safepoint delivery. A safepoint runs
-  // right after this syscall returns, handling anything just unblocked
-  // before the module re-enters a critical section (paper §3.3 delivery
-  // guarantee).
+  // The virtual mask gates safepoint delivery, at the next loop header or
+  // function entry. A bound process also passes it through, which keeps
+  // kernel-side blocking consistent for the signals the kernel delivers.
+  if (!c.proc.sigtable.bound()) return 0;
   return c.Raw(SYS_rt_sigprocmask, how, reinterpret_cast<long>(set), 0, 8);
 }
 
@@ -74,16 +75,10 @@ int64_t SysRtSigpending(WaliCtx& c, const int64_t* a) {
   auto* out = c.TypedPtr<uint64_t>(a[0]);
   if (out == nullptr) return -EFAULT;
   uint64_t native = 0;
-  c.Raw(SYS_rt_sigpending, reinterpret_cast<long>(&native), 8);
-  // Virtual pending bits merge with native ones.
-  uint64_t virt = c.proc.sigtable.TakePending(0);
-  if (virt != 0) {
-    // Peeked, not consumed: put them back.
-    for (int s = 1; s <= kNumSignals; ++s) {
-      if ((virt & (1ULL << (s - 1))) != 0) c.proc.sigtable.RaiseVirtual(s);
-    }
+  if (c.proc.sigtable.bound()) {
+    c.Raw(SYS_rt_sigpending, reinterpret_cast<long>(&native), 8);
   }
-  *out = native | virt;
+  *out = native | c.proc.sigtable.pending();
   return 0;
 }
 
@@ -118,10 +113,37 @@ int64_t SysRtSigreturn(WaliCtx& c, const int64_t* a) {
   return -ENOSYS;
 }
 
-int64_t SysKill(WaliCtx& c, const int64_t* a) { return c.Raw(SYS_kill, a[0], a[1]); }
-int64_t SysTkill(WaliCtx& c, const int64_t* a) { return c.Raw(SYS_tkill, a[0], a[1]); }
+// An unbound process (a pooled tenant) is not the host process: its kill,
+// tkill and tgkill reach only its own table, and only when aimed at the
+// process itself (the host's pid, which its getpid answers) or one of its
+// threads. A bound process is the host, so its calls pass through.
+int64_t RaiseOwn(WaliCtx& c, bool own, int sig) {
+  if (sig < 0 || sig > kNumSignals) return -EINVAL;
+  if (!own) return -EPERM;
+  if (sig != 0) c.proc.sigtable.RaiseVirtual(sig);
+  return 0;
+}
+
+bool OwnTid(WaliCtx& c, pid_t tid) {
+  return tid == ::syscall(SYS_gettid) || c.proc.IsGuestThread(tid);
+}
+
+int64_t SysKill(WaliCtx& c, const int64_t* a) {
+  if (c.proc.sigtable.bound()) return c.Raw(SYS_kill, a[0], a[1]);
+  const pid_t pid = static_cast<pid_t>(a[0]);
+  return RaiseOwn(c, pid == 0 || pid == ::getpid(), static_cast<int>(a[1]));
+}
+
+int64_t SysTkill(WaliCtx& c, const int64_t* a) {
+  if (c.proc.sigtable.bound()) return c.Raw(SYS_tkill, a[0], a[1]);
+  return RaiseOwn(c, OwnTid(c, static_cast<pid_t>(a[0])), static_cast<int>(a[1]));
+}
+
 int64_t SysTgkill(WaliCtx& c, const int64_t* a) {
-  return c.Raw(SYS_tgkill, a[0], a[1], a[2]);
+  if (c.proc.sigtable.bound()) return c.Raw(SYS_tgkill, a[0], a[1], a[2]);
+  bool own = static_cast<pid_t>(a[0]) == ::getpid() &&
+             OwnTid(c, static_cast<pid_t>(a[1]));
+  return RaiseOwn(c, own, static_cast<int>(a[2]));
 }
 
 int64_t SysPause(WaliCtx& c, const int64_t* a) {
@@ -142,15 +164,15 @@ int64_t SysSigaltstack(WaliCtx& c, const int64_t* a) {
 
 void RegisterSignalSyscalls(std::vector<SyscallDef>& defs) {
   defs.insert(defs.end(), {
-      {"rt_sigaction", 4, SysRtSigaction, true, 40},
-      {"rt_sigprocmask", 4, SysRtSigprocmask, true, 5},
-      {"rt_sigpending", 2, SysRtSigpending, true, 12},
+      {"rt_sigaction", 4, SysRtSigaction, true, 44},
+      {"rt_sigprocmask", 4, SysRtSigprocmask, true, 24},
+      {"rt_sigpending", 2, SysRtSigpending, true, 8},
       {"rt_sigsuspend", 2, SysRtSigsuspend, false, 4},
       {"rt_sigtimedwait", 4, SysRtSigtimedwait, false, 12},
       {"rt_sigreturn", 0, SysRtSigreturn, false, 2},
-      {"kill", 2, SysKill, false, 1},
-      {"tkill", 2, SysTkill, false, 1},
-      {"tgkill", 3, SysTgkill, false, 1},
+      {"kill", 2, SysKill, false, 7},
+      {"tkill", 2, SysTkill, false, 7},
+      {"tgkill", 3, SysTgkill, false, 9},
       {"pause", 0, SysPause, false, 1},
       {"sigaltstack", 2, SysSigaltstack, false, 1},
   });

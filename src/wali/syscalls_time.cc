@@ -121,6 +121,9 @@ int64_t SysTimes(WaliCtx& c, const int64_t* a) {
 }
 
 int64_t SysSetitimer(WaliCtx& c, const int64_t* a) {
+  // The interval timers are the host process's: only a bound process, which
+  // is the host, may arm them. A tenant's SIGALRM would kill the host.
+  if (!c.proc.sigtable.bound()) return -EPERM;
   const void* newval = c.Ptr(a[1], 32);  // struct itimerval
   if (newval == nullptr) return -EFAULT;
   long old_ptr = 0;
@@ -149,7 +152,7 @@ void RegisterTimeSyscalls(std::vector<SyscallDef>& defs) {
       {"clock_nanosleep", 4, SysClockNanosleep, false, 8, /*can_park=*/true},
       {"gettimeofday", 2, SysGettimeofday, false, 5},
       {"times", 1, SysTimes, false, 5},
-      {"setitimer", 3, SysSetitimer, false, 8},
+      {"setitimer", 3, SysSetitimer, false, 10},
       {"getitimer", 2, SysGetitimer, false, 4},
   });
 }

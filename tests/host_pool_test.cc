@@ -4,6 +4,7 @@
 // table, reset mmap pool, re-zeroed and re-initialized linear memory).
 #include <gtest/gtest.h>
 
+#include <errno.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/wait.h>
@@ -496,22 +497,59 @@ TEST(InstancePool, SlabAttributesStayTheHosts) {
   }
 }
 
-TEST(SigTableReset, SigIgnRestoredToDefault) {
-  // A tenant that SIG_IGNs a signal must not leave the native disposition
-  // ignored for the next tenant in the slot.
-  {
-    wali::SigTable table;
-    wali::SigEntry e;
-    e.handler = wali::kSigIgn;
-    ASSERT_EQ(table.SetAction(SIGUSR2, e, nullptr), 0);
-    struct sigaction sa;
-    ASSERT_EQ(sigaction(SIGUSR2, nullptr, &sa), 0);
-    EXPECT_EQ(sa.sa_handler, SIG_IGN);
-    table.Reset();
-  }
+// This process's native disposition for `signo`.
+struct sigaction NativeAction(int signo) {
   struct sigaction sa;
-  ASSERT_EQ(sigaction(SIGUSR2, nullptr, &sa), 0);
-  EXPECT_EQ(sa.sa_handler, SIG_DFL);
+  EXPECT_EQ(sigaction(signo, nullptr, &sa), 0);
+  return sa;
+}
+
+TEST(SigTableNative, UnboundTableLeavesNativeDefault) {
+  // A pooled tenant's dispositions are data: neither SIG_IGN nor a handler
+  // reaches the host's native table, before or after the slot's reset.
+  wali::SigTable table;
+  wali::SigEntry e;
+  e.handler = wali::kSigIgn;
+  ASSERT_EQ(table.SetAction(SIGUSR2, e, nullptr), 0);
+  e.handler = 2;  // a funcref
+  ASSERT_EQ(table.SetAction(SIGUSR1, e, nullptr), 0);
+  EXPECT_EQ(NativeAction(SIGUSR2).sa_handler, SIG_DFL);
+  EXPECT_EQ(NativeAction(SIGUSR1).sa_handler, SIG_DFL);
+  table.Reset();
+  EXPECT_EQ(table.GetAction(SIGUSR2).handler, wali::kSigDfl);
+  EXPECT_EQ(table.GetAction(SIGUSR1).handler, wali::kSigDfl);
+  EXPECT_EQ(NativeAction(SIGUSR2).sa_handler, SIG_DFL);
+  EXPECT_EQ(NativeAction(SIGUSR1).sa_handler, SIG_DFL);
+}
+
+TEST(SigTableNative, BoundTableMirrorsAndUnbinds) {
+  // The one table a single-run host binds mirrors its dispositions, and a
+  // caught native signal lands in it; unbinding hands the host back SIG_DFL.
+  wali::SigTable table;
+  ASSERT_EQ(table.BindNative(), 0);
+  EXPECT_TRUE(table.bound());
+  wali::SigTable other;
+  EXPECT_EQ(other.BindNative(), -EBUSY) << "two tables bound to one host";
+  EXPECT_FALSE(other.bound());
+
+  wali::SigEntry e;
+  e.handler = wali::kSigIgn;
+  ASSERT_EQ(table.SetAction(SIGUSR1, e, nullptr), 0);
+  EXPECT_EQ(NativeAction(SIGUSR1).sa_handler, SIG_IGN);
+  e.handler = 2;  // a funcref: the native trampoline
+  ASSERT_EQ(table.SetAction(SIGUSR2, e, nullptr), 0);
+  struct sigaction sa = NativeAction(SIGUSR2);
+  ASSERT_NE(sa.sa_handler, SIG_DFL);
+  ASSERT_NE(sa.sa_handler, SIG_IGN);
+  EXPECT_NE(sa.sa_flags & SA_RESTART, 0);
+  ASSERT_EQ(raise(SIGUSR2), 0);
+  EXPECT_EQ(table.pending(), wali::SigBit(SIGUSR2));
+
+  table.UnbindNative();
+  EXPECT_FALSE(table.bound());
+  EXPECT_EQ(NativeAction(SIGUSR1).sa_handler, SIG_DFL);
+  EXPECT_EQ(NativeAction(SIGUSR2).sa_handler, SIG_DFL);
+  EXPECT_EQ(other.BindNative(), 0) << "an unbound host takes a new binding";
 }
 
 // Engine-level reset hook (the primitive the pool builds on).

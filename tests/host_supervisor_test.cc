@@ -4,10 +4,19 @@
 // limits (paper §5's virtualization layering, host-side).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/time_util.h"
 #include "src/host/host.h"
 #include "tests/wali_test_util.h"
 
@@ -329,5 +338,264 @@ TEST(Supervisor, ManyRoundsReuseBoundedSlots) {
   EXPECT_LE(ps.misses, 8u);
   EXPECT_GT(ps.hits, 60u);
 }
+
+// ------------------------------------------------------- tenant signals --
+
+// A tenant's signals are its own data: nothing it raises, masks or arms may
+// reach the host process or another tenant. Each row runs in a forked child
+// that builds its own runtime and 2-worker supervisor and runs the row's
+// guests at once, so a signal that kills the host fails the row, not ctest.
+struct TenantSignalRow {
+  const char* name;
+  // Guest bodies, built in the child (a row may create fds there first).
+  std::function<std::vector<std::string>()> guests;
+  // Judges the reports while the supervisor still lives: "" when the row
+  // holds, else what went wrong.
+  std::function<std::string(const std::vector<host::RunReport>&)> check;
+};
+
+void PrintTo(const TenantSignalRow& row, std::ostream* os) { *os << row.name; }
+
+// A check that guest i exited with want[i].
+std::function<std::string(const std::vector<host::RunReport>&)> Exits(
+    std::vector<int> want) {
+  return [want](const std::vector<host::RunReport>& reports) {
+    std::string err;
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (reports[i].exit_code != want[i] || !reports[i].completed()) {
+        err += "guest " + std::to_string(i) + ": exit " +
+               std::to_string(reports[i].exit_code) + " (" +
+               wasm::TrapKindName(reports[i].trap) + "), want " +
+               std::to_string(want[i]) + "\n";
+      }
+    }
+    return err;
+  };
+}
+
+// Spins 100000 times: loop headers are safepoints, where a pending signal
+// is delivered.
+const char* kSpin = R"(
+  (func $spin
+    (local $i i32)
+    (loop $l
+      (local.set $i (i32.add (local.get $i) (i32.const 1)))
+      (br_if $l (i32.lt_u (local.get $i) (i32.const 100000)))))
+)";
+
+// SIGUSR1 handler in table slot 2 that counts its runs in $got; $await
+// sleeps 1 ms at a time, at most 100 times, until it has run.
+const char* kCountUsr1 = R"(
+  (table 4 funcref)
+  (global $got (mut i32) (i32.const 0))
+  (func $handler (param i32)
+    (global.set $got (i32.add (global.get $got) (i32.const 1))))
+  (elem (i32.const 2) $handler)
+  (func $install
+    (i32.store (i32.const 1024) (i32.const 2))
+    (i32.store (i32.const 1028) (i32.const 0))
+    (i64.store (i32.const 1032) (i64.const 0))
+    (drop (call $sigaction (i64.const 10) (i64.const 1024) (i64.const 0) (i64.const 8))))
+  (func $await
+    (local $i i32)
+    (i64.store (i32.const 3072) (i64.const 0))
+    (i64.store (i32.const 3080) (i64.const 1000000))
+    (block $done
+      (loop $l
+        (br_if $done (i32.ne (global.get $got) (i32.const 0)))
+        (br_if $done (i32.ge_u (local.get $i) (i32.const 100)))
+        (drop (call $nanosleep (i64.const 3072) (i64.const 0)))
+        (local.set $i (i32.add (local.get $i) (i32.const 1)))
+        (br $l))))
+)";
+
+// Two tenants with their own SIGUSR1 handlers, in lockstep over test-owned
+// pipes: A registers, then B; A signals itself, then lets B look.
+std::vector<std::string> HandshakeGuests() {
+  int p[3][2];
+  for (auto& fds : p) {
+    if (pipe2(fds, O_CLOEXEC) != 0) return {};
+  }
+  auto io = [](const char* call, int fd) {
+    return std::string("(drop (call ") + call + " (i64.const " +
+           std::to_string(fd) + ") (i64.const 512) (i64.const 1)))";
+  };
+  std::string a = std::string("(memory 1)") + kCountUsr1 + R"(
+    (func (export "main") (result i32)
+      (call $install)
+      )" + io("$write", p[0][1]) + io("$read", p[1][0]) + R"(
+      (drop (call $kill (call $getpid) (i64.const 10)))
+      )" + io("$write", p[2][1]) + R"(
+      (call $await)
+      (global.get $got)))";
+  std::string b = std::string("(memory 1)") + kCountUsr1 + R"(
+    (func (export "main") (result i32)
+      )" + io("$read", p[0][0]) + R"(
+      (call $install)
+      )" + io("$write", p[1][1]) + io("$read", p[2][0]) + R"(
+      (call $await)
+      (global.get $got)))";
+  return {a, b};
+}
+
+// Writes a byte to a pipe whose read end it closed first; the answer is in $r.
+const char* kBrokenPipeWrite = R"(
+  (drop (call $pipe2 (i64.const 600) (i64.const 0)))
+  (drop (call $close (i64.load32_u (i32.const 600))))
+  (local.set $r (call $write (i64.load32_u (i32.const 604)) (i64.const 512) (i64.const 1)))
+)";
+
+// The SigBlk mask of this process's thread `tid`, or "?" when unreadable.
+std::string SigBlk(int tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("SigBlk:", 0) == 0) {
+      return line.substr(line.find_first_not_of(" \t", 7));
+    }
+  }
+  return "?";
+}
+
+std::vector<TenantSignalRow> TenantSignalRows() {
+  auto one = [](std::string body) {
+    return [body] { return std::vector<std::string>{body}; };
+  };
+  return {
+      {"SelfKillEndsTheRunNotTheHost",
+       one(std::string("(memory 1)") + kSpin + R"(
+         (func (export "main") (result i32)
+           (drop (call $kill (call $getpid) (i64.const 12)))
+           (call $spin)
+           (i32.const 0)))"),
+       Exits({128 + SIGUSR2})},
+      {"SelfTkillAbortEndsTheRunNotTheHost",
+       one(std::string(R"((import "wali" "SYS_tkill" (func $tkill (param i64 i64) (result i64)))
+         (memory 1))") + kSpin + R"(
+         (func (export "main") (result i32)
+           (drop (call $tkill (call $gettid) (i64.const 6)))
+           (call $spin)
+           (i32.const 0)))"),
+       Exits({128 + SIGABRT})},
+      {"HandlerRunsInTheRaisingTenantOnly", HandshakeGuests, Exits({1, 0})},
+      {"BrokenPipeIsTheTenantsSigpipe",
+       [] {
+         std::string kills = std::string("(memory 1)") + kSpin + R"(
+           (func (export "main") (result i32)
+             (local $r i64))" + kBrokenPipeWrite + R"(
+             (call $spin)
+             (i32.const 0)))";
+         std::string ignores = std::string(R"((memory 1)
+           (func (export "main") (result i32)
+             (local $r i64)
+             (i32.store (i32.const 1024) (i32.const 1))  ;; SIG_IGN
+             (i32.store (i32.const 1028) (i32.const 0))
+             (i64.store (i32.const 1032) (i64.const 0))
+             (drop (call $sigaction (i64.const 13) (i64.const 1024) (i64.const 0)
+                                    (i64.const 8))))") + kBrokenPipeWrite + R"(
+             (i32.wrap_i64 (i64.sub (i64.const 0) (local.get $r)))))";
+         return std::vector<std::string>{kills, ignores};
+       },
+       Exits({128 + SIGPIPE, EPIPE})},
+      {"SigchldDefaultIsIgnored",
+       one(std::string("(memory 1)") + kSpin + R"(
+         (func (export "main") (result i32)
+           (drop (call $kill (call $getpid) (i64.const 17)))
+           (call $spin)
+           (i32.const 5)))"),
+       Exits({5})},
+      {"KillReachesNoOtherProcess",
+       [] {
+         const char* probe = R"(
+           (import "wali" "SYS_getppid" (func $getppid (result i64)))
+           (memory 1)
+           (func (export "main") (result i32)
+             (i32.wrap_i64 (i64.sub (i64.const 0) (call $kill %s (i64.const 0))))))";
+         std::vector<std::string> guests;
+         for (const char* pid : {"(call $getppid)", "(i64.const -1)"}) {
+           char buf[512];
+           std::snprintf(buf, sizeof(buf), probe, pid);
+           guests.push_back(buf);
+         }
+         return guests;
+       },
+       Exits({EPERM, EPERM})},
+      {"SigprocmaskLeavesTheWorkerMask",
+       one(R"((memory 1)
+         (func (export "main") (result i32)
+           (i64.store (i32.const 2048) (i64.const 0x800))  ;; SIGUSR2
+           (drop (call $sigprocmask (i64.const 0) (i64.const 2048) (i64.const 0)
+                                    (i64.const 8)))
+           (i32.wrap_i64 (call $gettid))))"),
+       [](const std::vector<host::RunReport>& reports) {
+         std::string blk = SigBlk(reports[0].exit_code);
+         return blk == "0000000000000000"
+                    ? std::string()
+                    : "worker " + std::to_string(reports[0].exit_code) +
+                          " SigBlk " + blk + ", want 0\n";
+       }},
+      {"SetitimerIsRefused",
+       one(R"((import "wali" "SYS_setitimer" (func $setitimer (param i64 i64 i64) (result i64)))
+         (memory 1)
+         (func (export "main") (result i32)
+           (i64.store (i32.const 1040) (i64.const 10))  ;; it_value: 10 s
+           (i32.wrap_i64 (i64.sub (i64.const 0)
+             (call $setitimer (i64.const 0) (i64.const 1024) (i64.const 0))))))"),
+       Exits({EPERM})},
+  };
+}
+
+// Runs the row's guests on a fresh 2-worker supervisor; the child's exit code.
+int RunTenantSignalRow(const TenantSignalRow& row) {
+  SupWorld w = MakeWorld(/*workers=*/2);
+  std::vector<host::GuestJob> jobs;
+  for (const std::string& body : row.guests()) {
+    auto module = w.cache->Load(WrapModule(body));
+    if (!module.ok()) {
+      std::fprintf(stderr, "%s\n", module.status().ToString().c_str());
+      return 2;
+    }
+    host::GuestJob job;
+    job.module = *module;
+    job.argv = {"tenant"};
+    job.tenant = "t" + std::to_string(jobs.size());
+    jobs.push_back(std::move(job));
+  }
+  if (jobs.empty()) {
+    return 3;
+  }
+  std::string err = row.check(w.sup->RunAll(std::move(jobs)));
+  std::fputs(err.c_str(), stderr);
+  return err.empty() ? 0 : 1;
+}
+
+class TenantSignals : public ::testing::TestWithParam<TenantSignalRow> {};
+
+TEST_P(TenantSignals, StayInTheTenant) {
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    _exit(RunTenantSignalRow(GetParam()));
+  }
+  const int64_t deadline = common::MonotonicNanos() + 30'000'000'000;
+  int status = 0;
+  pid_t done = 0;
+  while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+         common::MonotonicNanos() < deadline) {
+    usleep(10000);
+  }
+  if (done == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+    FAIL() << "the host hung for 30 s";
+  }
+  ASSERT_FALSE(WIFSIGNALED(status)) << "the host died by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the row failed in the host (its stderr above)";
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, TenantSignals, ::testing::ValuesIn(TenantSignalRows()),
+                         [](const ::testing::TestParamInfo<TenantSignalRow>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace

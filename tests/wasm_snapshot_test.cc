@@ -1015,17 +1015,17 @@ TEST(WasmSnapshotScan, DroppedSegmentPageRestoresAsZeros) {
 
 // ------------------------------------------------------- format stability --
 
-// Golden pin for snapshot format v5. The bytes of a fixed, fully
+// Golden pin for snapshot format v6. The bytes of a fixed, fully
 // deterministic park (kGoldenKernelWat under kEveryInstr + kSwitch with a
 // fixed fake module hash) are summarized by (length, FNV-1a). If either
 // changes, the on-disk format changed: bump wasm::kSnapshotVersion and
 // regenerate these constants from the failure message. DO NOT update the
 // constants without the version bump — old snapshots would decode wrong.
 constexpr size_t kGoldenSnapshotSize = 65694;
-constexpr uint64_t kGoldenSnapshotFnv = 0x9a6d620c6a245fb0ULL;
+constexpr uint64_t kGoldenSnapshotFnv = 0x737df88def093967ULL;
 // First bytes of the golden snapshot (header + start of the exec section),
 // for quick diagnosis of what moved.
-constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x05, 0x00,
+constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x06, 0x00,
                                      0x00, 0x00};
 
 uint64_t Fnv64(const std::vector<uint8_t>& bytes) {
