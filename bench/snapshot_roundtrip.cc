@@ -121,7 +121,7 @@ int main() {
       }
       bytes = snap->size();
       cont.Discard();
-      (*proc)->ReleaseGuestFds();
+      (*proc)->fds.Release();
 
       auto fresh = rt.CreateProcess(*parsed, {"bench"}, {});
       if (!fresh.ok()) {

@@ -32,22 +32,32 @@
 
 namespace {
 
+// A resolved WALI syscall import; calling it is the guest's import call.
+struct Sys {
+  wasm::ExecContext* ctx;
+  wasm::FuncRef ref;
+
+  int64_t operator()(std::initializer_list<int64_t> args) const {
+    uint64_t argbuf[8] = {0};
+    size_t i = 0;
+    for (int64_t a : args) argbuf[i++] = static_cast<uint64_t>(a);
+    uint64_t result = 0;
+    ref.host->fn(*ctx, argbuf, &result);
+    benchmark::DoNotOptimize(result);
+    return static_cast<int64_t>(result);
+  }
+};
+
 struct Harness {
   std::unique_ptr<wasm::Linker> linker;
   std::unique_ptr<wali::WaliRuntime> runtime;
   std::unique_ptr<wali::WaliProcess> process;
   wasm::ExecContext ctx;
 
-  // Calls the registered ("wali", "SYS_<name>") function.
-  int64_t Wali(const std::string& name, std::initializer_list<int64_t> args) {
-    wasm::FuncRef ref = linker->FindFunc("wali", "SYS_" + name);
-    uint64_t argbuf[8] = {0};
-    size_t i = 0;
-    for (int64_t a : args) argbuf[i++] = static_cast<uint64_t>(a);
-    uint64_t result = 0;
-    ref.host->fn(ctx, argbuf, &result);
-    benchmark::DoNotOptimize(result);
-    return static_cast<int64_t>(result);
+  // The registered ("wali", "SYS_<name>") function, resolved once: a timed
+  // call pays what a guest's import call pays, not the name lookup.
+  Sys Fn(const std::string& name) {
+    return Sys{&ctx, linker->FindFunc("wali", "SYS_" + name)};
   }
 
   uint8_t* Mem(uint64_t addr) { return process->memory->At(addr); }
@@ -88,20 +98,22 @@ void Expect(bool ok, const char* what) {
   }
 }
 
-// Times `wali_op` and `native_op` over `iters` runs and returns the per-call
-// overhead (difference of means; negative clamped to 0 noise floor).
+// Times `wali_op` (handed the row's syscall, resolved once) and `native_op`
+// over `iters` runs and returns the per-call overhead (difference of means;
+// negative clamped to 0 noise floor).
 Row Measure(Harness& h, const std::string& name, int iters,
-            const std::function<void()>& wali_op,
+            const std::function<void(const Sys&)>& wali_op,
             const std::function<void()>& native_op,
             const std::function<void()>& reset = {}) {
+  const Sys sys = h.Fn(name);
   // Warmup.
   for (int i = 0; i < 32 && i < iters; ++i) {
-    wali_op();
+    wali_op(sys);
   }
   if (reset) reset();
   int64_t t0 = common::MonotonicNanos();
   for (int i = 0; i < iters; ++i) {
-    wali_op();
+    wali_op(sys);
   }
   int64_t wali_ns = common::MonotonicNanos() - t0;
   if (reset) reset();
@@ -155,10 +167,10 @@ int main(int argc, char** argv) {
   struct stat native_st;
 
   rows.push_back(Measure(h, "read", kIters,
-      [&] { h.Wali("read", {zero_fd, 1024, 64}); },
+      [&](const Sys& sys) { sys({zero_fd, 1024, 64}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_read, zero_fd, native_buf, 64)); }));
   rows.push_back(Measure(h, "write", kIters,
-      [&] { h.Wali("write", {null_fd, 1024, 64}); },
+      [&](const Sys& sys) { sys({null_fd, 1024, 64}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_write, null_fd, native_buf, 64)); }));
   {
     // iovec staged in guest memory: 2 segments of 32 bytes.
@@ -166,17 +178,17 @@ int main(int argc, char** argv) {
     iov[0] = 1024; iov[1] = 32; iov[2] = 2048; iov[3] = 32;
     struct iovec niov[2] = {{native_buf, 32}, {native_buf + 32, 32}};
     rows.push_back(Measure(h, "writev", kIters,
-        [&] { h.Wali("writev", {null_fd, 512, 2}); },
+        [&](const Sys& sys) { sys({null_fd, 512, 2}); },
         [&] { benchmark::DoNotOptimize(syscall(SYS_writev, null_fd, niov, 2)); }));
   }
   rows.push_back(Measure(h, "pread64", kIters,
-      [&] { h.Wali("pread64", {zero_fd, 1024, 64, 0}); },
+      [&](const Sys& sys) { sys({zero_fd, 1024, 64, 0}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_pread64, zero_fd, native_buf, 64, 0)); }));
   {
     std::vector<int> fds;
     fds.reserve(256);
     rows.push_back(Measure(h, "open", 256,
-        [&] { fds.push_back(static_cast<int>(h.Wali("open", {96, O_WRONLY, 0}))); },
+        [&](const Sys& sys) { fds.push_back(static_cast<int>(sys({96, O_WRONLY, 0}))); },
         [&] { fds.push_back(static_cast<int>(syscall(SYS_openat, AT_FDCWD, "/dev/null", O_WRONLY, 0))); },
         [&] { for (int fd : fds) if (fd >= 0) close(fd); fds.clear(); }));
   }
@@ -190,36 +202,36 @@ int main(int argc, char** argv) {
     refill();
     size_t cursor = 0;
     rows.push_back(Measure(h, "close", 256,
-        [&] { h.Wali("close", {fds[cursor]}); fds[cursor++] = -1; },
+        [&](const Sys& sys) { sys({fds[cursor]}); fds[cursor++] = -1; },
         [&] { syscall(SYS_close, fds[cursor]); fds[cursor++] = -1; },
         [&] { cursor = 0; refill(); }));
     for (int fd : fds) if (fd >= 0) close(fd);
   }
   rows.push_back(Measure(h, "fstat", kIters,
-      [&] { h.Wali("fstat", {zero_fd, 4096}); },
+      [&](const Sys& sys) { sys({zero_fd, 4096}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_fstat, zero_fd, &native_st)); }));
   rows.push_back(Measure(h, "stat", kIters,
-      [&] { h.Wali("stat", {64, 4096}); },
+      [&](const Sys& sys) { sys({64, 4096}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_newfstatat, AT_FDCWD, "/tmp", &native_st, 0)); }));
   rows.push_back(Measure(h, "lstat", kIters,
-      [&] { h.Wali("lstat", {64, 4096}); },
+      [&](const Sys& sys) { sys({64, 4096}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_newfstatat, AT_FDCWD, "/tmp", &native_st, AT_SYMLINK_NOFOLLOW)); }));
   rows.push_back(Measure(h, "access", kIters,
-      [&] { h.Wali("access", {64, R_OK}); },
+      [&](const Sys& sys) { sys({64, R_OK}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_faccessat, AT_FDCWD, "/tmp", R_OK)); }));
   rows.push_back(Measure(h, "lseek", kIters,
-      [&] { h.Wali("lseek", {zero_fd, 0, SEEK_SET}); },
+      [&](const Sys& sys) { sys({zero_fd, 0, SEEK_SET}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_lseek, zero_fd, 0, SEEK_SET)); }));
   {
     // mmap: allocate 4 KiB per call; release outside the timed region.
     std::vector<int64_t> wali_ptrs;
     std::vector<void*> native_ptrs;
     rows.push_back(Measure(h, "mmap", 256,
-        [&] { wali_ptrs.push_back(h.Wali("mmap", {0, 4096, 3, 0x22, -1, 0})); },
+        [&](const Sys& sys) { wali_ptrs.push_back(sys({0, 4096, 3, 0x22, -1, 0})); },
         [&] { native_ptrs.push_back(mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
                                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)); },
         [&] {
-          for (int64_t p : wali_ptrs) if (p > 0) h.Wali("munmap", {p, 4096});
+          for (int64_t p : wali_ptrs) if (p > 0) h.Fn("munmap")({p, 4096});
           for (void* p : native_ptrs) if (p != MAP_FAILED) munmap(p, 4096);
           wali_ptrs.clear();
           native_ptrs.clear();
@@ -243,11 +255,12 @@ int main(int argc, char** argv) {
       }
       benchmark::DoNotOptimize(sum);
     };
+    const Sys munmap_sys = h.Fn("munmap");
     Row row = Measure(h, "mmap", 4096,
-        [&] {
-          int64_t p = h.Wali("mmap", {0, kFileLen, PROT_READ, MAP_PRIVATE, file_fd, 0});
+        [&](const Sys& sys) {
+          int64_t p = sys({0, kFileLen, PROT_READ, MAP_PRIVATE, file_fd, 0});
           touch(h.Mem(p));
-          h.Wali("munmap", {p, kFileLen});
+          munmap_sys({p, kFileLen});
         },
         [&] {
           void* p = mmap(nullptr, kFileLen, PROT_READ, MAP_PRIVATE, file_fd, 0);
@@ -263,13 +276,13 @@ int main(int argc, char** argv) {
     std::vector<void*> native_ptrs;
     size_t cursor = 0;
     auto refill = [&] {
-      for (size_t i = cursor; i < wali_ptrs.size(); ++i) h.Wali("munmap", {wali_ptrs[i], 4096});
+      for (size_t i = cursor; i < wali_ptrs.size(); ++i) h.Fn("munmap")({wali_ptrs[i], 4096});
       for (size_t i = cursor; i < native_ptrs.size(); ++i) munmap(native_ptrs[i], 4096);
       wali_ptrs.clear();
       native_ptrs.clear();
       cursor = 0;
       for (int i = 0; i < 256; ++i) {
-        wali_ptrs.push_back(h.Wali("mmap", {0, 4096, 3, 0x22, -1, 0}));
+        wali_ptrs.push_back(h.Fn("mmap")({0, 4096, 3, 0x22, -1, 0}));
         native_ptrs.push_back(mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
                                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
       }
@@ -277,21 +290,21 @@ int main(int argc, char** argv) {
     refill();
     size_t native_cursor = 0;
     rows.push_back(Measure(h, "munmap", 256,
-        [&] { h.Wali("munmap", {wali_ptrs[cursor], 4096}); ++cursor; },
+        [&](const Sys& sys) { sys({wali_ptrs[cursor], 4096}); ++cursor; },
         [&] { munmap(native_ptrs[native_cursor], 4096); ++native_cursor; },
         [&] { refill(); native_cursor = 0; }));
   }
   {
     // A 64 KiB map shrunk to 4 KiB and regrown in place.
-    int64_t wali_map = h.Wali("mmap", {0, 65536, 3, 0x22, -1, 0});
+    int64_t wali_map = h.Fn("mmap")({0, 65536, 3, 0x22, -1, 0});
     char* native_map = static_cast<char*>(mmap(nullptr, 65536, PROT_READ | PROT_WRITE,
                                                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
     Expect(wali_map > 0 && native_map != MAP_FAILED, "mmap failed");
     rows.push_back(Measure(h, "mremap", kIters,
-        [&] {
+        [&](const Sys& sys) {
           h.Mem(wali_map)[8192] = 1;
-          h.Wali("mremap", {wali_map, 65536, 4096, 0, 0});
-          Expect(h.Wali("mremap", {wali_map, 4096, 65536, 0, 0}) == wali_map &&
+          sys({wali_map, 65536, 4096, 0, 0});
+          Expect(sys({wali_map, 4096, 65536, 0, 0}) == wali_map &&
                      h.Mem(wali_map)[8192] == 0,
                  "regrown mremap memory is not zero");
         },
@@ -303,7 +316,7 @@ int main(int argc, char** argv) {
           native_map = static_cast<char*>(regrown);
           Expect(native_map[8192] == 0, "regrown native mremap memory is not zero");
         }));
-    h.Wali("munmap", {wali_map, 65536});
+    h.Fn("munmap")({wali_map, 65536});
     munmap(native_map, 65536);
   }
   {
@@ -320,7 +333,7 @@ int main(int argc, char** argv) {
       brk(b);
     };
     rows.push_back(Measure(h, "brk", kIters,
-        [&] { cycle([&](int64_t b) { return h.Wali("brk", {b}); },
+        [&](const Sys& sys) { cycle([&](int64_t b) { return sys({b}); },
                     [&](int64_t b) { return h.Mem(b); }); },
         [&] { cycle([](int64_t b) { return static_cast<int64_t>(syscall(SYS_brk, b)); },
                     [](int64_t b) { return reinterpret_cast<uint8_t*>(b); }); }));
@@ -328,9 +341,9 @@ int main(int argc, char** argv) {
   {
     void* native_region = mmap(nullptr, 65536, PROT_READ | PROT_WRITE,
                                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    int64_t wali_region = h.Wali("mmap", {0, 65536, 3, 0x22, -1, 0});
+    int64_t wali_region = h.Fn("mmap")({0, 65536, 3, 0x22, -1, 0});
     rows.push_back(Measure(h, "mprotect", kIters,
-        [&] { h.Wali("mprotect", {wali_region, 4096, 3}); },
+        [&](const Sys& sys) { sys({wali_region, 4096, 3}); },
         [&] { mprotect(native_region, 4096, PROT_READ | PROT_WRITE); }));
   }
   {
@@ -342,7 +355,7 @@ int main(int argc, char** argv) {
     act[0] = 2;  // handler funcref index 2... table slot 1 is $noop; use 1
     act[0] = 1;
     rows.push_back(Measure(h, "rt_sigaction", 4096,
-        [&] { h.Wali("rt_sigaction", {SIGUSR2, 768, 0, 8}); },
+        [&](const Sys& sys) { sys({SIGUSR2, 768, 0, 8}); },
         [&] { sigaction(SIGUSR2, &sa, nullptr); }));
     signal(SIGUSR2, SIG_DFL);
   }
@@ -352,7 +365,7 @@ int main(int argc, char** argv) {
     sigset_t nset;
     sigemptyset(&nset);
     rows.push_back(Measure(h, "rt_sigprocmask", kIters,
-        [&] { h.Wali("rt_sigprocmask", {SIG_BLOCK, 840, 0, 8}); },
+        [&](const Sys& sys) { sys({SIG_BLOCK, 840, 0, 8}); },
         [&] { syscall(SYS_rt_sigprocmask, SIG_BLOCK, &nset, nullptr, 8); }));
   }
   {
@@ -360,40 +373,40 @@ int main(int argc, char** argv) {
     *word = 0;
     uint32_t native_word = 0;
     rows.push_back(Measure(h, "futex", kIters,
-        [&] { h.Wali("futex", {896, 1 /*FUTEX_WAKE*/, 1, 0, 0, 0}); },
+        [&](const Sys& sys) { sys({896, 1 /*FUTEX_WAKE*/, 1, 0, 0, 0}); },
         [&] { syscall(SYS_futex, &native_word, 1, 1, nullptr, nullptr, 0); }));
   }
   rows.push_back(Measure(h, "getpid", kIters,
-      [&] { h.Wali("getpid", {}); },
+      [&](const Sys& sys) { sys({}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_getpid)); }));
   rows.push_back(Measure(h, "getuid", kIters,
-      [&] { h.Wali("getuid", {}); },
+      [&](const Sys& sys) { sys({}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_getuid)); }));
   rows.push_back(Measure(h, "geteuid", kIters,
-      [&] { h.Wali("geteuid", {}); },
+      [&](const Sys& sys) { sys({}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_geteuid)); }));
   rows.push_back(Measure(h, "getgid", kIters,
-      [&] { h.Wali("getgid", {}); },
+      [&](const Sys& sys) { sys({}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_getgid)); }));
   rows.push_back(Measure(h, "getegid", kIters,
-      [&] { h.Wali("getegid", {}); },
+      [&](const Sys& sys) { sys({}); },
       [&] { benchmark::DoNotOptimize(syscall(SYS_getegid)); }));
   {
     int flags_cmd = F_GETFL;
     rows.push_back(Measure(h, "fcntl", kIters,
-        [&] { h.Wali("fcntl", {null_fd, flags_cmd, 0}); },
+        [&](const Sys& sys) { sys({null_fd, flags_cmd, 0}); },
         [&] { benchmark::DoNotOptimize(syscall(SYS_fcntl, null_fd, flags_cmd, 0)); }));
   }
   {
     int nbytes;
     rows.push_back(Measure(h, "ioctl", kIters,
-        [&] { h.Wali("ioctl", {pipe_fds[0], FIONREAD, 1600}); },
+        [&](const Sys& sys) { sys({pipe_fds[0], FIONREAD, 1600}); },
         [&] { benchmark::DoNotOptimize(syscall(SYS_ioctl, pipe_fds[0], FIONREAD, &nbytes)); }));
   }
   {
     // recvfrom on an empty non-blocking socket: immediate EAGAIN both ways.
     rows.push_back(Measure(h, "recvfrom", kIters,
-        [&] { h.Wali("recvfrom", {sv[0], 1024, 64, 0, 0, 0}); },
+        [&](const Sys& sys) { sys({sv[0], 1024, 64, 0, 0, 0}); },
         [&] { benchmark::DoNotOptimize(syscall(SYS_recvfrom, sv[0], native_buf, 64, 0, nullptr, nullptr)); }));
   }
   {
@@ -404,13 +417,13 @@ int main(int argc, char** argv) {
     pfd[5] = 0;
     struct pollfd npfd = {pipe_fds[0], POLLIN, 0};
     rows.push_back(Measure(h, "poll", kIters,
-        [&] { h.Wali("poll", {1664, 1, 0}); },
+        [&](const Sys& sys) { sys({1664, 1, 0}); },
         [&] { benchmark::DoNotOptimize(poll(&npfd, 1, 0)); }));
   }
   {
     struct rusage ru;
     rows.push_back(Measure(h, "getrusage", kIters,
-        [&] { h.Wali("getrusage", {RUSAGE_SELF, 1792}); },
+        [&](const Sys& sys) { sys({RUSAGE_SELF, 1792}); },
         [&] { benchmark::DoNotOptimize(syscall(SYS_getrusage, RUSAGE_SELF, &ru)); }));
   }
   {
@@ -418,14 +431,14 @@ int main(int argc, char** argv) {
       uint64_t cur, max;
     } rl;
     rows.push_back(Measure(h, "prlimit64", kIters,
-        [&] { h.Wali("prlimit64", {0, RLIMIT_NOFILE, 0, 1920}); },
+        [&](const Sys& sys) { sys({0, RLIMIT_NOFILE, 0, 1920}); },
         [&] { benchmark::DoNotOptimize(syscall(SYS_prlimit64, 0, RLIMIT_NOFILE, nullptr, &rl)); }));
   }
   {
     // clone: the paper's outlier — dominated by instance-per-thread setup.
     rows.push_back(Measure(h, "clone", 24,
-        [&] {
-          h.Wali("clone", {0x100, 1, 0, 0, 0});
+        [&](const Sys& sys) {
+          sys({0x100, 1, 0, 0, 0});
           h.process->JoinThreads();
         },
         [&] {
@@ -438,8 +451,8 @@ int main(int argc, char** argv) {
   {
     // fork: passthrough; children exit immediately.
     rows.push_back(Measure(h, "fork", 48,
-        [&] {
-          int64_t pid = h.Wali("fork", {});
+        [&](const Sys& sys) {
+          int64_t pid = sys({});
           if (pid == 0) _exit(0);
           waitpid(static_cast<pid_t>(pid), nullptr, 0);
         },

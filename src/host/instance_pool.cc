@@ -90,7 +90,7 @@ void InstancePool::Return(std::unique_ptr<wali::WaliProcess> proc) {
   proc->JoinThreads();
   // Release the finished tenant's fds now, not at the next recycle: an idle
   // slot must not hold files locked or sockets half-open indefinitely.
-  proc->CloseGuestFds();
+  proc->fds.CloseAll();
   const wasm::Module* key = proc->module.get();
   if (proc->memory != nullptr) {
     g_mem_high_water_->SetMax(

@@ -306,7 +306,7 @@ common::Status Supervisor::EvictParked(uint64_t cookie) {
   st.saved_env = std::move(proc.env);
   // The snapshot names the guest's fds by number, so they must stay open:
   // the run takes them over before the slot's release would close them.
-  st.evicted_fds = proc.ReleaseGuestFds();
+  st.evicted_fds = proc.fds.Release();
   st.cont.Discard();
   proc.pending_io.Reset();
   // The snapshot holds the guest's pages now. Drop the slab's copy before
@@ -531,9 +531,9 @@ void Supervisor::RunOne(Task& task) {
   // (SettleSlices swaps the reservation for actual consumption at finish).
   // Fuel rides the interpreter's existing per-instruction check; syscalls
   // trip in the dispatch wrapper; memory is capped at the allocation (grow
-  // past the cap fails) with a safepoint backstop; CPU trips at WALI
-  // safepoints, armed as a wall-clock deadline, which can only fire early
-  // (wall >= cpu), never grant extra time. A park RELEASES the
+  // past the cap fails), and a slot already past it never runs; CPU trips
+  // at WALI safepoints, armed as a wall-clock deadline, which can only fire
+  // early (wall >= cpu), never grant extra time. A park RELEASES the
   // reservation (ParkRun settles consumed-so-far and hands the unconsumed
   // slices back, so a sleeping fleet cannot starve the tenant's runnable
   // jobs); ResumeOne re-reserves fresh slices after its Admit re-check
@@ -554,8 +554,16 @@ void Supervisor::RunOne(Task& task) {
   }
   TenantBudget budget = ledger_.budget(job.tenant);
   if (budget.max_mem_pages != 0) {
-    proc.mem_budget_pages.store(budget.max_mem_pages, std::memory_order_release);
     proc.memory->SetGrowBudgetPages(budget.max_mem_pages);
+    // Every growth path honours the grow budget, so only a module whose
+    // declared minimum exceeds the cap starts over it.
+    if (proc.memory->size_pages() > budget.max_mem_pages) {
+      wasm::RunResult over;
+      over.trap = wasm::TrapKind::kBudgetExhausted;
+      over.trap_message = "tenant memory budget exhausted";
+      FinishRun(std::move(st), over);
+      return;
+    }
   }
 
   int64_t cpu0 = common::ThreadCpuNanos();
@@ -805,7 +813,6 @@ void Supervisor::Finish(RunState st) {
   if (st.lease) {
     wali::WaliProcess& proc = *st.lease;
     proc.cpu_deadline_nanos.store(0, std::memory_order_release);
-    proc.mem_budget_pages.store(0, std::memory_order_release);
     proc.syscall_budget.store(0, std::memory_order_release);
     proc.memory->SetGrowBudgetPages(0);
     report.mem_high_water_pages = proc.memory->high_water_pages();

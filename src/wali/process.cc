@@ -26,84 +26,7 @@ WaliProcess::WaliProcess(WaliRuntime* rt, std::vector<std::string> argv_in,
                          std::vector<std::string> env_in)
     : runtime(rt), argv(std::move(argv_in)), env(std::move(env_in)) {}
 
-WaliProcess::~WaliProcess() {
-  JoinThreads();
-  CloseGuestFds();
-}
-
-void WaliProcess::TrackFd(int fd) {
-  if (fd <= 2) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(fds_mu_);
-  guest_fds_.insert(fd);
-}
-
-void WaliProcess::UntrackFd(int fd) {
-  std::lock_guard<std::mutex> lock(fds_mu_);
-  guest_fds_.erase(fd);
-}
-
-short WaliProcess::OffloadableCached(int fd) {
-  // Classify under the lock: a concurrent InvalidateOffloadFd (another
-  // guest thread's close/dup2/F_SETFL dispatch) must serialize either
-  // before the fstat+fcntl here (we classify the new state) or after the
-  // insert (it erases our entry) — never between them, which would pin a
-  // stale answer. Misses are once-per-fd and the syscalls are cheap, so
-  // holding the mutex across them is fine.
-  std::lock_guard<std::mutex> lock(offload_mu_);
-  auto it = offload_cache_.find(fd);
-  if (it != offload_cache_.end()) {
-    return it->second;
-  }
-  short events = OffloadableFd(fd);
-  offload_cache_[fd] = events;
-  return events;
-}
-
-void WaliProcess::InvalidateOffloadFd(int fd) {
-  std::lock_guard<std::mutex> lock(offload_mu_);
-  offload_cache_.erase(fd);
-}
-
-void WaliProcess::ClearOffloadCache() {
-  std::lock_guard<std::mutex> lock(offload_mu_);
-  offload_cache_.clear();
-}
-
-void WaliProcess::CloseGuestFds() {
-  for (int fd : ReleaseGuestFds()) {
-    ::close(fd);
-  }
-}
-
-int WaliProcess::tracked_fd_count() {
-  std::lock_guard<std::mutex> lock(fds_mu_);
-  return static_cast<int>(guest_fds_.size());
-}
-
-std::vector<int> WaliProcess::GuestFds() {
-  std::lock_guard<std::mutex> lock(fds_mu_);
-  return std::vector<int>(guest_fds_.begin(), guest_fds_.end());
-}
-
-void WaliProcess::AdoptGuestFds(const std::vector<int>& fds) {
-  std::lock_guard<std::mutex> lock(fds_mu_);
-  for (int fd : fds) {
-    if (fd > 2) {
-      guest_fds_.insert(fd);
-    }
-  }
-}
-
-std::vector<int> WaliProcess::ReleaseGuestFds() {
-  std::set<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(fds_mu_);
-    fds.swap(guest_fds_);
-  }
-  return std::vector<int>(fds.begin(), fds.end());
-}
+WaliProcess::~WaliProcess() { JoinThreads(); }
 
 void WaliProcess::ResetForReuse(std::vector<std::string> argv_in,
                                 std::vector<std::string> env_in) {
@@ -111,7 +34,6 @@ void WaliProcess::ResetForReuse(std::vector<std::string> argv_in,
   argv = std::move(argv_in);
   env = std::move(env_in);
   cpu_deadline_nanos.store(0, std::memory_order_release);
-  mem_budget_pages.store(0, std::memory_order_release);
   syscall_budget.store(0, std::memory_order_release);
   run_syscalls.store(0, std::memory_order_release);
   exit_all.store(false, std::memory_order_release);
@@ -124,8 +46,7 @@ void WaliProcess::ResetForReuse(std::vector<std::string> argv_in,
   pending_io.Reset();
   park_after_syscalls = 0;
   syscalls_since_park = 0;
-  CloseGuestFds();
-  ClearOffloadCache();  // next tenant's fd numbers mean different files
+  fds.CloseAll();  // the next tenant's fd numbers mean different files
   policy.reset();
   // Keep the recycled interpreter buffers warm across slot reuse, but bound
   // what a slot retains: a deep run can grow the operand stack toward

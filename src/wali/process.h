@@ -11,14 +11,13 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/wali/async.h"
+#include "src/wali/fd_table.h"
 #include "src/wali/mmap_mgr.h"
 #include "src/wali/policy.h"
 #include "src/wali/sigtable.h"
@@ -53,44 +52,6 @@ class WaliProcess {
   // True when `tid` is the native tid of one of this process's guest threads.
   bool IsGuestThread(pid_t tid);
 
-  // Host fds minted for this guest (open/dup/socket/pipe/...), maintained by
-  // the syscall dispatch layer. Tenants share one host process, so anything
-  // the guest leaves open must be closed when the process dies or its slot
-  // is recycled — otherwise fds (and the files behind them) leak across
-  // tenants. Only fds > 2 are tracked; stdio is shared by design.
-  void TrackFd(int fd);
-  void UntrackFd(int fd);
-  // Closes every tracked fd (destructor and slot recycling).
-  void CloseGuestFds();
-  int tracked_fd_count();
-  // Sorted copy of the tracked fd set (snapshot/restore: the fd table is
-  // part of the serialized process state; see src/wali/process_snapshot.cc).
-  std::vector<int> GuestFds();
-  // Bulk re-track on restore: adopts `fds` as the tracked set (union with
-  // anything already tracked, same > 2 rule as TrackFd).
-  void AdoptGuestFds(const std::vector<int>& fds);
-  // Untracks every fd WITHOUT closing it and returns them sorted: eviction
-  // hands the open fds to the evicted run before the slot is recycled.
-  std::vector<int> ReleaseGuestFds();
-
-  // Cached per-fd classification (see wali::OffloadableFd): the poll(2)
-  // directions in which a read/write/accept gate on `fd` can block. Every
-  // blocking-capable gate under async-io consults it before the readiness
-  // probe (WaliCtx::WouldBlock), so regular files, directories, O_NONBLOCK
-  // and wrong-direction fds never pay the probe, and a hit costs a lookup
-  // instead of an fstat+fcntl. The classification is a pure function of the
-  // open file description's type, access mode and O_NONBLOCK flag, so it is
-  // cached per process and invalidated wherever one of them can change under
-  // us: close (fd number freed for reuse), dup2/dup3 (target fd silently
-  // replaced), fcntl(F_SETFL) and ioctl(FIONBIO) (O_NONBLOCK flipped; the
-  // access mode cannot change), and slot recycling (ResetForReuse).
-  // Invalidation hooks live in the syscall dispatch wrapper
-  // (WaliRuntime::ApplyFdEffect), so no handler can mint or retire an fd
-  // without the cache hearing about it.
-  short OffloadableCached(int fd);
-  void InvalidateOffloadFd(int fd);
-  void ClearOffloadCache();
-
   // Returns the process to a just-constructed state while keeping the linear
   // memory slab alive for reuse: joins straggler threads, clears exit/signal/
   // mmap/trace/policy state and the tid registration, and drops the old
@@ -115,6 +76,10 @@ class WaliProcess {
   std::shared_ptr<wasm::Memory> memory;
 
   SigTable sigtable;
+  // The guest's fds: ownership and blocking class (src/wali/fd_table.h).
+  // Anything the guest leaves open is closed when the process dies or its
+  // slot is recycled, since tenants share one host process.
+  FdTable fds;
   MmapManager mmap;
   SyscallTrace trace;
   // Recycled interpreter stack/frame storage for the main-thread run: wired
@@ -128,20 +93,16 @@ class WaliProcess {
   // Optional user-space syscall policy (§3.6); consulted before dispatch.
   std::shared_ptr<SyscallPolicy> policy;
 
-  // Per-tenant budget enforcement, observed at the same safepoints as
-  // async signal delivery (and alongside the interpreter's fuel check):
-  // when the monotonic clock passes `cpu_deadline_nanos`, or linear memory
-  // grows beyond `mem_budget_pages`, the run traps kBudgetExhausted (the
-  // memory cap is additionally enforced at the allocation itself via
-  // wasm::Memory's grow budget, so pages past the cap are never committed;
-  // the safepoint check is the backstop for a cap below the module's
-  // declared minimum). `syscall_budget` is checked in the syscall dispatch
-  // wrapper — one dispatch past the budget traps — against `run_syscalls`,
-  // the process's cheap dispatch counter. Zero disables any check. Set by
-  // the host supervisor from the tenant's remaining TenantLedger slices
-  // before each run.
+  // Per-tenant budget enforcement: when the monotonic clock passes
+  // `cpu_deadline_nanos`, the run traps kBudgetExhausted at its next WALI
+  // safepoint (alongside the interpreter's fuel check). `syscall_budget` is
+  // checked in the syscall dispatch wrapper — one dispatch past the budget
+  // traps — against `run_syscalls`, which each dispatch increments as it
+  // starts, so the count stays exact while guest threads dispatch
+  // concurrently. Zero disables either check. The memory cap is
+  // wasm::Memory's grow budget. Set by the host supervisor from the
+  // tenant's remaining TenantLedger slices before each run.
   std::atomic<int64_t> cpu_deadline_nanos{0};
-  std::atomic<uint64_t> mem_budget_pages{0};
   std::atomic<uint64_t> syscall_budget{0};
   std::atomic<uint64_t> run_syscalls{0};
 
@@ -181,12 +142,6 @@ class WaliProcess {
   };
   std::mutex threads_mu_;
   std::vector<std::unique_ptr<GuestThread>> threads_;
-
-  std::mutex fds_mu_;
-  std::set<int> guest_fds_;
-
-  std::mutex offload_mu_;
-  std::map<int, short> offload_cache_;
 };
 
 }  // namespace wali

@@ -1,5 +1,7 @@
 #include "src/wali/process_snapshot.h"
 
+#include <unistd.h>
+
 #include <utility>
 
 #include "src/wasm/snapshot.h"
@@ -15,13 +17,13 @@ namespace {
 //             6 x arg u64, then the wait as poll(2) takes it: timeout_nanos
 //             u64, member count u32 (<= IoOp::kMaxPollFds), then per member
 //             fd u32, events u32
-//   fds       count u32, then count i32 host fds
+//   fds       count u32, then count i32 host fds (each in 3 .. fd limit - 1)
 //   signals   virtual_mask u64, entry count u32, per entry: signo u8,
 //             handler u32, flags u32, mask u64
 //   trace     wali_nanos u64, kernel_nanos u64, nonzero-count u32,
 //             then (syscall id u32, count u64) pairs
-//   budgets   run_syscalls u64, syscall_budget u64, mem_budget_pages u64,
-//             grow_budget_pages u64, clear_child_tid u64
+//   budgets   run_syscalls u64, syscall_budget u64, grow_budget_pages u64,
+//             clear_child_tid u64
 //   mmap      initialized u8, base u64, limit u64,
 //             brk_base u64, brk_cur u64, brk_limit u64,
 //             used count u32, then (start u64, len u64) pairs
@@ -44,7 +46,7 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
     w.U32(static_cast<uint16_t>(m.events));
   }
 
-  std::vector<int> fds = proc.GuestFds();
+  std::vector<int> fds = proc.fds.Owned();
   w.U32(static_cast<uint32_t>(fds.size()));
   for (int fd : fds) w.U32(static_cast<uint32_t>(fd));
 
@@ -81,7 +83,6 @@ std::vector<uint8_t> EncodeHostBlob(WaliProcess& proc,
 
   w.U64(proc.run_syscalls.load(std::memory_order_acquire));
   w.U64(proc.syscall_budget.load(std::memory_order_acquire));
-  w.U64(proc.mem_budget_pages.load(std::memory_order_acquire));
   w.U64(proc.memory != nullptr ? proc.memory->grow_budget_pages() : 0);
   w.U64(proc.clear_child_tid.load(std::memory_order_acquire));
 
@@ -152,10 +153,17 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
   if (fd_count > r.remaining() / 4) {
     return common::InvalidArgument("snapshot: fd count overruns input");
   }
+  // An owned fd is above stdio and below the fd limit, where the kernel
+  // hands fds out; the fd table is an array indexed by fd number, so an
+  // unchecked number would size it.
+  const uint64_t open_max = static_cast<uint64_t>(::sysconf(_SC_OPEN_MAX));
   std::vector<int> fds(fd_count);
   for (int& f : fds) {
     uint32_t v = 0;
     RETURN_IF_ERROR(r.U32(&v));
+    if (v <= 2 || v >= open_max) {
+      return common::InvalidArgument("snapshot: fd out of range");
+    }
     f = static_cast<int>(v);
   }
 
@@ -203,12 +211,10 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
 
   uint64_t run_syscalls = 0;
   uint64_t syscall_budget = 0;
-  uint64_t mem_budget_pages = 0;
   uint64_t grow_budget_pages = 0;
   uint64_t clear_child_tid = 0;
   RETURN_IF_ERROR(r.U64(&run_syscalls));
   RETURN_IF_ERROR(r.U64(&syscall_budget));
-  RETURN_IF_ERROR(r.U64(&mem_budget_pages));
   RETURN_IF_ERROR(r.U64(&grow_budget_pages));
   RETURN_IF_ERROR(r.U64(&clear_child_tid));
 
@@ -248,7 +254,9 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
   cont.start_instrs = start_instrs;
   cont.entry_is_main = entry_is_main != 0;
   proc.pending_io = std::move(pending);
-  proc.AdoptGuestFds(fds);
+  for (int fd : fds) {
+    proc.fds.Mint(fd);
+  }
 
   proc.trace.Reset();
   proc.trace.AddWaliNanos(static_cast<int64_t>(wali_ns) +
@@ -260,7 +268,6 @@ common::Status DecodeHostBlob(const std::vector<uint8_t>& blob, WaliProcess& pro
 
   proc.run_syscalls.store(run_syscalls, std::memory_order_release);
   proc.syscall_budget.store(syscall_budget, std::memory_order_release);
-  proc.mem_budget_pages.store(mem_budget_pages, std::memory_order_release);
   if (proc.memory != nullptr) {
     proc.memory->SetGrowBudgetPages(grow_budget_pages);
   }

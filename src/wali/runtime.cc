@@ -2,10 +2,8 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <sys/ioctl.h>
 #include <limits.h>
 #include <poll.h>
-#include <sys/stat.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -31,19 +29,13 @@ wasm::TrapKind WaliSafepoint(wasm::ExecContext& ctx) {
     ctx.RequestExit(proc->exit_code.load(std::memory_order_acquire));
     return wasm::TrapKind::kExit;
   }
-  // Tenant budget enforcement (host accounting layer): the supervisor arms
-  // these from the tenant's remaining cumulative budget; they trip here so a
-  // run over budget stops at the next safepoint, exactly where fuel and
+  // Tenant CPU budget (host accounting layer): the supervisor arms the
+  // deadline from the tenant's remaining cumulative budget; it trips here so
+  // a run over budget stops at the next safepoint, exactly where fuel and
   // virtual signals are observed.
   int64_t cpu_deadline = proc->cpu_deadline_nanos.load(std::memory_order_acquire);
   if (cpu_deadline != 0 && common::MonotonicNanos() >= cpu_deadline) {
     ctx.SetTrap(wasm::TrapKind::kBudgetExhausted, "tenant cpu budget exhausted");
-    return wasm::TrapKind::kBudgetExhausted;
-  }
-  uint64_t mem_budget = proc->mem_budget_pages.load(std::memory_order_acquire);
-  if (mem_budget != 0 && proc->memory != nullptr &&
-      proc->memory->size_pages() > mem_budget) {
-    ctx.SetTrap(wasm::TrapKind::kBudgetExhausted, "tenant memory budget exhausted");
     return wasm::TrapKind::kBudgetExhausted;
   }
   if (!proc->sigtable.AnyPending()) {
@@ -127,39 +119,8 @@ bool WaliCtx::GetStr(uint64_t addr, std::string* out) const {
   return true;
 }
 
-short OffloadableFd(int fd) {
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    return 0;  // bad fd: let the real syscall surface the errno
-  }
-  if (!(S_ISFIFO(st.st_mode) || S_ISSOCK(st.st_mode) || S_ISCHR(st.st_mode))) {
-    return 0;
-  }
-  // O_NONBLOCK fds never block — the kernel answers -EAGAIN instantly, and
-  // event-loop guests depend on exactly that. Parking one would turn a
-  // readiness probe into an indefinite suspension, diverging from the
-  // blocking path this offload must match bit-for-bit.
-  int fl = ::fcntl(fd, F_GETFL);
-  if (fl < 0 || (fl & O_NONBLOCK) != 0) {
-    return 0;
-  }
-  // The access mode decides which direction can wait: the wrong one answers
-  // -EBADF at once, and its probe would report "not ready" forever (a read
-  // end never polls POLLOUT), parking the guest for good.
-  switch (fl & O_ACCMODE) {
-    case O_RDONLY:
-      return POLLIN;
-    case O_WRONLY:
-      return POLLOUT;
-    case O_RDWR:
-      return POLLIN | POLLOUT;
-    default:
-      return 0;
-  }
-}
-
 bool WaliCtx::WouldBlock(int fd, short events) const {
-  if ((proc.OffloadableCached(fd) & events) == 0) {
+  if ((proc.fds.BlockingClass(fd) & events) == 0) {
     return false;
   }
   struct pollfd probe = {fd, events, 0};
@@ -388,49 +349,6 @@ int WaliRuntime::SyscallId(const std::string& name) const {
   return it == ids_.end() ? -1 : it->second;
 }
 
-void WaliRuntime::ApplyFdEffect(WaliProcess& proc, size_t id,
-                                const uint64_t* args, int64_t ret) const {
-  if (fd_effects_[id] == FdEffect::kClosesFd) {
-    // Linux frees the fd even when close(2) fails (EINTR/EIO); keeping it
-    // tracked would double-close a number the kernel has since reused.
-    proc.UntrackFd(static_cast<int>(args[0]));
-    // The freed number can come back as a different file type; a stale
-    // offloadability entry would then misroute sync-vs-park decisions.
-    proc.InvalidateOffloadFd(static_cast<int>(args[0]));
-    return;
-  }
-  if (ret < 0) {
-    return;
-  }
-  switch (fd_effects_[id]) {
-    case FdEffect::kNone:
-    case FdEffect::kClosesFd:
-      break;
-    case FdEffect::kMintsFd:
-      proc.TrackFd(static_cast<int>(ret));
-      // dup2/dup3 replace an OPEN target fd in place (ret == newfd), and
-      // open/socket/accept can resurrect any previously classified number.
-      proc.InvalidateOffloadFd(static_cast<int>(ret));
-      break;
-    case FdEffect::kFcntl:
-      if (args[1] == F_DUPFD || args[1] == F_DUPFD_CLOEXEC) {
-        proc.TrackFd(static_cast<int>(ret));
-        proc.InvalidateOffloadFd(static_cast<int>(ret));
-      } else if (args[1] == F_SETFL) {
-        // O_NONBLOCK may have flipped: the classification depends on it
-        // (non-blocking fds must answer -EAGAIN inline, never park).
-        proc.InvalidateOffloadFd(static_cast<int>(args[0]));
-      }
-      break;
-    case FdEffect::kIoctl:
-      if (args[1] == FIONBIO) {
-        // ioctl's alternate spelling of the O_NONBLOCK flip.
-        proc.InvalidateOffloadFd(static_cast<int>(args[0]));
-      }
-      break;
-  }
-}
-
 void WaliRuntime::RegisterAll() {
   RegisterFsSyscalls(defs_);
   RegisterMemSyscalls(defs_);
@@ -439,24 +357,6 @@ void WaliRuntime::RegisterAll() {
   RegisterNetSyscalls(defs_);
   RegisterTimeSyscalls(defs_);
   RegisterMiscSyscalls(defs_);
-
-  fd_effects_.assign(defs_.size(), FdEffect::kNone);
-  auto mark = [this](const char* name, FdEffect effect) {
-    for (size_t id = 0; id < defs_.size(); ++id) {
-      if (std::strcmp(defs_[id].name, name) == 0) {
-        fd_effects_[id] = effect;
-      }
-    }
-  };
-  // Every registered syscall whose successful result is a new fd. Keep in
-  // lockstep with the registry: an unmatched name here is dead config.
-  for (const char* name : {"open", "openat", "dup", "dup2", "dup3", "socket",
-                           "accept", "accept4", "epoll_create1", "eventfd2"}) {
-    mark(name, FdEffect::kMintsFd);
-  }
-  mark("close", FdEffect::kClosesFd);
-  mark("fcntl", FdEffect::kFcntl);
-  mark("ioctl", FdEffect::kIoctl);
 
   for (size_t id = 0; id < defs_.size(); ++id) {
     const SyscallDef& def = defs_[id];
@@ -484,7 +384,9 @@ wasm::TrapKind WaliRuntime::Dispatch(wasm::ExecContext& ctx, uint32_t id,
   // Tenant syscall budget: enforced at the dispatch boundary (the natural
   // "safepoint" for syscalls — nothing kernel-visible has happened yet when
   // it trips, and the tripping dispatch itself never reaches the trace, so
-  // it is not billed).
+  // it is not billed). The counter is bumped as the dispatch starts, which
+  // keeps the budget exact while guest threads dispatch concurrently; the
+  // trace counts only after the handler returns.
   uint64_t prior_syscalls =
       proc->run_syscalls.fetch_add(1, std::memory_order_acq_rel);
   uint64_t sys_budget = proc->syscall_budget.load(std::memory_order_acquire);
@@ -554,7 +456,7 @@ int64_t WaliRuntime::CallHandler(WaliCtx& c, uint32_t id,
 
 void WaliRuntime::Complete(WaliProcess& proc, uint32_t id, const uint64_t* args,
                            int64_t ret) const {
-  ApplyFdEffect(proc, id, args, ret);
+  proc.fds.Apply(defs_[id].fd_effect, args, ret);
   if (common::LogEnabled(common::LogLevel::kDebug)) {
     LOG_DEBUG() << "SYS_" << defs_[id].name << " -> " << ret;
   }
@@ -760,11 +662,7 @@ wasm::RunResult WaliRuntime::RunMain(WaliProcess& process,
       r.trap_message = "fuel exhausted by start function";
     }
     if (!r.ok()) {
-      process.JoinThreads();
-      if (r.trap == wasm::TrapKind::kExit) {
-        r.values.clear();
-      }
-      return r;
+      return EndMain(process, std::move(r), false, 0);
     }
     if (opts.fuel != 0) {
       entry_opts.fuel = opts.fuel - start_instrs;
@@ -786,16 +684,7 @@ wasm::RunResult WaliRuntime::RunMain(WaliProcess& process,
     // Partial count so far; the final tally is assembled in ResumeMain.
     return r;
   }
-  if (entry_is_main && r.ok() && !r.values.empty()) {
-    r.exit_code = static_cast<int32_t>(r.values[0].i32());
-  }
-  r.executed_instrs += start_instrs;
-  process.JoinThreads();
-  if (r.trap == wasm::TrapKind::kExit) {
-    // Clean process exit.
-    r.values.clear();
-  }
-  return r;
+  return EndMain(process, std::move(r), entry_is_main, start_instrs);
 }
 
 wasm::RunResult WaliRuntime::ResumeMain(WaliProcess& process,
@@ -821,15 +710,44 @@ wasm::RunResult WaliRuntime::ResumeMain(WaliProcess& process,
   if (r.trap == wasm::TrapKind::kSyscallPending) {
     return r;  // parked again; cont stays armed
   }
-  if (cont.entry_is_main && r.ok() && !r.values.empty()) {
+  const bool entry_is_main = std::exchange(cont.entry_is_main, false);
+  return EndMain(process, std::move(r), entry_is_main,
+                 std::exchange(cont.start_instrs, 0));
+}
+
+wasm::RunResult WaliRuntime::EndMain(WaliProcess& process, wasm::RunResult r,
+                                     bool entry_is_main,
+                                     uint64_t start_instrs) const {
+  if (entry_is_main && r.ok() && !r.values.empty()) {
     r.exit_code = static_cast<int32_t>(r.values[0].i32());
   }
-  r.executed_instrs += cont.start_instrs;
-  cont.start_instrs = 0;
-  cont.entry_is_main = false;
+  r.executed_instrs += start_instrs;
   process.JoinThreads();
+  // No safepoint follows a run's last syscall, so a signal it raised is still
+  // pending. Apply Linux's default actions to it once, as WaliSafepoint
+  // would have: the kernel already did for a bound table, and a handler has
+  // no frame left to run in, so a handled signal stays pending, undelivered.
+  SigTable& sigs = process.sigtable;
+  const uint64_t pending = (r.ok() || r.trap == wasm::TrapKind::kExit) && !sigs.bound()
+                               ? sigs.pending() & ~sigs.virtual_mask()
+                               : 0;
+  for (int signo = 1; signo <= kNumSignals && pending != 0; ++signo) {
+    if ((pending & SigBit(signo)) == 0) {
+      continue;
+    }
+    const uint32_t handler = sigs.GetAction(signo).handler;
+    if (handler > kSigIgn) {
+      continue;
+    }
+    sigs.TakePending(~SigBit(signo));
+    if (handler == kSigDfl && (kDefaultIgnored & SigBit(signo)) == 0) {
+      r.trap = wasm::TrapKind::kExit;
+      r.exit_code = 128 + signo;
+      break;
+    }
+  }
   if (r.trap == wasm::TrapKind::kExit) {
-    r.values.clear();
+    r.values.clear();  // clean process exit
   }
   return r;
 }

@@ -71,10 +71,10 @@ struct WaliCtx {
   }
   // The would-block rule of the fd gates that can park (read, write, readv,
   // writev, accept, accept4): true only when `fd` can block on `events`
-  // (POLLIN or POLLOUT) by its cached classification
-  // (WaliProcess::OffloadableCached) AND a zero-timeout poll probe reports
-  // it not ready (or fails). A ready fd takes the gate's synchronous path,
-  // so a park costs a round trip only when the kernel would really block.
+  // (POLLIN or POLLOUT) by its blocking class (FdTable::BlockingClass) AND
+  // a zero-timeout poll probe reports it not ready (or fails). A ready fd
+  // takes the gate's synchronous path, so a park costs a round trip only
+  // when the kernel would really block.
   // The probe goes through Raw (booked as kernel time); it is not a guest
   // syscall, so it is neither counted nor charged against the budget.
   // Call only when CanOffload().
@@ -99,6 +99,8 @@ struct SyscallDef {
   int loc_estimate;  // implementation size (Table 2 "LOC" column)
   // The handler may park (WaliCtx::Park); resume re-dispatches it.
   bool can_park = false;
+  // How the syscall changes the process's fd table (FdTable::Apply).
+  FdEffect fd_effect = FdEffect::kNone;
 };
 
 class WaliRuntime {
@@ -195,19 +197,6 @@ class WaliRuntime {
   wasm::ExecOptions exec_options() const;
 
  private:
-  // How a syscall affects the process's host-fd set; applied centrally in
-  // the dispatch wrapper so pooled slots can close tenant leftovers.
-  // pipe/pipe2/socketpair track their fd pairs inside the handlers (from a
-  // host-side buffer a sibling guest thread cannot race on), so the dispatch
-  // layer only handles single-fd results.
-  enum class FdEffect : uint8_t {
-    kNone = 0,
-    kMintsFd,   // successful result is a new fd (open, dup, socket, ...)
-    kClosesFd,  // arg0 fd is freed by the kernel even when close(2) errors
-    kFcntl,     // mints only for F_DUPFD / F_DUPFD_CLOEXEC
-    kIoctl,     // FIONBIO flips O_NONBLOCK: offload cache must hear it
-  };
-
   void RegisterAll();
   void RegisterSupportMethods();
   // The dispatch wrapper every ("wali", "SYS_<name>") import runs.
@@ -218,32 +207,16 @@ class WaliRuntime {
   // The tail of every dispatch that produced a result: fd effect and log.
   void Complete(WaliProcess& proc, uint32_t id, const uint64_t* args,
                 int64_t ret) const;
-  void ApplyFdEffect(WaliProcess& proc, size_t id, const uint64_t* args,
-                     int64_t ret) const;
+  // The tail of every finished main run (RunMain, ResumeMain): exit code,
+  // instruction tally, thread join and the end-of-run signal rule.
+  wasm::RunResult EndMain(WaliProcess& process, wasm::RunResult r,
+                          bool entry_is_main, uint64_t start_instrs) const;
 
   wasm::Linker* linker_;
   Options options_;
   std::vector<SyscallDef> defs_;
   std::map<std::string, int> ids_;
-  std::vector<FdEffect> fd_effects_;
 };
-
-// Async-offload helpers shared by the syscall groups.
-//
-// The poll(2) directions in which a gate on `fd` can block indefinitely
-// (the classification WaliCtx::WouldBlock checks before its probe): POLLIN
-// and/or POLLOUT, as the access mode allows, for pipes, FIFOs, sockets and
-// character devices (ttys) — a read on an O_WRONLY fd or a write on an
-// O_RDONLY one answers -EBADF at once. 0 for regular files and directories
-// (page-cache I/O is the thin-interface fast path and always polls ready),
-// O_NONBLOCK fds (the kernel answers -EAGAIN inline, and event-loop guests
-// depend on exactly that) and bad fds (the real syscall surfaces the
-// errno); none of these reaches the probe. This is the UNCACHED
-// classification (one fstat + one fcntl); dispatch-path callers go through
-// WaliProcess::OffloadableCached, which memoizes it per fd and is
-// invalidated on close/dup2/dup3/fcntl(F_SETFL)/ioctl(FIONBIO) and slot
-// recycling.
-short OffloadableFd(int fd);
 
 // Validates a guest timespec and flattens it to nanoseconds (kernel
 // nanosleep rules: negative seconds or out-of-range nanos are EINVAL,

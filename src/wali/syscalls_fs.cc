@@ -268,8 +268,8 @@ int64_t SysDup3(WaliCtx& c, const int64_t* a) {
 }
 
 // pipe/pipe2 go through a host-side buffer: the kernel's fd pair must be
-// tracked from memory the guest cannot race on (a sibling thread scribbling
-// over the guest words before tracking would poison the fd set with
+// minted from memory the guest cannot race on (a sibling thread scribbling
+// over the guest words first would poison the fd table with
 // attacker-chosen numbers).
 int64_t PipeCommon(WaliCtx& c, uint64_t fds_addr, uint64_t flags) {
   void* guest_fds = c.Ptr(fds_addr, 8);
@@ -277,8 +277,8 @@ int64_t PipeCommon(WaliCtx& c, uint64_t fds_addr, uint64_t flags) {
   int host_fds[2] = {-1, -1};
   int64_t r = c.Raw(SYS_pipe2, reinterpret_cast<long>(host_fds), flags);
   if (r >= 0) {
-    c.proc.TrackFd(host_fds[0]);
-    c.proc.TrackFd(host_fds[1]);
+    c.proc.fds.Mint(host_fds[0]);
+    c.proc.fds.Mint(host_fds[1]);
     std::memcpy(guest_fds, host_fds, sizeof(host_fds));
   }
   return r;
@@ -491,9 +491,9 @@ void RegisterFsSyscalls(std::vector<SyscallDef>& defs) {
       {"writev", 3, SysWritev, false, 9, /*can_park=*/true},
       {"pread64", 4, SysPread64, false, 4},
       {"pwrite64", 4, SysPwrite64, false, 4},
-      {"open", 3, SysOpen, false, 4},
-      {"openat", 4, SysOpenat, false, 4},
-      {"close", 1, SysClose, false, 3},
+      {"open", 3, SysOpen, false, 4, false, FdEffect::kMints},
+      {"openat", 4, SysOpenat, false, 4, false, FdEffect::kMints},
+      {"close", 1, SysClose, false, 3, false, FdEffect::kCloses},
       {"lseek", 3, SysLseek, false, 3},
       {"access", 2, SysAccess, false, 8},
       {"faccessat", 3, SysFaccessat, false, 8},
@@ -502,13 +502,13 @@ void RegisterFsSyscalls(std::vector<SyscallDef>& defs) {
       {"fstat", 2, SysFstat, false, 4},
       {"newfstatat", 4, SysNewfstatat, false, 8},
       {"getdents64", 3, SysGetdents64, false, 4},
-      {"fcntl", 3, SysFcntl, false, 10},
-      {"ioctl", 3, SysIoctl, false, 4},
-      {"dup", 1, SysDup, false, 3},
-      {"dup2", 2, SysDup2, false, 6},
-      {"dup3", 3, SysDup3, false, 3},
-      {"pipe", 1, SysPipe, false, 5},
-      {"pipe2", 2, SysPipe2, false, 5},
+      {"fcntl", 3, SysFcntl, false, 10, false, FdEffect::kFcntl},
+      {"ioctl", 3, SysIoctl, false, 4, false, FdEffect::kIoctl},
+      {"dup", 1, SysDup, false, 3, false, FdEffect::kMints},
+      {"dup2", 2, SysDup2, false, 6, false, FdEffect::kMints},
+      {"dup3", 3, SysDup3, false, 3, false, FdEffect::kMints},
+      {"pipe", 1, SysPipe, false, 5, false, FdEffect::kMintsPair},
+      {"pipe2", 2, SysPipe2, false, 5, false, FdEffect::kMintsPair},
       {"mkdir", 2, SysMkdir, false, 4},
       {"mkdirat", 3, SysMkdirat, false, 4},
       {"rmdir", 1, SysRmdir, false, 4},

@@ -285,11 +285,11 @@ void RegisterMiscSyscalls(std::vector<SyscallDef>& defs) {
       {"ppoll", 5, SysPpoll, false, 12, /*can_park=*/true},
       {"select", 5, SysSelect, false, 14},
       {"pselect6", 6, SysPselect6, false, 14},
-      {"epoll_create1", 1, SysEpollCreate1, false, 3},
+      {"epoll_create1", 1, SysEpollCreate1, false, 3, false, FdEffect::kMints},
       {"epoll_ctl", 4, SysEpollCtl, false, 6},
       {"epoll_wait", 4, SysEpollWait, false, 6},
       {"epoll_pwait", 5, SysEpollPwait, false, 8},
-      {"eventfd2", 2, SysEventfd2, false, 3},
+      {"eventfd2", 2, SysEventfd2, false, 3, false, FdEffect::kMints},
       {"getrandom", 3, SysGetrandom, false, 4},
       {"membarrier", 2, SysMembarrier, false, 3},
       {"rseq", 4, SysEnosys, false, 1},

@@ -22,14 +22,14 @@ int64_t SysSocket(WaliCtx& c, const int64_t* a) {
 int64_t SysSocketpair(WaliCtx& c, const int64_t* a) {
   void* sv = c.Ptr(a[3], 8);
   if (sv == nullptr) return -EFAULT;
-  // Host-side buffer so fd tracking cannot be raced by a sibling guest
-  // thread rewriting the pair in linear memory (see PipeCommon).
+  // Host-side buffer so the mint cannot be raced by a sibling guest thread
+  // rewriting the pair in linear memory (see PipeCommon).
   int host_sv[2] = {-1, -1};
   int64_t r = c.Raw(SYS_socketpair, a[0], a[1], a[2],
                     reinterpret_cast<long>(host_sv));
   if (r >= 0) {
-    c.proc.TrackFd(host_sv[0]);
-    c.proc.TrackFd(host_sv[1]);
+    c.proc.fds.Mint(host_sv[0]);
+    c.proc.fds.Mint(host_sv[1]);
     std::memcpy(sv, host_sv, sizeof(host_sv));
   }
   return r;
@@ -67,8 +67,8 @@ int64_t AddrLenCall(WaliCtx& c, long nr, int64_t fd, int64_t addr, int64_t lenp,
 // connection) — only when none is pending yet (WaliCtx::WouldBlock); with one
 // queued, accept answers inline. At resume the call is re-dispatched with
 // offload off and takes the synchronous path, so the addr/len translation
-// happens once, against live memory, and the minted fd is tracked by the
-// dispatch wrapper's fd-effect pass like every other fd a syscall mints.
+// happens once, against live memory, and the dispatch wrapper mints the
+// accepted fd like every other fd a syscall mints.
 int64_t SysAccept(WaliCtx& c, const int64_t* a) {
   int fd = static_cast<int>(a[0]);
   if (c.CanOffload() && c.WouldBlock(fd, POLLIN)) {
@@ -106,11 +106,11 @@ int64_t SysConnect(WaliCtx& c, const int64_t* a) {
   // socket is writable (connect(2)'s completion signal). No readiness probe
   // first: the attempt itself is the probe — a handshake that finishes (or
   // fails) inline answers without a park. The O_NONBLOCK flip is reverted
-  // immediately — the guest never observes the flag, and the offload cache
+  // immediately — the guest never observes the flag, and the blocking class
   // keys on the guest-visible state. Sockets the guest itself made
-  // non-blocking answer inline by definition (OffloadableCached classifies
-  // them 0), so -EINPROGRESS never leaks to a guest that didn't ask for it.
-  if (c.CanOffload() && (c.proc.OffloadableCached(fd) & POLLOUT) != 0) {
+  // non-blocking answer inline by definition (their class is 0), so
+  // -EINPROGRESS never leaks to a guest that didn't ask for it.
+  if (c.CanOffload() && (c.proc.fds.BlockingClass(fd) & POLLOUT) != 0) {
     const int64_t flags = c.Raw(SYS_fcntl, fd, F_GETFL, 0);
     if (flags >= 0 &&
         c.Raw(SYS_fcntl, fd, F_SETFL, flags | O_NONBLOCK) == 0) {
@@ -251,12 +251,12 @@ int64_t SysRecvmsg(WaliCtx& c, const int64_t* a) {
 
 void RegisterNetSyscalls(std::vector<SyscallDef>& defs) {
   defs.insert(defs.end(), {
-      {"socket", 3, SysSocket, false, 3},
-      {"socketpair", 4, SysSocketpair, false, 5},
+      {"socket", 3, SysSocket, false, 3, false, FdEffect::kMints},
+      {"socketpair", 4, SysSocketpair, false, 5, false, FdEffect::kMintsPair},
       {"bind", 3, SysBind, false, 5},
       {"listen", 2, SysListen, false, 3},
-      {"accept", 3, SysAccept, false, 8, /*can_park=*/true},
-      {"accept4", 4, SysAccept4, false, 8, /*can_park=*/true},
+      {"accept", 3, SysAccept, false, 8, /*can_park=*/true, FdEffect::kMints},
+      {"accept4", 4, SysAccept4, false, 8, /*can_park=*/true, FdEffect::kMints},
       {"connect", 3, SysConnect, false, 5, /*can_park=*/true},
       {"getsockname", 3, SysGetsockname, false, 8},
       {"getpeername", 3, SysGetpeername, false, 8},

@@ -56,7 +56,7 @@
 namespace wasm {
 
 inline constexpr uint32_t kSnapshotMagic = 0x504e5357;  // "WSNP" LE
-inline constexpr uint32_t kSnapshotVersion = 6;
+inline constexpr uint32_t kSnapshotVersion = 7;
 
 // Bounds-checked little-endian cursor primitives, shared with the wali
 // layer's host-blob encoding (src/wali/process_snapshot.cc). The writer

@@ -1219,9 +1219,9 @@ TEST(HostIo, ParkedRunReleasesLedgerReservation) {
 }
 
 // Blocking pipe read parks; after the guest flips O_NONBLOCK with
-// fcntl(F_SETFL), the cached offloadability classification is invalidated
-// and the very next read takes the synchronous path again (-EAGAIN inline,
-// no park) — the regression a stale per-fd cache would break.
+// fcntl(F_SETFL), the fd table drops the cached blocking class and the
+// very next read takes the synchronous path again (-EAGAIN inline, no
+// park) — the regression a stale per-fd class would break.
 const char* kFlipNonBlockGuest = R"(
   (memory 2)
   (func (export "main") (result i32)
@@ -1341,20 +1341,22 @@ TEST(HostIo, OffloadCacheClassifiesAndInvalidates) {
       {"bad fd", 1 << 20, 0},
   };
   for (const auto& c : cases) {
-    EXPECT_EQ(p.OffloadableCached(c.fd), c.want) << c.name;
+    EXPECT_EQ(p.fds.BlockingClass(c.fd), c.want) << c.name;
   }
   ::close(file);
   ::close(dir);
 
-  // The answer is cached. Flip O_NONBLOCK behind the cache's back: the
-  // cached (now stale) answer survives until an invalidation hook fires —
-  // this is exactly why the dispatch wrapper invalidates on fcntl(F_SETFL).
+  // The answer is cached. Flip O_NONBLOCK behind the table's back: the
+  // cached (now stale) answer survives until the class is dropped — this is
+  // exactly why the dispatch wrapper reclassifies on fcntl(F_SETFL).
   int fl = ::fcntl(pipe_r, F_GETFL);
   ASSERT_GE(fl, 0);
   ASSERT_EQ(::fcntl(pipe_r, F_SETFL, fl | O_NONBLOCK), 0);
-  EXPECT_EQ(p.OffloadableCached(pipe_r), POLLIN);  // stale, by construction
-  p.InvalidateOffloadFd(pipe_r);
-  EXPECT_EQ(p.OffloadableCached(pipe_r), 0);  // reclassified: non-blocking
+  EXPECT_EQ(p.fds.BlockingClass(pipe_r), POLLIN);  // stale, by construction
+  const uint64_t setfl[] = {static_cast<uint64_t>(pipe_r), F_SETFL,
+                            static_cast<uint64_t>(fl | O_NONBLOCK)};
+  p.fds.Apply(wali::FdEffect::kFcntl, setfl, 0);
+  EXPECT_EQ(p.fds.BlockingClass(pipe_r), 0);  // reclassified: non-blocking
 }
 
 TEST(HostIo, RunAllPreservesSubmissionOrderAcrossParks) {

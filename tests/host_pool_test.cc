@@ -381,20 +381,20 @@ TEST(InstancePool, LeakedFdsClosedOnRecycle) {
     ASSERT_TRUE(r.ok_or_exit0()) << wasm::TrapKindName(r.trap);
     ASSERT_EQ(r.values.size(), 1u);
     ASSERT_EQ(r.values[0].i32(), 0u) << "guest failed to open " << path;
-    EXPECT_EQ((*lease)->tracked_fd_count(), 1)
-        << "dispatch layer must track the minted fd";
+    EXPECT_EQ((*lease)->fds.Owned().size(), 1u)
+        << "the dispatch layer must record the minted fd";
   }
   auto lease = w.pool->Acquire(*module, {"next"}, {});
   ASSERT_TRUE(lease.ok());
   EXPECT_TRUE(lease->recycled());
-  EXPECT_EQ((*lease)->tracked_fd_count(), 0)
+  EXPECT_EQ((*lease)->fds.Owned().size(), 0u)
       << "previous tenant's leaked fd must be closed on recycle";
   std::remove(path.c_str());
 }
 
 TEST(InstancePool, ClosedFdsAreUntracked) {
   HostWorld w = MakeWorld();
-  // Guest dups stderr and closes the duplicate: net zero tracked fds.
+  // Guest dups stderr and closes the duplicate: net zero owned fds.
   auto module = w.cache->Load(WrapModule(R"(
     (memory 2)
     (func (export "main") (result i32)
@@ -409,7 +409,7 @@ TEST(InstancePool, ClosedFdsAreUntracked) {
   ASSERT_TRUE(lease.ok());
   wasm::RunResult r = w.runtime->RunMain(**lease);
   ASSERT_TRUE(r.ok_or_exit0());
-  EXPECT_EQ((*lease)->tracked_fd_count(), 0);
+  EXPECT_EQ((*lease)->fds.Owned().size(), 0u);
 }
 
 // /proc/self/status's VmLck, in kB.

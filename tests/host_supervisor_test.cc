@@ -542,6 +542,27 @@ std::vector<TenantSignalRow> TenantSignalRows() {
            (i32.wrap_i64 (i64.sub (i64.const 0)
              (call $setitimer (i64.const 0) (i64.const 1024) (i64.const 0))))))"),
        Exits({EPERM})},
+      // No safepoint follows a run's last syscall: the end of the run
+      // applies the default action of what it left pending.
+      {"LastSyscallKillEndsTheRun",
+       one(R"((memory 1)
+         (func (export "main") (result i32)
+           (drop (call $kill (call $getpid) (i64.const 12)))
+           (i32.const 7)))"),
+       Exits({128 + SIGUSR2})},
+      {"LastSyscallBrokenPipeEndsTheRun",
+       one(std::string(R"((memory 1)
+         (func (export "main") (result i32)
+           (local $r i64))") + kBrokenPipeWrite + R"(
+           (i32.const 7)))"),
+       Exits({128 + SIGPIPE})},
+      {"KillBeforeExitGroupEndsTheRun",
+       one(R"((memory 1)
+         (func (export "main") (result i32)
+           (drop (call $kill (call $getpid) (i64.const 12)))
+           (drop (call $exit_group (i64.const 7)))
+           (i32.const 0)))"),
+       Exits({128 + SIGUSR2})},
   };
 }
 

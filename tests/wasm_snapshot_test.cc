@@ -764,7 +764,9 @@ TEST(WasmSnapshotHostile, WaliHostBlobTruncationsAndBitFlips) {
       EXPECT_FALSE(restored.armed()) << what;
     }
     // The fd numbers came from a mutated blob: forget them, never close.
-    p.ReleaseGuestFds();
+    // The table, indexed by fd number, stays below the fd limit.
+    EXPECT_LT(p.fds.size(), static_cast<size_t>(::sysconf(_SC_OPEN_MAX))) << what;
+    p.fds.Release();
     return st.ok();
   };
 
@@ -1015,17 +1017,17 @@ TEST(WasmSnapshotScan, DroppedSegmentPageRestoresAsZeros) {
 
 // ------------------------------------------------------- format stability --
 
-// Golden pin for snapshot format v6. The bytes of a fixed, fully
+// Golden pin for snapshot format v7. The bytes of a fixed, fully
 // deterministic park (kGoldenKernelWat under kEveryInstr + kSwitch with a
 // fixed fake module hash) are summarized by (length, FNV-1a). If either
 // changes, the on-disk format changed: bump wasm::kSnapshotVersion and
 // regenerate these constants from the failure message. DO NOT update the
 // constants without the version bump — old snapshots would decode wrong.
 constexpr size_t kGoldenSnapshotSize = 65694;
-constexpr uint64_t kGoldenSnapshotFnv = 0x737df88def093967ULL;
+constexpr uint64_t kGoldenSnapshotFnv = 0x0621ccaaf51e2a1eULL;
 // First bytes of the golden snapshot (header + start of the exec section),
 // for quick diagnosis of what moved.
-constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x06, 0x00,
+constexpr uint8_t kGoldenPrefix[] = {0x57, 0x53, 0x4e, 0x50, 0x07, 0x00,
                                      0x00, 0x00};
 
 uint64_t Fnv64(const std::vector<uint8_t>& bytes) {
@@ -1171,7 +1173,7 @@ TEST(WasmSnapshotWorkloads, ParkEveryNthSyscallRoundTrip) {
           // Hand fd ownership to the restored process: the snapshot carries
           // the fd numbers, and double-close on teardown could hit an
           // unrelated fd opened later.
-          cur.ReleaseGuestFds();
+          cur.fds.Release();
 
           auto fresh = rt.CreateProcess(*parsed, {w.name}, {});
           ASSERT_TRUE(fresh.ok()) << label << " " << fresh.status().ToString();
